@@ -193,15 +193,21 @@ def cmd_mult(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_space(args: argparse.Namespace, n: int) -> SpaceDescriptor:
+def _resolve_space(args: argparse.Namespace) -> SpaceDescriptor:
     if args.space is None:
         raise ValueError("--space is required in ranks mode")
     if is_builtin_space(args.space):
-        return builtin_space(args.space, args.theory, max_power=n)
-    space = load_space(args.space)
-    if space.kind != args.theory:
+        space = builtin_space(args.space, args.theory, max_power=args.n)
+    else:
+        space = load_space(args.space)
+        if space.kind != args.theory:
+            raise ValueError(
+                f"space kind {space.kind!r} does not match --theory {args.theory!r}"
+            )
+    # Checked here for every ranks route, the Poincare polynomial included.
+    if space.dim != args.d:
         raise ValueError(
-            f"space kind {space.kind!r} does not match --theory {args.theory!r}"
+            f"space dimension {space.dim} does not match decomposition d={args.d}"
         )
     return space
 
@@ -281,7 +287,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         if has_index:
             value = formal_evaluation(dec, theory, p, k)
     else:  # ranks
-        space = _resolve_space(args, n)
+        space = _resolve_space(args)
         doc["space"] = space.name
         header += f" space={space.name}"
         for m, shift, mult in dec.terms:

@@ -5,12 +5,22 @@ For a smooth base of dimension ``d``, the connected multiplicity polynomial
 n labels together with an admissible weight vector of total weight w.  It
 obeys the recurrence over set partitions of {1..n}
 
-    h_1 = 1,    h_n = sum over partitions {I_1..I_k}:
+    h_1 = 1,    h_n = sum over partitions {I_1..I_k}, k >= 2:
                          h_|I_1| * ... * h_|I_k| * sigma_{k-1}
 
 with ``sigma_k = x + x^2 + ... + x^(d*k-1)`` for k > 0 and ``sigma_0 = 0``.
-Because the summand depends only on block sizes, the sum is taken over
-integer partitions weighted by the number of set partitions of that shape.
+Summing the products over all partitions into exactly k blocks gives the
+partial Bell polynomial ``B_{n,k} = B_{n,k}(h_1, h_2, ...)``, so
+
+    h_n = sum_{k>=2} sigma_{k-1} * B_{n,k}.
+
+The kernel keeps one triangle of partial Bell polynomials per ``d``, filled
+row by row with the division-free rule (the block holding label 1 has j
+labels)
+
+    B_{0,0} = 1,    B_{n,k} = sum_j C(n-1, j-1) * h_j * B_{n-j,k-1},
+
+which needs only ``h_j`` with j < n for k >= 2; then ``B_{n,1} = h_n``.
 
 The exponential generating function ``N(x,t) = sum h_n t^n / n!`` is pinned
 down by the functional identity
@@ -22,29 +32,37 @@ unknown ``h_n`` enters with the factor ``x^d (1-x)``, so one exact
 polynomial division isolates it.
 
 Finally, the multiplicity table ``a_{m,i}`` reads off how many i-shifted
-copies of the m-th cartesian power occur in the decomposition:
-``a_{m,i} = [x^i] ([t^n/n!] N^m) / m!`` with the division by m! exact.
+copies of the m-th cartesian power occur in the decomposition.  It equals
+``[x^i] ([t^n/n!] N^m) / m!``, which is exactly ``[x^i] B_{n,m}``: row n of
+the triangle, with no division.
+
+Kernel calls are bounded by ``KERNEL_BUDGET``; larger calls raise
+``BudgetError`` instead of running for minutes.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .polyseries import (
     EGF,
     ONE,
     ZERO,
     IntPoly,
+    binomial,
     egf_exp,
-    egf_mul,
     egf_term,
-    egf_unit,
     monomial,
 )
+
+#: Largest kernel call, as (labels n, top degree d*(n-1)); the triangle's
+#: cost grows about as n^3 * (d*(n-1))^2, and (40, 160) runs in seconds.
+KERNEL_BUDGET = (40, 160)
+
+
+class BudgetError(ValueError):
+    """Raised when a computation would exceed its configured budget."""
 
 
 def sigma(k: int, d: int) -> IntPoly:
@@ -62,68 +80,50 @@ def sigma(k: int, d: int) -> IntPoly:
     return IntPoly((0,) + (1,) * (d * k - 1))
 
 
-def integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``n`` as non-increasing tuples."""
-
-    def gen(remaining: int, largest: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - part, part):
-                yield (part,) + rest
-
-    return gen(n, n)
-
-
-def _shape_count(n: int, shape: tuple[int, ...]) -> int:
-    # Number of set partitions of an n-set whose block sizes are `shape`.
-    denom = 1
-    for part in shape:
-        denom *= math.factorial(part)
-    for mult in Counter(shape).values():
-        denom *= math.factorial(mult)
-    count, rem = divmod(math.factorial(n), denom)
-    if rem:
-        raise ArithmeticError("set-partition count is not an integer")
-    return count
-
-
 @lru_cache(maxsize=None)
-def _h_list(n: int, d: int) -> tuple[IntPoly, ...]:
-    if n == 1:
+def _bell_row(n: int, d: int) -> tuple[IntPoly, ...]:
+    # Row n of the triangle: (B_{n,0}, ..., B_{n,n}); reads only rows < n.
+    if n == 0:
         return (ONE,)
-    prev = _h_list(n - 1, d)
-    total = ZERO
-    for shape in integer_partitions(n):
-        k = len(shape)
-        if k == 1:
-            continue  # sigma_0 = 0 kills the one-block term
-        term = sigma(k - 1, d)
-        if term.is_zero:
-            continue
-        for part in shape:
-            term = term * prev[part - 1]
-        total = total + term * _shape_count(n, shape)
-    return prev + (total,)
+    rows = [_bell_row(m, d) for m in range(n)]
+    hs = [ZERO] + [rows[j][1] * binomial(n - 1, j - 1) for j in range(1, n)]
+    row = [ZERO, ZERO]
+    h_n = ZERO
+    for k in range(2, n + 1):
+        total = ZERO
+        for j in range(1, n - k + 2):
+            if not hs[j].is_zero:
+                total = total + hs[j] * rows[n - j][k - 1]
+        row.append(total)
+        h_n = h_n + sigma(k - 1, d) * total
+    row[1] = ONE if n == 1 else h_n
+    return tuple(row)
 
 
-def h_recurrence(n: int, d: int) -> IntPoly:
-    """The polynomial ``h_n`` computed by the partition recurrence."""
+def _triangle_row(n: int, d: int) -> tuple[IntPoly, ...]:
+    # Kernel entry: validate and budget a call, then read row n.
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return _h_list(n, d)[n - 1]
+    max_n, max_degree = KERNEL_BUDGET
+    if n > max_n or d * (n - 1) > max_degree:
+        raise BudgetError(
+            f"kernel budget exceeded: n={n}, d*(n-1)={d * (n - 1)} "
+            f"(limits n <= {max_n}, d*(n-1) <= {max_degree})"
+        )
+    return _bell_row(n, d)
+
+
+def h_recurrence(n: int, d: int) -> IntPoly:
+    """The polynomial ``h_n = B_{n,1}`` from the partial-Bell triangle."""
+    return _triangle_row(n, d)[1]
 
 
 def recurrence_egf(n_max: int, d: int) -> EGF:
     """The series ``N`` with coefficients ``0, h_1, ..., h_n_max``."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return EGF((ZERO,) + _h_list(n_max, d), n_max)
+    _triangle_row(n_max, d)  # validates, budgets and fills rows 1..n_max
+    return EGF([ZERO] + [_bell_row(n, d)[1] for n in range(1, n_max + 1)], n_max)
 
 
 def egf_solve(n_max: int, d: int) -> EGF:
@@ -140,7 +140,6 @@ def egf_solve(n_max: int, d: int) -> EGF:
     xd1 = monomial(d + 1)
     lead = xd - xd1  # x^d (1 - x), the factor multiplying the unknown h_n
     rhs_1 = xd - xd1  # coefficient of t in (1-x) x^d t
-    from .polyseries import binomial
 
     h: list[IntPoly] = [ZERO]
     exp_top: list[IntPoly] = [ONE]  # coefficients of exp(x^d N)
@@ -219,25 +218,11 @@ class MultiplicityTable:
 
 
 def multiplicity_table(n: int, d: int) -> MultiplicityTable:
-    """Extract all ``a_{m,i}`` from powers of the generating function."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    series = recurrence_egf(n, d)
+    """All ``a_{m,i}``: row m of the table is the partial Bell polynomial ``B_{n,m}``."""
+    row = _triangle_row(n, d)
     entries: dict[tuple[int, int], int] = {}
-    power = egf_unit(n)
-    fact = 1
     for m in range(1, n + 1):
-        power = egf_mul(power, series)
-        fact *= m
-        try:
-            row = power.coefficient(n).divexact_int(fact)
-        except ValueError as exc:
-            raise ArithmeticError(
-                f"multiplicity division by {m}! not exact"
-            ) from exc
-        for i, a in enumerate(row.coeffs):
+        for i, a in enumerate(row[m].coeffs):
             if a < 0:
                 raise ArithmeticError("negative multiplicity")
             if a:

@@ -26,16 +26,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .genfun import sigma
+from .genfun import BudgetError, sigma
 from .polyseries import ONE, IntPoly
 
 #: Hard cap on the label count for exhaustive enumeration; the number of
 #: nests grows super-exponentially (n=7 already has 78416).
 NEST_BUDGET = 7
-
-
-class BudgetError(ValueError):
-    """Raised when an enumeration would exceed the configured budget."""
 
 
 @dataclass(frozen=True)

@@ -342,15 +342,6 @@ def egf_mul(a: EGF, b: EGF) -> EGF:
     return EGF(out, a.order)
 
 
-def egf_pow(a: EGF, m: int) -> EGF:
-    if m < 0:
-        raise ValueError("negative series power")
-    result = egf_unit(a.order)
-    for _ in range(m):
-        result = egf_mul(result, a)
-    return result
-
-
 def egf_exp(a: EGF) -> EGF:
     """Exponential of a series with zero constant term.
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .genfun import multiplicity_table
-from .polyseries import IntPoly, ZERO, monomial
+from .polyseries import ONE, IntPoly, ZERO
 
 KINDS = ("lawson", "chow", "db", "betti")
 
@@ -383,16 +383,24 @@ def kunneth_rational(betti_x: IntPoly, m: int) -> IntPoly:
 
 
 def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
-    """Poincare polynomial of X[n] from the Poincare polynomial of X."""
+    """Poincare polynomial of X[n] from the Poincare polynomial of X.
+
+    It is ``sum_m B_{n,m}(q^2) * P_X^m``, with ``B_{n,m}`` the rows of the
+    multiplicity table: a shift i multiplies by ``q^(2i)``.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
     if betti_x.degree > 2 * d:
         raise ValueError("Betti polynomial degree exceeds 2*dim")
+    table = multiplicity_table(n, d)
     total = ZERO
-    for m, shift, mult in decompose_formal(n, d).terms:
-        total = total + monomial(2 * shift, mult) * (betti_x ** m)
+    power = ONE
+    for m in range(1, n + 1):
+        power = power * betti_x
+        row_in_q2 = IntPoly(c for a in table.row_poly(m).coeffs for c in (a, 0))
+        total = total + row_in_q2 * power
     return total
 
 
@@ -570,18 +578,29 @@ def parse_space(doc: object) -> SpaceDescriptor:
     if not isinstance(raw_powers, dict):
         raise ValueError("field 'powers' must be an object")
     for key, records in raw_powers.items():
-        try:
-            m = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"powers key {key!r} is not an integer") from None
+        # Only the canonical spelling is accepted, so "2" and "02" cannot
+        # both name power 2.
+        digits = isinstance(key, str) and key.isascii() and key.isdigit()
+        if not digits or str(int(key)) != key:
+            raise ValueError(f"powers key {key!r} is not a canonical decimal integer")
+        m = int(key)
         if m < 2:
             raise ValueError("powers keys must be >= 2 (power 1 is 'table')")
         powers[m] = _parse_table(records, kind, f"powers[{key}]")
     return SpaceDescriptor(name=name, dim=dim, kind=kind, powers=powers)
 
 
+def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r} in descriptor file")
+        doc[key] = value
+    return doc
+
+
 def load_space(path: str) -> SpaceDescriptor:
-    """Read and validate a space descriptor file (JSON)."""
+    """Read and validate a space descriptor file (JSON); duplicate keys are errors."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        doc = json.load(handle, object_pairs_hook=_reject_duplicate_keys)
     return parse_space(doc)

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fmc.cli import main, render_json
 
@@ -254,3 +257,100 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, sub, "--help")
         assert code == 0
         assert "usage" in out.lower()
+
+
+LINE_DOC = {
+    "name": "line",
+    "dim": 1,
+    "kind": "lawson",
+    "table": [{"p": 0, "k": 0, "free_rank": 1}, {"p": 1, "k": 2, "free_rank": 1}],
+    "powers": {"2": [{"p": 0, "k": 0, "free_rank": 1}]},
+}
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("h-poly", "--n", "30", "--d", "6"),
+            ("h-poly", "--n", "41", "--d", "1"),
+            ("mult", "--n", "41", "--d", "1"),
+            ("egf", "--n", "41", "--d", "2", "--verify"),
+            ("decompose", "--theory", "lawson", "--n", "2", "--d", "161"),
+        ],
+    )
+    def test_kernel_budget_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "kernel budget exceeded" in err
+
+    @pytest.mark.parametrize("index", [(), ("--k", "2")])
+    def test_betti_space_dimension_checked(self, capsys, index):
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "betti", "--n", "2", "--d", "3",
+            "--mode", "ranks", "--space", "p2", *index,
+        )
+        assert code == 2
+        assert out == ""
+        assert "space dimension 2 does not match" in err
+
+    def test_duplicate_json_key_rejected(self, capsys, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(LINE_DOC)[:-1] + ', "name": "again"}')
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "lawson", "--n", "2", "--d", "1",
+            "--mode", "ranks", "--space", str(path), "--p", "0", "--k", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "duplicate key 'name'" in err
+
+    @pytest.mark.parametrize("key", ["02", "+2", " 2"])
+    def test_noncanonical_powers_key_rejected(self, capsys, tmp_path, key):
+        doc = json.loads(json.dumps(LINE_DOC))
+        doc["powers"][key] = [{"p": 0, "k": 0, "free_rank": 5}]
+        path = tmp_path / "powers.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "lawson", "--n", "2", "--d", "1",
+            "--mode", "ranks", "--space", str(path), "--p", "1", "--k", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a canonical decimal integer" in err
+
+
+class TestPoincareProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        d=st.integers(1, 3),
+        n=st.integers(1, 6),
+        half=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+        lead=st.integers(1, 3),
+    )
+    def test_palindromic_input_gives_palindromic_output(
+        self, tmp_path_factory, dim, d, n, half, lead
+    ):
+        # A palindromic Betti input of degree 2d gives a Poincare polynomial
+        # of X[n] that is palindromic of degree 2dn; any other dimension is
+        # refused.
+        front = [lead] + half[:dim]
+        path = tmp_path_factory.mktemp("betti") / "space.json"
+        path.write_text(json.dumps(
+            {"name": "s", "dim": dim, "kind": "betti", "betti": front + front[-2::-1]}
+        ))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([
+                "decompose", "--theory", "betti", "--n", str(n), "--d", str(d),
+                "--mode", "ranks", "--space", str(path), "--format", "json",
+            ])
+        if dim != d:
+            assert (code, out.getvalue()) == (2, "")
+            return
+        assert code == 0
+        coeffs = json.loads(out.getvalue())["poincare"]["coeffs"]
+        assert len(coeffs) == 2 * d * n + 1
+        assert coeffs == coeffs[::-1]

@@ -1,16 +1,17 @@
 import pytest
 
 from fmc.genfun import (
+    KERNEL_BUDGET,
+    BudgetError,
     egf_solve,
     h_recurrence,
-    integer_partitions,
     multiplicity_table,
     recurrence_egf,
     sigma,
     verify_identity,
 )
 from fmc.nests import brute_bivariate, enumerate_nests, nest_stats, nest_weight
-from fmc.polyseries import EGF, IntPoly, ONE, ZERO, egf_term
+from fmc.polyseries import EGF, IntPoly, ONE, ZERO, egf_mul, egf_term, egf_unit
 
 
 def brute_h(n, d):
@@ -41,20 +42,6 @@ class TestSigma:
             sigma(-1, 2)
         with pytest.raises(ValueError):
             sigma(1, 0)
-
-
-class TestIntegerPartitions:
-    def test_small(self):
-        assert sorted(integer_partitions(4)) == sorted(
-            [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-        )
-
-    def test_counts(self):
-        # partition numbers 1, 1, 2, 3, 5, 7, 11
-        for n, expected in enumerate([1, 1, 2, 3, 5, 7, 11]):
-            if n == 0:
-                continue
-            assert sum(1 for _ in integer_partitions(n)) == expected
 
 
 class TestRecurrence:
@@ -98,8 +85,8 @@ class TestSolver:
     def test_d1_collapses(self):
         assert egf_solve(2, 1).coefficient(2) == ZERO
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", list(range(1, 13)))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_recurrence(self, n, d):
         solved = egf_solve(n, d)
         for m in range(1, n + 1):
@@ -181,7 +168,7 @@ class TestMultiplicityTable:
             expected += pairs
         assert multiplicity_table(n, d).total() == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", list(range(1, 13)))
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_structural_invariants(self, n, d):
         table = multiplicity_table(n, d)
@@ -192,6 +179,20 @@ class TestMultiplicityTable:
         if n >= 2:
             bound = d * (n - 1) - 1
             assert all(i <= bound for (_, i) in table.entries)
+
+    @pytest.mark.parametrize("n", list(range(1, 13)))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_power_extraction(self, n, d):
+        # Independent route: a_{m,i} = [x^i] ([t^n] N^m) / m! with N from the
+        # identity solver, the powers by repeated products, the division exact.
+        series = egf_solve(n, d)
+        table = multiplicity_table(n, d)
+        power = egf_unit(n)
+        fact = 1
+        for m in range(1, n + 1):
+            power = egf_mul(power, series)
+            fact *= m
+            assert table.row_poly(m) == power.coefficient(n).divexact_int(fact), m
 
     def test_terms_canonical_order(self):
         terms = multiplicity_table(4, 2).terms()
@@ -207,3 +208,17 @@ class TestMultiplicityTable:
             for (mm, i), a in table.entries.items():
                 if mm == m:
                     assert table.value(m, d * (n - m) - i) == a, (n, d, m, i)
+
+
+class TestKernelBudget:
+    @pytest.mark.parametrize(
+        "n, d", [(KERNEL_BUDGET[0] + 1, 1), (30, 6), (2, KERNEL_BUDGET[1] + 1)]
+    )
+    def test_oversize_calls_rejected(self, n, d):
+        for kernel in (h_recurrence, recurrence_egf, multiplicity_table):
+            with pytest.raises(BudgetError, match="kernel budget"):
+                kernel(n, d)
+
+    def test_stress_sizes_admitted(self):
+        assert h_recurrence(24, 3).degree == 3 * 23 - 1
+        assert multiplicity_table(20, 4).value(20, 0) == 1

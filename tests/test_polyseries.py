@@ -10,7 +10,6 @@ from fmc.polyseries import (
     binomial,
     egf_exp,
     egf_mul,
-    egf_pow,
     egf_term,
     egf_unit,
     monomial,
@@ -160,11 +159,6 @@ class TestEGF:
     def test_exp_requires_zero_constant_term(self):
         with pytest.raises(ValueError):
             egf_exp(egf_unit(3))
-
-    def test_pow_is_repeated_mul(self):
-        e = EGF([0, 1, X], 4)
-        assert egf_pow(e, 3) == egf_mul(egf_mul(e, e), e)
-        assert egf_pow(e, 0) == egf_unit(4)
 
     @given(a=small_egfs, b=small_egfs, c=small_egfs)
     def test_ring_laws(self, a, b, c):
