@@ -24,10 +24,12 @@ from .nests import BudgetError, NEST_BUDGET, enumerate_nests, nest_stats
 from .oracle import run_verification, solver_match
 from .polyseries import IntPoly, format_poly
 from .theory import (
+    THEORIES,
     GroupDescriptor,
     SpaceDescriptor,
     betti_of_fm,
     builtin_space,
+    check_index,
     decompose_formal,
     evaluate_decomposition,
     formal_evaluation,
@@ -99,6 +101,7 @@ def _emit(text: str) -> None:
 
 def cmd_nests(args: argparse.Namespace) -> int:
     found = enumerate_nests(args.n, allow_large=args.budget_override)
+    with_stats = ((nest, nest_stats(nest)) for nest in found)
     if args.format == "json":
         doc = {
             "n": args.n,
@@ -106,20 +109,19 @@ def cmd_nests(args: argparse.Namespace) -> int:
             "nests": [
                 {
                     "members": [list(m) for m in nest.members],
-                    "components": nest_stats(nest).components,
+                    "components": stats.components,
                     "sons": [
                         {"member": list(member), "count": count}
-                        for member, count in sorted(nest_stats(nest).sons.items())
+                        for member, count in sorted(stats.sons.items())
                     ],
                 }
-                for nest in found
+                for nest, stats in with_stats
             ],
         }
         _emit(render_json(doc))
     else:
         lines = [f"n={args.n} count={len(found)}"]
-        for nest in found:
-            stats = nest_stats(nest)
+        for nest, stats in with_stats:
             sons = " ".join(
                 "{" + ",".join(map(str, member)) + "}=" + str(count)
                 for member, count in sorted(stats.sons.items())
@@ -213,21 +215,12 @@ def _resolve_space(args: argparse.Namespace) -> SpaceDescriptor:
 
 
 def _latex_term(theory: str, m: int, shift: int, mult: int) -> str:
-    base = "X" if m == 1 else f"X^{{{m}}}"
-    if theory == "lawson":
-        level = "p" if shift == 0 else f"p-{shift}"
-        degree = "k" if shift == 0 else f"k-{2 * shift}"
-        body = f"L_{{{level}}}H_{{{degree}}}({base})"
-    elif theory == "chow":
-        level = "p" if shift == 0 else f"p-{shift}"
-        body = f"\\mathrm{{Ch}}_{{{level}}}({base})"
-    elif theory == "db":
-        level = "p" if shift == 0 else f"p-{shift}"
-        degree = "k" if shift == 0 else f"k-{2 * shift}"
-        body = f"H^{{{degree}}}_{{\\mathcal{{D}}}}({base},\\mathbb{{Z}}({level}))"
-    else:  # betti
-        degree = "k" if shift == 0 else f"k-{2 * shift}"
-        body = f"H_{{{degree}}}({base})"
+    # The symbolic form of the shift action: level p-i, degree k-2i.
+    body = THEORIES[theory].latex.format(
+        X="X" if m == 1 else f"X^{{{m}}}",
+        p="p" if shift == 0 else f"p-{shift}",
+        k="k" if shift == 0 else f"k-{2 * shift}",
+    )
     if mult > 1:
         body += f"^{{\\oplus {mult}}}"
     return body
@@ -238,23 +231,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     p, k = args.p, args.k
     has_index = p is not None or k is not None
     if has_index:
-        if theory == "lawson" or theory == "db":
-            if p is None or k is None:
-                raise ValueError(f"--theory {theory} needs both --p and --k")
-        elif theory == "chow":
-            if p is None:
-                raise ValueError("--theory chow needs --p")
-            if k is not None:
-                raise ValueError("--theory chow takes no --k")
-        else:  # betti
-            if k is None:
-                raise ValueError("--theory betti needs --k")
-            if p is not None:
-                raise ValueError("--theory betti takes no --p")
-    if theory == "lawson" and has_index and not (k >= 2 * p >= 0):
-        raise ValueError("lawson index must satisfy k >= 2p >= 0")
-    if theory == "chow" and has_index and p < 0:
-        raise ValueError("chow index p must be >= 0")
+        check_index(theory, p, k)
 
     dec = decompose_formal(n, d)
 
@@ -292,9 +269,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         header += f" space={space.name}"
         for m, shift, mult in dec.terms:
             term_docs.append({"m": m, "shift": shift, "mult": mult})
-        if theory == "betti" and k is None:
-            if space.betti is None:
-                raise ValueError(f"space {space.name!r} has no Betti polynomial")
+        if k is None and space.betti is not None:
             poincare = betti_of_fm(space.betti, d, n)
         else:
             value = evaluate_decomposition(dec, space, p, k)
@@ -403,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="decomposition of X[n] for a chosen theory")
     p_dec.add_argument(
-        "--theory", choices=("lawson", "chow", "db", "betti"), required=True
+        "--theory", choices=tuple(THEORIES), required=True
     )
     p_dec.add_argument("--n", type=_positive_int, required=True)
     p_dec.add_argument("--d", type=_positive_int, required=True)

@@ -188,11 +188,6 @@ def monomial(exponent: int, coefficient: int = 1) -> IntPoly:
     return IntPoly((0,) * exponent + (coefficient,))
 
 
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact convolution product in canonical form."""
-    return a * b
-
-
 def format_poly(p: IntPoly, var: str = "x") -> str:
     if p.is_zero:
         return "0"

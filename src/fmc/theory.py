@@ -3,26 +3,21 @@
 The decomposition of the configuration-space compactification X[n] is the
 same index bookkeeping for every theory involved: a formal sum of terms
 (m, i, mult) meaning "mult copies of the m-th cartesian power, shifted by
-i".  What differs per theory is how a shift acts on indices and how
-out-of-range indices are read:
-
-* cycle-space homology ("lawson"), bigraded by (level p, degree k):
-  a shift i sends (p, k) to (p-i, k-2i); negative degree reads the zero
-  group and a negative level is read at level 0 by convention;
-* algebraic cycle classes ("chow"), graded by p alone: a shift i sends
-  p to p-i and negative p reads the zero group;
-* Deligne-Beilinson cohomology ("db"), bigraded by (degree k, level p):
-  shifts act as for "lawson", negative degree reads zero, but a negative
-  level is never guessed: it is kept as an unevaluated formal term;
-* Betti data ("betti"), a Poincare polynomial: a shift multiplies by q^2i
-  and powers are taken with rational coefficients.
+i".  What differs per theory is which outer indices it takes (level p,
+degree k), how an out-of-range index is read, and how a group is named.
+``THEORIES`` holds exactly these conventions, one ``Theory`` record per
+kind: cycle-space homology ("lawson"), algebraic cycle classes ("chow"),
+Deligne-Beilinson cohomology ("db") and Betti data ("betti").  Naming,
+evaluation, the blowup and bundle reads and index validation all read it.
 
 Groups are finitely generated abelian: a free rank plus cyclic torsion
 orders, with an escape hatch of unevaluated formal terms for data the
 tables cannot know (cycle-space homology groups need not be finitely
 generated in general, and no integral product formula is assumed: tables
 for cartesian powers must be supplied, or derived by the projective-bundle
-formula when the factors are projective spaces).
+formula when the factors are projective spaces).  Betti data is a
+Poincare polynomial instead of tables, and powers are taken with rational
+coefficients.
 
 The single blowup formula reads: the value on the blowup of X along a
 center Y of codimension r is the value on X plus the values on Y at the
@@ -38,12 +33,92 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from .genfun import multiplicity_table
 from .polyseries import ONE, IntPoly, ZERO
 
-KINDS = ("lawson", "chow", "db", "betti")
+# What a negative shifted level reads: level 0, the zero group, or nothing
+# evaluable (a formal summand in a decomposition, an error in a table read).
+CLAMP, ZERO_READ, FORMAL = "clamp", "zero", "formal"
+
+
+@dataclass(frozen=True)
+class Theory:
+    """Index conventions of one theory.
+
+    ``has_level`` and ``has_degree`` say which of the outer indices p and k
+    the theory takes; the other one is refused.  A shift i lowers the level
+    by i and the degree by 2i, on the slots the theory has.  A negative
+    degree reads the zero group and a negative level follows
+    ``negative_level``.  ``text`` and ``latex`` name a group from the power
+    ``X``, the level ``p`` and the degree ``k``; ``index_ok`` is the range
+    condition written ``index_rule``.
+    """
+
+    name: str
+    has_level: bool
+    has_degree: bool
+    negative_level: str
+    text: str
+    latex: str
+    index_rule: str = ""
+    index_ok: Callable[[int, int], bool] = lambda p, k: True
+
+    def read_index(self, p: int, k: int, shift: int) -> tuple[int, int] | None:
+        """The index a term shifted by ``shift`` reads at outer (p, k).
+
+        None means the zero group; the level stays negative only under
+        FORMAL.
+        """
+        p -= shift * self.has_level
+        k -= 2 * shift * self.has_degree
+        if k < 0 or (p < 0 and self.negative_level == ZERO_READ):
+            return None
+        if p < 0 and self.negative_level == CLAMP:
+            p = 0
+        return p, k
+
+
+THEORIES = {
+    theory.name: theory
+    for theory in (
+        Theory(
+            "lawson", True, True, CLAMP, "L_{p}H_{k}({X})", "L_{{{p}}}H_{{{k}}}({X})",
+            "k >= 2p >= 0", lambda p, k: k >= 2 * p >= 0,
+        ),
+        Theory(
+            "chow", True, False, ZERO_READ, "Ch_{p}({X})", "\\mathrm{{Ch}}_{{{p}}}({X})",
+            "p >= 0", lambda p, k: p >= 0,
+        ),
+        Theory(
+            "db", True, True, FORMAL, "H^{k}_D({X}, Z({p}))",
+            "H^{{{k}}}_{{\\mathcal{{D}}}}({X},\\mathbb{{Z}}({p}))",
+        ),
+        Theory("betti", False, True, ZERO_READ, "H_{k}({X})", "H_{{{k}}}({X})"),
+    )
+}
+
+
+def theory_of(kind: str) -> Theory:
+    try:
+        return THEORIES[kind]
+    except KeyError:
+        raise ValueError(f"unknown kind {kind!r}") from None
+
+
+def check_index(kind: str, p: int | None, k: int | None) -> Theory:
+    """Validate an outer index for ``kind`` and return its conventions."""
+    theory = theory_of(kind)
+    for slot, value, taken in (("p", p, theory.has_level), ("k", k, theory.has_degree)):
+        if taken and value is None:
+            raise ValueError(f"{kind} needs the index {slot}")
+        if not taken and value is not None:
+            raise ValueError(f"{kind} takes no index {slot}")
+    if not theory.index_ok(p, k):
+        raise ValueError(f"{kind} index must satisfy {theory.index_rule}")
+    return theory
 
 
 @dataclass(frozen=True)
@@ -146,7 +221,7 @@ class SpaceDescriptor:
     powers: dict[int, GradedTable] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in THEORIES:
             raise ValueError(f"unknown kind {self.kind!r}")
 
 
@@ -191,16 +266,7 @@ def decompose_formal(n: int, d: int) -> FormalDecomposition:
 
 def format_group_term(kind: str, m: int, p: int | None = None, k: int | None = None) -> str:
     """Printable name of one indexed group of the m-th power."""
-    power = "X" if m == 1 else f"X^{m}"
-    if kind == "lawson":
-        return f"L_{p}H_{k}({power})"
-    if kind == "chow":
-        return f"Ch_{p}({power})"
-    if kind == "db":
-        return f"H^{k}_D({power}, Z({p}))"
-    if kind == "betti":
-        return f"H_{k}({power})"
-    raise ValueError(f"unknown kind {kind!r}")
+    return theory_of(kind).text.format(X="X" if m == 1 else f"X^{m}", p=p, k=k)
 
 
 def term_group_name(
@@ -210,56 +276,44 @@ def term_group_name(
 
     Returns "0" for terms that contribute the zero group at this index.
     """
-    if kind == "lawson":
-        kk = k - 2 * shift
-        if kk < 0:
-            return "0"
-        return format_group_term(kind, m, max(p - shift, 0), kk)
-    if kind == "chow":
-        pp = p - shift
-        if pp < 0:
-            return "0"
-        return format_group_term(kind, m, pp)
-    if kind == "db":
-        kk = k - 2 * shift
-        if kk < 0:
-            return "0"
-        return format_group_term(kind, m, p - shift, kk)
-    if kind == "betti":
-        kk = k - 2 * shift
-        if kk < 0:
-            return "0"
-        return format_group_term(kind, m, k=kk)
-    raise ValueError(f"unknown kind {kind!r}")
+    at = theory_of(kind).read_index(p or 0, k or 0, shift)
+    return "0" if at is None else format_group_term(kind, m, *at)
 
 
-def _require_index(kind: str, p: int | None, k: int | None) -> None:
-    if kind == "chow":
-        if p is None:
-            raise ValueError("chow evaluation needs the level index p")
-        if p < 0:
-            raise ValueError("invalid outer index: p must be >= 0")
-    elif kind == "betti":
-        if k is None:
-            raise ValueError("betti evaluation needs the degree index k")
-    else:
-        if p is None or k is None:
-            raise ValueError(f"{kind} evaluation needs both indices p and k")
-        if kind == "lawson" and not k >= 2 * p >= 0:
-            raise ValueError("invalid outer index: lawson needs k >= 2p >= 0")
+def _formal_term(kind: str, m: int, p: int, k: int) -> GroupDescriptor:
+    return GroupDescriptor(formal=(format_group_term(kind, m, p, k),))
+
+
+def _sum_terms(
+    dec: FormalDecomposition,
+    theory: Theory,
+    p: int | None,
+    k: int | None,
+    read: Callable[[int, int, int], GroupDescriptor],
+) -> GroupDescriptor:
+    # Each term's group read(m, p', k') is scaled by its multiplicity rather
+    # than copied: ranks are summed, torsion orders and formal names repeat.
+    # An index with no evaluable level stays a named formal summand.  A slot
+    # the theory lacks is None here and reads as 0.
+    p, k = p or 0, k or 0
+    rank, torsion, formal = 0, [], []
+    for m, shift, mult in dec.terms:
+        at = theory.read_index(p, k, shift)
+        if at is None:
+            continue
+        group = _formal_term(theory.name, m, *at) if at[0] < 0 else read(m, *at)
+        rank += mult * group.free_rank
+        torsion.extend(group.torsion * mult)
+        formal.extend(group.formal * mult)
+    return GroupDescriptor(free_rank=rank, torsion=tuple(torsion), formal=tuple(formal))
 
 
 def formal_evaluation(
     dec: FormalDecomposition, kind: str, p: int | None = None, k: int | None = None
 ) -> GroupDescriptor:
     """Evaluate a decomposition into named formal summands only."""
-    _require_index(kind, p, k)
-    names: list[str] = []
-    for m, shift, mult in dec.terms:
-        name = term_group_name(kind, m, shift, p, k)
-        if name != "0":
-            names.extend([name] * mult)
-    return GroupDescriptor(formal=tuple(names))
+    theory = check_index(kind, p, k)
+    return _sum_terms(dec, theory, p, k, partial(_formal_term, kind))
 
 
 def evaluate_decomposition(
@@ -277,66 +331,27 @@ def evaluate_decomposition(
         raise ValueError(
             f"space dimension {space.dim} does not match decomposition d={dec.d}"
         )
-    kind = space.kind
-    _require_index(kind, p, k)
-    if kind == "betti":
-        if space.betti is None:
-            raise ValueError(f"space {space.name!r} has no Betti polynomial")
-        rank = 0
-        for m, shift, mult in dec.terms:
-            kk = k - 2 * shift
-            if kk < 0:
-                continue
-            rank += mult * (space.betti ** m).coefficient(kk)
-        return GroupDescriptor(free_rank=rank)
-    parts: list[GroupDescriptor] = []
-    for m, shift, mult in dec.terms:
-        table = space.powers.get(m)
-        if table is None:
+    theory = check_index(space.kind, p, k)
+    betti = space.betti
+    if betti is not None:
+        return _sum_terms(
+            dec, theory, p, k,
+            lambda m, pp, kk: GroupDescriptor(free_rank=(betti ** m).coefficient(kk)),
+        )
+    for m, _, _ in dec.terms:
+        if m not in space.powers:
             raise ValueError(f"space {space.name!r} has no table for power X^{m}")
-        if kind == "lawson":
-            kk = k - 2 * shift
-            if kk < 0:
-                continue
-            g = table.lookup(max(p - shift, 0), kk)
-        elif kind == "chow":
-            pp = p - shift
-            if pp < 0:
-                continue
-            g = table.lookup(pp, 0)
-        else:  # db
-            kk = k - 2 * shift
-            if kk < 0:
-                continue
-            pp = p - shift
-            if pp < 0:
-                g = GroupDescriptor(formal=(format_group_term("db", m, pp, kk),))
-            else:
-                g = table.lookup(pp, kk)
-        parts.extend([g] * mult)
-    return direct_sum(*parts)
+    return _sum_terms(dec, theory, p, k, lambda m, pp, kk: space.powers[m].lookup(pp, kk))
 
 
-def _table_value(table: GradedTable, p: int, k: int, kind: str) -> GroupDescriptor:
-    # Shared read conventions for the blowup and bundle formulas.
-    if k < 0:
+def _table_read(table: GradedTable, kind: str, p: int, k: int, shift: int) -> GroupDescriptor:
+    # The blowup and bundle formulas read a table at a shifted index.
+    at = theory_of(kind).read_index(p, k, shift)
+    if at is None:
         return ZERO_GROUP
-    if p < 0:
-        if kind == "lawson":
-            p = 0
-        elif kind == "chow":
-            return ZERO_GROUP
-        else:
-            raise ValueError("negative level read on Deligne-Beilinson data")
-    return table.lookup(p, k)
-
-
-def _shifted_index(p: int, k: int, j: int, kind: str) -> tuple[int, int]:
-    # A shift by j lowers the level by j; theories with a degree index also
-    # lower the degree by 2j, while "chow" has no degree slot to move.
-    if kind == "chow":
-        return p - j, k
-    return p - j, k - 2 * j
+    if at[0] < 0:
+        raise ValueError(f"negative level read on {kind} data")
+    return table.lookup(*at)
 
 
 def blowup_formula(
@@ -354,9 +369,8 @@ def blowup_formula(
     """
     if r < 1:
         raise ValueError("codimension must be >= 1")
-    parts = [_table_value(x, p, k, kind)]
-    for j in range(1, r):
-        parts.append(_table_value(y, *_shifted_index(p, k, j, kind), kind))
+    parts = [_table_read(x, kind, p, k, 0)]
+    parts.extend(_table_read(y, kind, p, k, j) for j in range(1, r))
     return direct_sum(*parts)
 
 
@@ -369,17 +383,7 @@ def proj_bundle_formula(
     """
     if r < 1:
         raise ValueError("rank parameter must be >= 1")
-    parts = [
-        _table_value(y, *_shifted_index(p, k, j, kind), kind) for j in range(r)
-    ]
-    return direct_sum(*parts)
-
-
-def kunneth_rational(betti_x: IntPoly, m: int) -> IntPoly:
-    """Poincare polynomial of the m-th cartesian power (rational ranks)."""
-    if m < 1:
-        raise ValueError("power must be >= 1")
-    return betti_x ** m
+    return direct_sum(*(_table_read(y, kind, p, k, j) for j in range(r)))
 
 
 def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
@@ -408,8 +412,7 @@ def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
 # Built-in sample spaces
 # ---------------------------------------------------------------------------
 
-POINT_TABLE_LAWSON = GradedTable({(0, 0): Z_GROUP})
-POINT_TABLE_CHOW = GradedTable({(0, 0): Z_GROUP})
+POINT_TABLE = GradedTable({(0, 0): Z_GROUP})
 
 _BUILTIN_DIMS = {
     "point": 0,
@@ -432,7 +435,7 @@ def proj_bundle_table(y: GradedTable, r: int, total_dim: int, kind: str) -> Grad
     if r < 1:
         raise ValueError("rank parameter must be >= 1")
     groups: dict[tuple[int, int], GroupDescriptor] = {}
-    degrees = (0,) if kind == "chow" else tuple(range(0, 2 * total_dim + 1))
+    degrees = range(2 * total_dim + 1) if theory_of(kind).has_degree else (0,)
     for p in range(0, total_dim + 1):
         for k in degrees:
             g = proj_bundle_formula(y, r, p, k, kind)
@@ -445,10 +448,9 @@ def projective_space_table(a: int, kind: str = "lawson") -> GradedTable:
     """Graded table of a-dimensional projective space, built from a point."""
     if a < 0:
         raise ValueError("dimension must be >= 0")
-    point = POINT_TABLE_CHOW if kind == "chow" else POINT_TABLE_LAWSON
     if a == 0:
-        return point
-    return proj_bundle_table(point, a + 1, a, kind)
+        return POINT_TABLE
+    return proj_bundle_table(POINT_TABLE, a + 1, a, kind)
 
 
 def projective_space_powers(a: int, kind: str, max_power: int) -> dict[int, GradedTable]:
@@ -523,8 +525,8 @@ def _parse_table(records: object, kind: str, where: str) -> GradedTable:
         p, k, rank = record["p"], record["k"], record["free_rank"]
         if k < 0:
             raise ValueError(f"{label}: k < 0 entries are zero and may not be stored")
-        if kind == "chow" and k != 0:
-            raise ValueError(f"{label}: chow tables use k = 0")
+        if k != 0 and not THEORIES[kind].has_degree:
+            raise ValueError(f"{label}: {kind} tables use k = 0")
         if rank < 0:
             raise ValueError(f"{label}: free_rank must be nonnegative")
         torsion = record.get("torsion", [])
@@ -553,8 +555,8 @@ def parse_space(doc: object) -> SpaceDescriptor:
         raise ValueError("field 'name' must be a string")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("field 'dim' must be an integer >= 1")
-    if kind not in KINDS:
-        raise ValueError(f"field 'kind' must be one of {list(KINDS)}")
+    if kind not in THEORIES:
+        raise ValueError(f"field 'kind' must be one of {list(THEORIES)}")
     if kind == "betti":
         if "table" in doc or "powers" in doc:
             raise ValueError("betti descriptors carry no tables")

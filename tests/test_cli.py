@@ -1,11 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fmc
 from fmc.cli import main, render_json
+from fmc.theory import decompose_formal, formal_evaluation
 
 
 def run_cli(capsys, *argv):
@@ -354,3 +361,51 @@ class TestPoincareProperty:
         coeffs = json.loads(out.getvalue())["poincare"]["coeffs"]
         assert len(coeffs) == 2 * d * n + 1
         assert coeffs == coeffs[::-1]
+
+
+INDEX_VALUES = [None, *range(-2, 9)]
+
+
+class TestIndexAgreement:
+    @pytest.mark.parametrize("kind", ["lawson", "chow", "db", "betti"])
+    def test_cli_refuses_what_the_library_refuses(self, kind):
+        # With any index given, formal mode exits 2 exactly when the library
+        # refuses the index: a missing or stray slot, or one out of range.
+        dec = decompose_formal(2, 2)
+        for p in INDEX_VALUES:
+            for k in INDEX_VALUES:
+                if p is None and k is None:
+                    continue
+                try:
+                    formal_evaluation(dec, kind, p, k)
+                    expected = 0
+                except ValueError:
+                    expected = 2
+                argv = ["decompose", "--theory", kind, "--n", "2", "--d", "2"]
+                argv += [] if p is None else ["--p", str(p)]
+                argv += [] if k is None else ["--k", str(k)]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code == expected, (p, k)
+
+
+class TestLargeMultiplicities:
+    def test_lawson_n12_ranks_fit_in_512_mib(self):
+        # Multiplicities near 7e11 are summed, never expanded into copies.
+        # The child runs under a 512 MiB address-space limit, so a
+        # regression fails fast instead of exhausting the machine.
+        limit = 512 * 1024 * 1024
+        src = Path(fmc.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "fmc.cli", "decompose", "--theory", "lawson",
+                "--n", "12", "--d", "2", "--mode", "ranks", "--space", "p2",
+                "--p", "5", "--k", "14",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "value: Z^297424083906"

@@ -13,7 +13,6 @@ from fmc.polyseries import (
     egf_term,
     egf_unit,
     monomial,
-    poly_mul,
 )
 
 ORDER = 5
@@ -52,11 +51,11 @@ class TestIntPoly:
         assert IntPoly().degree == -1
 
     def test_difference_of_squares(self):
-        assert poly_mul(ONE + X, ONE - X) == IntPoly([1, 0, -1])
+        assert (ONE + X) * (ONE - X) == IntPoly([1, 0, -1])
 
     def test_zero_annihilates(self):
         p = IntPoly([3, -1, 2])
-        assert poly_mul(p, ZERO) == ZERO
+        assert p * ZERO == ZERO
 
     def test_square_of_x_plus_x2(self):
         p = IntPoly([0, 1, 1])

@@ -18,7 +18,6 @@ from fmc.theory import (
     direct_sum,
     evaluate_decomposition,
     formal_evaluation,
-    kunneth_rational,
     parse_space,
     proj_bundle_formula,
     projective_space_powers,
@@ -226,6 +225,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_decomposition(decompose_formal(2, 2), space, 2, 1)
 
+    def test_stray_index_rejected(self):
+        dec = decompose_formal(2, 2)
+        with pytest.raises(ValueError, match="takes no index k"):
+            formal_evaluation(dec, "chow", 1, 0)
+        with pytest.raises(ValueError, match="takes no index p"):
+            formal_evaluation(dec, "betti", 0, 4)
+        with pytest.raises(ValueError, match="takes no index p"):
+            evaluate_decomposition(dec, builtin_space("p2", "betti"), 0, 4)
+
     def test_dimension_mismatch(self):
         space = builtin_space("p2", "lawson", max_power=2)
         with pytest.raises(ValueError):
@@ -248,17 +256,17 @@ class TestEvaluate:
 
 class TestBetti:
     def test_kunneth_square_of_line(self):
-        assert kunneth_rational(P1_BETTI, 2) == IntPoly([1, 0, 2, 0, 1])
+        assert P1_BETTI ** 2 == IntPoly([1, 0, 2, 0, 1])
 
     def test_kunneth_identity(self):
-        assert kunneth_rational(P2_BETTI, 1) == P2_BETTI
+        assert P2_BETTI ** 1 == P2_BETTI
 
     def test_kunneth_square_of_plane(self):
-        assert kunneth_rational(P2_BETTI, 2) == IntPoly([1, 0, 2, 0, 3, 0, 2, 0, 1])
+        assert P2_BETTI ** 2 == IntPoly([1, 0, 2, 0, 3, 0, 2, 0, 1])
 
     def test_plane_pair(self):
         # independent hand expansion: (1+q^2+q^4)^2 + q^2 (1+q^2+q^4)
-        expected = kunneth_rational(P2_BETTI, 2) + P2_BETTI.shift(2)
+        expected = P2_BETTI ** 2 + P2_BETTI.shift(2)
         assert betti_of_fm(P2_BETTI, 2, 2) == expected
         assert expected == IntPoly([1, 0, 3, 0, 4, 0, 3, 0, 1])
 
