@@ -6,12 +6,14 @@ disjoint or nested.  Such a family is exactly a forest: the leaves are the
 singletons, every internal node is the union of its sons, and every
 internal node has at least two sons.
 
-Each nest carries two statistics: the number of connected components
-(maximal members) and, for every internal node, its number of sons.  The
-weight polynomial of a nest in ambient dimension ``d`` is the product over
-internal nodes I of ``x + x^2 + ... + x^(d*(sons(I)-1)-1)``; the empty
-product is 1.  Summing weight polynomials over all nests grouped by
-component count gives the brute-force side of the decomposition checks.
+Each nest carries two statistics, both read off one walk over its members
+by size: the number of connected components (maximal members) and, for
+every internal node, its number of sons.  The weight polynomial of a nest
+in ambient dimension ``d`` is the product over internal nodes I of
+``x + x^2 + ... + x^(d*(sons(I)-1)-1)``; the empty product is 1.  It
+depends only on the nest's signature (component count, sorted son counts),
+so the brute-force side of the decomposition checks counts signatures once
+per n and sums their weights, grouped by component count, for each ``d``.
 
 Enumeration is recursive over forests (partition into components, then
 partition each root into sons), so the cost is proportional to the number
@@ -23,8 +25,11 @@ as sorted member sequences.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from math import prod
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .genfun import BudgetError, sigma
 from .polyseries import ONE, IntPoly
@@ -68,8 +73,7 @@ class NestStats:
 
 def canonical_members(family: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """Sorted tuple-of-tuples form of a family of label sets."""
-    return tuple(sorted(tuple(sorted(set(member))) for member in set(
-        frozenset(m) for m in family)))
+    return tuple(sorted(tuple(sorted(m)) for m in {frozenset(m) for m in family}))
 
 
 def is_nest(n: int, family: Iterable[Iterable[int]]) -> bool:
@@ -87,15 +91,26 @@ def is_nest(n: int, family: Iterable[Iterable[int]]) -> bool:
         if not member <= frozenset(range(1, n + 1)):
             raise ValueError("member labels outside 1..n")
     present = set(sets)
-    for label in range(1, n + 1):
-        if frozenset((label,)) not in present:
-            return False
-    distinct = sorted(present, key=len)
-    for a, b in itertools.combinations(distinct, 2):
-        inter = a & b
-        if inter and inter != a and inter != b:
-            return False
-    return True
+    singletons = {frozenset((label,)) for label in range(1, n + 1)}
+    return present >= singletons and _forest(present) is not None
+
+
+def _forest(members: Iterable[Collection[int]]) -> NestStats | None:
+    # The statistics of distinct members, or None if two partially overlap.
+    # top[label] is the largest member seen so far holding the label, and a
+    # member's sons are the tops it meets.  Those tops are disjoint, so they
+    # lie inside the member exactly when their sizes add up to the number
+    # of its labels they cover.  The tops left at the end are the components.
+    top: dict[int, Collection[int]] = {}
+    sons: dict[Collection[int], int] = {}
+    for member in sorted(members, key=len):
+        below = {top[label] for label in member if label in top}
+        if sum(map(len, below)) != sum(label in top for label in member):
+            return None
+        if len(member) > 1:
+            sons[member] = len(below)
+        top.update(dict.fromkeys(member, member))
+    return NestStats(components=len(set(top.values())), sons=sons)
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -122,18 +137,22 @@ def _trees(block: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
             yield (block,) + tuple(itertools.chain.from_iterable(combo))
 
 
-def enumerate_nests(n: int, allow_large: bool = False) -> list[Nest]:
-    """Every nest on ``{1..n}`` exactly once, in canonical order.
-
-    Enumeration beyond ``NEST_BUDGET`` labels must be requested explicitly
-    via ``allow_large``.
-    """
+def _check_labels(n: int, allow_large: bool) -> None:
     if n < 1:
         raise ValueError("label count must be >= 1")
     if n > NEST_BUDGET and not allow_large:
         raise BudgetError(
             f"enumeration budget exceeded: n={n} > {NEST_BUDGET} (override to proceed)"
         )
+
+
+def enumerate_nests(n: int, allow_large: bool = False) -> list[Nest]:
+    """Every nest on ``{1..n}`` exactly once, in canonical order.
+
+    Enumeration beyond ``NEST_BUDGET`` labels must be requested explicitly
+    via ``allow_large``.
+    """
+    _check_labels(n, allow_large)
     labels = tuple(range(1, n + 1))
     singletons = tuple((label,) for label in labels)
     nests = []
@@ -148,35 +167,31 @@ def enumerate_nests(n: int, allow_large: bool = False) -> list[Nest]:
 
 
 def nest_stats(nest: Nest) -> NestStats:
-    """Component count and son counts; sons include singleton children."""
-    members = [frozenset(m) for m in nest.members]
-    component_count = 0
-    for member in members:
-        if not any(member < other for other in members):
-            component_count += 1
-    sons: dict[tuple[int, ...], int] = {}
-    for member, key in zip(members, nest.members):
-        if len(member) == 1:
-            continue
-        below = [other for other in members if other < member]
-        count = sum(
-            1 for child in below if not any(child < mid for mid in below)
-        )
-        sons[key] = count
-    return NestStats(components=component_count, sons=sons)
+    """Component count and son counts, singleton sons included; ValueError if not a nest."""
+    stats = _forest(nest.members)
+    if stats is None:
+        raise ValueError("family is not a nest")
+    return stats
+
+
+def _weight(son_counts: Iterable[int], d: int) -> IntPoly:
+    return prod((sigma(count - 1, d) for count in son_counts), start=ONE)
 
 
 def nest_weight(nest: Nest, d: int) -> IntPoly:
     """Weight polynomial: product over internal nodes of sigma(sons-1, d)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    stats = nest_stats(nest)
-    weight = ONE
-    for count in stats.sons.values():
-        weight = weight * sigma(count - 1, d)
-        if weight.is_zero:
-            return weight
-    return weight
+    return _weight(nest_stats(nest).sons.values(), d)
+
+
+@lru_cache(maxsize=None)
+def _signatures(n: int) -> tuple:
+    # How many nests on n labels have each (component count, sorted son
+    # counts).  Callers check the budget first: a refused n is never cached.
+    stats = map(nest_stats, enumerate_nests(n, allow_large=True))
+    counts = Counter((s.components, tuple(sorted(s.sons.values()))) for s in stats)
+    return tuple(sorted(counts.items()))
 
 
 def brute_bivariate(n: int, d: int, allow_large: bool = False) -> dict[int, IntPoly]:
@@ -187,12 +202,8 @@ def brute_bivariate(n: int, d: int, allow_large: bool = False) -> dict[int, IntP
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    _check_labels(n, allow_large)
     totals: dict[int, IntPoly] = {}
-    for nest in enumerate_nests(n, allow_large=allow_large):
-        stats = nest_stats(nest)
-        weight = nest_weight(nest, d)
-        if weight.is_zero:
-            continue
-        m = stats.components
-        totals[m] = totals.get(m, IntPoly()) + weight
+    for (m, sons), count in _signatures(n):
+        totals[m] = totals.get(m, IntPoly()) + _weight(sons, d) * count
     return {m: p for m, p in sorted(totals.items()) if not p.is_zero}

@@ -51,10 +51,6 @@ class VerificationReport:
         return all(check.passed for check in self.checks)
 
 
-def _result(name: str, params: dict[str, int], passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, params=params, passed=passed, detail=detail)
-
-
 def brute_equiv(n: int, d: int, allow_large: bool = False) -> CheckResult:
     """Nest enumeration vs generating-function table, all powers at once."""
     brute = brute_bivariate(n, d, allow_large=allow_large)
@@ -66,7 +62,7 @@ def brute_equiv(n: int, d: int, allow_large: bool = False) -> CheckResult:
         f"mismatch: nests={{{', '.join(f'{m}: {p}' for m, p in brute.items())}}} "
         f"table={{{', '.join(f'{m}: {p}' for m, p in rows.items())}}}"
     )
-    return _result("brute-equiv", {"n": n, "d": d}, passed, detail)
+    return CheckResult("brute-equiv", {"n": n, "d": d}, passed, detail)
 
 
 def solver_match(n: int, d: int) -> CheckResult:
@@ -74,7 +70,7 @@ def solver_match(n: int, d: int) -> CheckResult:
     solved = egf_solve(n, d)
     passed = all(solved.coefficient(m) == h_recurrence(m, d) for m in range(1, n + 1))
     detail = "solver reproduces recurrence" if passed else "solver coefficients differ"
-    return _result("solver-match", {"n": n, "d": d}, passed, detail)
+    return CheckResult("solver-match", {"n": n, "d": d}, passed, detail)
 
 
 def identity_residual(order: int, d: int) -> CheckResult:
@@ -82,7 +78,7 @@ def identity_residual(order: int, d: int) -> CheckResult:
     residual = verify_identity(recurrence_egf(order, d), d)
     passed = residual.is_zero
     detail = "residual identically zero" if passed else "nonzero residual"
-    return _result("identity-residual", {"order": order, "d": d}, passed, detail)
+    return CheckResult("identity-residual", {"order": order, "d": d}, passed, detail)
 
 
 def x2_oracle(d: int) -> FormalDecomposition:
@@ -118,7 +114,7 @@ def x2_check(d: int) -> CheckResult:
     detail = "single blowup reproduces X[2]" if passed else (
         f"blowup terms {got.terms} != nest terms {expected.terms}"
     )
-    return _result("blowup-x2", {"d": d}, passed, detail)
+    return CheckResult("blowup-x2", {"d": d}, passed, detail)
 
 
 def x3_check(d: int) -> CheckResult:
@@ -128,7 +124,7 @@ def x3_check(d: int) -> CheckResult:
     detail = "two-stage blowup reproduces X[3]" if passed else (
         f"blowup terms {got.terms} != nest terms {expected.terms}"
     )
-    return _result("blowup-x3", {"d": d}, passed, detail)
+    return CheckResult("blowup-x3", {"d": d}, passed, detail)
 
 
 def min_formula_check(d: int) -> CheckResult:
@@ -140,7 +136,7 @@ def min_formula_check(d: int) -> CheckResult:
         for j in range(1, 2 * d)
     )
     detail = "both closed forms agree" if passed else "closed forms disagree"
-    return _result("min-formula", {"d": d}, passed, detail)
+    return CheckResult("min-formula", {"d": d}, passed, detail)
 
 
 def table_blowup_check(d: int) -> CheckResult:
@@ -161,13 +157,9 @@ def table_blowup_check(d: int) -> CheckResult:
             lhs = blowup_formula(square, base, d, p, k, kind="lawson")
             rhs = evaluate_decomposition(dec, space, p, k)
             if lhs != rhs:
-                return _result(
-                    "table-blowup",
-                    {"d": d},
-                    False,
-                    f"disagreement at (p={p}, k={k}): {lhs} != {rhs}",
-                )
-    return _result("table-blowup", {"d": d}, True, "agrees at every valid index")
+                detail = f"disagreement at (p={p}, k={k}): {lhs} != {rhs}"
+                return CheckResult("table-blowup", {"d": d}, False, detail)
+    return CheckResult("table-blowup", {"d": d}, True, "agrees at every valid index")
 
 
 def palindrome_check(betti_x: IntPoly, d: int, n: int) -> CheckResult:
@@ -181,7 +173,7 @@ def palindrome_check(betti_x: IntPoly, d: int, n: int) -> CheckResult:
     result = betti_of_fm(betti_x, d, n)
     passed = result.is_palindromic(2 * d * n)
     detail = f"poincare = {result}" if passed else f"not palindromic: {result}"
-    return _result("palindrome", {"d": d, "n": n}, passed, detail)
+    return CheckResult("palindrome", {"d": d, "n": n}, passed, detail)
 
 
 def structure_check(n: int, d: int) -> CheckResult:
@@ -201,7 +193,7 @@ def structure_check(n: int, d: int) -> CheckResult:
         problems.append("deg h_n != d(n-1)-1")
     passed = not problems
     detail = "all structural facts hold" if passed else "; ".join(problems)
-    return _result("structure", {"n": n, "d": d}, passed, detail)
+    return CheckResult("structure", {"n": n, "d": d}, passed, detail)
 
 
 def run_verification(

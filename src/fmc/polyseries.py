@@ -303,10 +303,6 @@ class EGF:
         return EGF([c * factor for c in self.coeffs], self.order)
 
 
-def egf_zero(order: int) -> EGF:
-    return EGF([ZERO], order)
-
-
 def egf_unit(order: int) -> EGF:
     """The multiplicative identity: h_0 = 1, all other coefficients zero."""
     return EGF([ONE], order)

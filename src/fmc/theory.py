@@ -36,12 +36,15 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable
 
-from .genfun import multiplicity_table
+from .genfun import BudgetError, multiplicity_table
 from .polyseries import ONE, IntPoly, ZERO
 
 # What a negative shifted level reads: level 0, the zero group, or nothing
 # evaluable (a formal summand in a decomposition, an error in a table read).
 CLAMP, ZERO_READ, FORMAL = "clamp", "zero", "formal"
+
+#: Most torsion orders and formal names one evaluation lists (once per copy).
+SUMMAND_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,6 @@ class GroupDescriptor:
     @property
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion and not self.formal
-
-    @property
-    def is_formal(self) -> bool:
-        return bool(self.formal)
 
     def __str__(self) -> str:
         parts = []
@@ -302,6 +301,9 @@ def _sum_terms(
         if at is None:
             continue
         group = _formal_term(theory.name, m, *at) if at[0] < 0 else read(m, *at)
+        listed = len(torsion) + len(formal) + mult * (len(group.torsion) + len(group.formal))
+        if listed > SUMMAND_BUDGET:
+            raise BudgetError(f"summand budget exceeded: {listed} > {SUMMAND_BUDGET}")
         rank += mult * group.free_rank
         torsion.extend(group.torsion * mult)
         formal.extend(group.formal * mult)

@@ -409,3 +409,22 @@ class TestLargeMultiplicities:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "value: Z^297424083906"
+
+    @pytest.mark.parametrize("theory", ["lawson", "db"])
+    def test_formal_n12_over_summand_budget_exits_2(self, theory):
+        # Formal names are listed once per copy, so near 1e11 copies cannot
+        # be printed; the budget refuses them before any list grows.
+        limit = 512 * 1024 * 1024
+        src = Path(fmc.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "fmc.cli", "decompose", "--theory", theory,
+                "--n", "12", "--d", "2", "--p", "5", "--k", "14",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "summand budget exceeded" in result.stderr
+        assert result.stdout == ""

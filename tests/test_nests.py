@@ -2,16 +2,19 @@ import itertools
 
 import pytest
 
+import fmc.nests
 from fmc.genfun import sigma
 from fmc.nests import (
     BudgetError,
     Nest,
+    NestStats,
     brute_bivariate,
     enumerate_nests,
     is_nest,
     nest_stats,
     nest_weight,
 )
+from fmc.oracle import run_verification
 from fmc.polyseries import IntPoly, ONE
 
 
@@ -38,6 +41,29 @@ def filter_all_families(n):
     return sorted(nests)
 
 
+def reference_nest_stats(nest):
+    """Independent oracle: the statistics by cubic containment scans.
+
+    A component is a member inside no other; a son of a member is a member
+    below it with no member strictly between the two.
+    """
+    members = [frozenset(m) for m in nest.members]
+    component_count = 0
+    for member in members:
+        if not any(member < other for other in members):
+            component_count += 1
+    sons = {}
+    for member, key in zip(members, nest.members):
+        if len(member) == 1:
+            continue
+        below = [other for other in members if other < member]
+        count = sum(
+            1 for child in below if not any(child < mid for mid in below)
+        )
+        sons[key] = count
+    return NestStats(components=component_count, sons=sons)
+
+
 class TestIsNest:
     def test_singletons_only(self):
         assert is_nest(3, [(1,), (2,), (3,)])
@@ -57,6 +83,19 @@ class TestIsNest:
     def test_labels_outside_range(self):
         with pytest.raises(ValueError):
             is_nest(2, [(1,), (2,), (3,)])
+
+    def test_equal_size_overlap_rejected(self):
+        singletons = [(label,) for label in range(1, 5)]
+        assert not is_nest(4, singletons + [(1, 2, 3), (2, 3, 4)])
+        assert not is_nest(4, singletons + [(2, 3), (1, 2)])
+
+    def test_long_chain(self):
+        n = 12
+        singletons = [(label,) for label in range(1, n + 1)]
+        chain = [tuple(range(start, n + 1)) for start in range(1, n)]
+        assert is_nest(n, singletons + chain)
+        # One member straddling two links of the chain breaks it.
+        assert not is_nest(n, singletons + chain + [(5, 6)])
 
 
 class TestEnumeration:
@@ -127,6 +166,15 @@ class TestStats:
         assert stats.components == 2
         assert stats.sons == {(1, 2): 2}
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_reference(self, n):
+        for nest in enumerate_nests(n):
+            assert nest_stats(nest) == reference_nest_stats(nest)
+
+    def test_overlapping_family_rejected(self):
+        with pytest.raises(ValueError, match="not a nest"):
+            nest_stats(Nest(3, ((1,), (1, 2), (2,), (2, 3), (3,))))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_son_count_identity(self, n):
         # sum of (sons - 1) over internal nodes = n - components
@@ -172,6 +220,26 @@ class TestWeights:
 class TestBruteBivariate:
     def test_single_label(self):
         assert brute_bivariate(1, 3) == {1: ONE}
+
+    def test_budget_checked_before_cache(self, monkeypatch):
+        monkeypatch.setattr(fmc.nests, "NEST_BUDGET", 3)
+        assert brute_bivariate(4, 2, allow_large=True)[4] == ONE
+        with pytest.raises(BudgetError):
+            brute_bivariate(4, 2)
+
+    def test_one_enumeration_per_n(self, monkeypatch):
+        # verify sweeps every d for every n; the nests are enumerated once per n.
+        calls = []
+        enumerate_all = fmc.nests.enumerate_nests
+
+        def counted(n, allow_large=False):
+            calls.append(n)
+            return enumerate_all(n, allow_large=allow_large)
+
+        monkeypatch.setattr(fmc.nests, "enumerate_nests", counted)
+        fmc.nests._signatures.cache_clear()
+        assert run_verification(6, 3).overall
+        assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
     def test_two_labels_d3(self):
         assert brute_bivariate(2, 3) == {2: ONE, 1: IntPoly([0, 1, 1])}

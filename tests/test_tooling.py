@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fmc
+from fmc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +28,33 @@ def test_shipped_script_runs(script, args):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def readme_commands():
+    """Each ``fmc ...`` line of the README "Command line" block, with its comment."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("fmc "):
+            commands.append((shlex.split(command)[1:], comment.strip()))
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_examples_cover_every_subcommand():
+    subcommands = {"nests", "h-poly", "egf", "mult", "decompose", "verify"}
+    assert {argv[0] for argv, _ in README_COMMANDS} == subcommands
+
+
+@pytest.mark.parametrize(
+    "argv, comment", README_COMMANDS, ids=[" ".join(argv) for argv, _ in README_COMMANDS]
+)
+def test_readme_command_runs(argv, comment, capsys):
+    assert main(argv) == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    if argv[0] == "h-poly" and "json" in argv:
+        assert out.rstrip("\n") == comment == '{"n":3,"d":2,"coeffs":[0,1,4,1]}'
