@@ -6,7 +6,7 @@ Usage: python scripts/multiplicity_grid.py [MAX_N] [MAX_D]
 
 import sys
 
-from fmc.genfun import h_recurrence, multiplicity_table
+from fmc.genfun import multiplicity_table, recurrence_egf
 from fmc.polyseries import format_poly
 
 
@@ -15,8 +15,8 @@ def main():
     max_d = int(sys.argv[2]) if len(sys.argv) > 2 else 4
     for d in range(1, max_d + 1):
         print(f"== d = {d} ==")
-        for n in range(1, max_n + 1):
-            print(f"h_{n} = {format_poly(h_recurrence(n, d))}")
+        for n, h in enumerate(recurrence_egf(max_n, d).coeffs[1:], start=1):
+            print(f"h_{n} = {format_poly(h)}")
         table = multiplicity_table(max_n, d)
         print(f"decomposition of X[{max_n}]:")
         for m in range(max_n, 0, -1):

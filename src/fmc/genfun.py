@@ -14,13 +14,23 @@ partial Bell polynomial ``B_{n,k} = B_{n,k}(h_1, h_2, ...)``, so
 
     h_n = sum_{k>=2} sigma_{k-1} * B_{n,k}.
 
-The kernel keeps one triangle of partial Bell polynomials per ``d``, filled
-row by row with the division-free rule (the block holding label 1 has j
-labels)
+The kernel fills one triangle per ``(n, d)`` with the division-free rule
+(the block holding label 1 has j labels)
 
     B_{0,0} = 1,    B_{n,k} = sum_j C(n-1, j-1) * h_j * B_{n-j,k-1},
 
 which needs only ``h_j`` with j < n for k >= 2; then ``B_{n,1} = h_n``.
+
+It runs that rule on plain integers, twice.  Every ``h_j``, ``sigma_k`` and
+binomial has nonnegative coefficients, so the pass at ``x = 1`` gives each
+entry's coefficient sum, which bounds each of its coefficients; the largest
+sum fixes a slot width of w bytes.  The pass at ``x = 2^(8w)`` packs every
+polynomial into one big integer (Kronecker substitution), so CPython's
+big-integer products do the polynomial products.  Only the column
+``h_1 .. h_n`` and row n are unpacked, byte slices of width w, and each
+unpacked entry must have the digit sum of its ``x = 1`` value: a carry out
+of a slot lowers the digit sum, so a width too narrow raises
+``ArithmeticError`` instead of giving a wrong polynomial.
 
 The exponential generating function ``N(x,t) = sum h_n t^n / n!`` is pinned
 down by the functional identity
@@ -36,8 +46,9 @@ copies of the m-th cartesian power occur in the decomposition.  It equals
 ``[x^i] ([t^n/n!] N^m) / m!``, which is exactly ``[x^i] B_{n,m}``: row n of
 the triangle, with no division.
 
-Kernel calls are bounded by ``KERNEL_BUDGET``; larger calls raise
-``BudgetError`` instead of running for minutes.
+Kernel calls are bounded by ``KERNEL_BUDGET``, which also caps d itself (at
+n = 1 the degree d*(n-1) is 0); larger calls raise ``BudgetError`` instead
+of running for minutes.
 """
 
 from __future__ import annotations
@@ -56,8 +67,9 @@ from .polyseries import (
     monomial,
 )
 
-#: Largest kernel call, as (labels n, top degree d*(n-1)); the triangle's
-#: cost grows about as n^3 * (d*(n-1))^2, and (40, 160) runs in seconds.
+#: Largest kernel call, as (labels n, top degree d*(n-1)); d alone is held
+#: to the second limit too.  The packed triangle at n = 40, d = 4 takes
+#: about 1 s.
 KERNEL_BUDGET = (40, 160)
 
 
@@ -80,50 +92,68 @@ def sigma(k: int, d: int) -> IntPoly:
     return IntPoly((0,) + (1,) * (d * k - 1))
 
 
+def _fill(n: int, d: int, x: int) -> list[list[int]]:
+    # The triangle at the point x: entry [m][k] is B_{m,k}(x), m = 0..n.
+    sigmas = [sigma(k, d)(x) for k in range(n)]
+    rows = [[1]]
+    for m in range(1, n + 1):
+        hs = [0] + [rows[j][1] * binomial(m - 1, j - 1) for j in range(1, m)]
+        row = [0, 0]
+        h_m = 0
+        for k in range(2, m + 1):
+            total = 0
+            for j in range(1, m - k + 2):
+                if hs[j]:
+                    total += hs[j] * rows[m - j][k - 1]
+            row.append(total)
+            h_m += sigmas[k - 1] * total
+        row[1] = 1 if m == 1 else h_m
+        rows.append(row)
+    return rows
+
+
+def _unpack(value: int, w: int, at_one: int) -> IntPoly:
+    # Digits of value in base 2^(8w), low first.  A carry out of any slot
+    # lowers the digit sum below the coefficient sum at_one, so the check
+    # refuses every width too narrow for the coefficients.
+    raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
+    poly = IntPoly(int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w))
+    if sum(poly.coeffs) != at_one:
+        raise ArithmeticError(f"packed kernel entry overflows its {w}-byte slots")
+    return poly
+
+
 @lru_cache(maxsize=None)
-def _bell_row(n: int, d: int) -> tuple[IntPoly, ...]:
-    # Row n of the triangle: (B_{n,0}, ..., B_{n,n}); reads only rows < n.
-    if n == 0:
-        return (ONE,)
-    rows = [_bell_row(m, d) for m in range(n)]
-    hs = [ZERO] + [rows[j][1] * binomial(n - 1, j - 1) for j in range(1, n)]
-    row = [ZERO, ZERO]
-    h_n = ZERO
-    for k in range(2, n + 1):
-        total = ZERO
-        for j in range(1, n - k + 2):
-            if not hs[j].is_zero:
-                total = total + hs[j] * rows[n - j][k - 1]
-        row.append(total)
-        h_n = h_n + sigma(k - 1, d) * total
-    row[1] = ONE if n == 1 else h_n
-    return tuple(row)
-
-
-def _triangle_row(n: int, d: int) -> tuple[IntPoly, ...]:
-    # Kernel entry: validate and budget a call, then read row n.
+def _triangle(n: int, d: int) -> tuple[int, tuple[IntPoly, ...], tuple[IntPoly, ...]]:
+    # Kernel entry: validate and budget a call, then fill the triangle at
+    # x = 1 for the slot width w and at x = 2^(8w), and unpack only
+    # (w, (h_1, ..., h_n), (B_{n,0}, ..., B_{n,n})).
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 1:
         raise ValueError("dimension must be >= 1")
     max_n, max_degree = KERNEL_BUDGET
-    if n > max_n or d * (n - 1) > max_degree:
+    if n > max_n or d * max(n - 1, 1) > max_degree:
         raise BudgetError(
-            f"kernel budget exceeded: n={n}, d*(n-1)={d * (n - 1)} "
-            f"(limits n <= {max_n}, d*(n-1) <= {max_degree})"
+            f"kernel budget exceeded: n={n}, d={d}, d*(n-1)={d * (n - 1)} "
+            f"(limits n <= {max_n}, d <= {max_degree}, d*(n-1) <= {max_degree})"
         )
-    return _bell_row(n, d)
+    at_one = _fill(n, d, 1)
+    w = (max(max(row) for row in at_one).bit_length() + 7) // 8
+    packed = _fill(n, d, 1 << (8 * w))
+    hs = tuple(_unpack(packed[m][1], w, at_one[m][1]) for m in range(1, n + 1))
+    row = tuple(_unpack(v, w, c) for v, c in zip(packed[n], at_one[n]))
+    return w, hs, row
 
 
 def h_recurrence(n: int, d: int) -> IntPoly:
     """The polynomial ``h_n = B_{n,1}`` from the partial-Bell triangle."""
-    return _triangle_row(n, d)[1]
+    return _triangle(n, d)[1][-1]
 
 
 def recurrence_egf(n_max: int, d: int) -> EGF:
     """The series ``N`` with coefficients ``0, h_1, ..., h_n_max``."""
-    _triangle_row(n_max, d)  # validates, budgets and fills rows 1..n_max
-    return EGF([ZERO] + [_bell_row(n, d)[1] for n in range(1, n_max + 1)], n_max)
+    return EGF((ZERO,) + _triangle(n_max, d)[1], n_max)
 
 
 def egf_solve(n_max: int, d: int) -> EGF:
@@ -219,12 +249,10 @@ class MultiplicityTable:
 
 def multiplicity_table(n: int, d: int) -> MultiplicityTable:
     """All ``a_{m,i}``: row m of the table is the partial Bell polynomial ``B_{n,m}``."""
-    row = _triangle_row(n, d)
+    row = _triangle(n, d)[2]
     entries: dict[tuple[int, int], int] = {}
     for m in range(1, n + 1):
         for i, a in enumerate(row[m].coeffs):
-            if a < 0:
-                raise ArithmeticError("negative multiplicity")
             if a:
                 entries[(m, i)] = a
     return MultiplicityTable(n=n, d=d, entries=entries)

@@ -292,6 +292,27 @@ class TestInputGuards:
         assert out == ""
         assert "kernel budget exceeded" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("egf", "--n", "1", "--d", "100000", "--verify"), "kernel budget exceeded"),
+            (("verify", "--max-n", "3", "--max-d", "80"), "verify budget exceeded"),
+            (("verify", "--max-n", "1", "--max-d", "5000"), "verify budget exceeded"),
+        ],
+    )
+    def test_dimension_caps_exit_2_at_once(self, argv, message):
+        # Without a cap on d each runs for half a minute or more; a child
+        # with a timeout turns such a regression into a failure, not a hang.
+        src = Path(fmc.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "fmc.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=20,
+        )
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("index", [(), ("--k", "2")])
     def test_betti_space_dimension_checked(self, capsys, index):
         code, out, err = run_cli(

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
+import fmc.genfun
 from fmc.genfun import (
     KERNEL_BUDGET,
     BudgetError,
@@ -11,7 +14,7 @@ from fmc.genfun import (
     verify_identity,
 )
 from fmc.nests import brute_bivariate, enumerate_nests, nest_stats, nest_weight
-from fmc.polyseries import EGF, IntPoly, ONE, ZERO, egf_mul, egf_term, egf_unit
+from fmc.polyseries import EGF, IntPoly, ONE, ZERO, binomial, egf_mul, egf_term, egf_unit
 
 
 def brute_h(n, d):
@@ -21,6 +24,30 @@ def brute_h(n, d):
         if nest_stats(nest).components == 1:
             total = total + nest_weight(nest, d)
     return total
+
+
+@lru_cache(maxsize=None)
+def reference_bell_row(n, d):
+    """Independent oracle: row n of the triangle by schoolbook ``IntPoly`` products.
+
+    Returns ``(B_{n,0}, ..., B_{n,n})`` from the rule
+    ``B_{n,k} = sum_j C(n-1, j-1) h_j B_{n-j,k-1}``, reading only rows < n.
+    """
+    if n == 0:
+        return (ONE,)
+    rows = [reference_bell_row(m, d) for m in range(n)]
+    hs = [ZERO] + [rows[j][1] * binomial(n - 1, j - 1) for j in range(1, n)]
+    row = [ZERO, ZERO]
+    h_n = ZERO
+    for k in range(2, n + 1):
+        total = ZERO
+        for j in range(1, n - k + 2):
+            if not hs[j].is_zero:
+                total = total + hs[j] * rows[n - j][k - 1]
+        row.append(total)
+        h_n = h_n + sigma(k - 1, d) * total
+    row[1] = ONE if n == 1 else h_n
+    return tuple(row)
 
 
 class TestSigma:
@@ -212,7 +239,13 @@ class TestMultiplicityTable:
 
 class TestKernelBudget:
     @pytest.mark.parametrize(
-        "n, d", [(KERNEL_BUDGET[0] + 1, 1), (30, 6), (2, KERNEL_BUDGET[1] + 1)]
+        "n, d",
+        [
+            (KERNEL_BUDGET[0] + 1, 1),
+            (30, 6),
+            (2, KERNEL_BUDGET[1] + 1),
+            (1, KERNEL_BUDGET[1] + 1),  # d*(n-1) is 0 at n = 1; d itself is capped
+        ],
     )
     def test_oversize_calls_rejected(self, n, d):
         for kernel in (h_recurrence, recurrence_egf, multiplicity_table):
@@ -222,3 +255,27 @@ class TestKernelBudget:
     def test_stress_sizes_admitted(self):
         assert h_recurrence(24, 3).degree == 3 * 23 - 1
         assert multiplicity_table(20, 4).value(20, 0) == 1
+        assert h_recurrence(1, KERNEL_BUDGET[1]) == ONE
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize(
+        "n, d",
+        [(n, d) for d in range(1, 5) for n in range(1, 25)] + [(40, 1), (30, 4)],
+    )
+    def test_matches_reference(self, n, d):
+        _, hs, row = fmc.genfun._triangle(n, d)
+        assert row == reference_bell_row(n, d)
+        assert hs == tuple(reference_bell_row(m, d)[1] for m in range(1, n + 1))
+
+    def test_narrow_width_raises(self):
+        # The kernel's width one byte narrower is too narrow for the largest
+        # coefficient of row 24: packing at it carries, and the carry must
+        # be refused, not read as a different polynomial.
+        w, _, row = fmc.genfun._triangle(24, 3)
+        poly = max(row, key=lambda p: max(p.coeffs, default=0))
+        assert max(poly.coeffs) >= 1 << (8 * (w - 1))
+        unpack = fmc.genfun._unpack
+        assert unpack(poly(1 << (8 * w)), w, poly(1)) == poly
+        with pytest.raises(ArithmeticError):
+            unpack(poly(1 << (8 * (w - 1))), w - 1, poly(1))

@@ -1,6 +1,9 @@
 import pytest
 
+import fmc.genfun
+from fmc.genfun import BudgetError
 from fmc.oracle import (
+    VERIFY_MAX_D,
     CheckResult,
     VerificationReport,
     brute_equiv,
@@ -87,6 +90,22 @@ class TestOtherChecks:
         assert solver_match(5, d).passed
         assert identity_residual(6, d).passed
 
+    def test_solver_match_builds_one_triangle(self, monkeypatch):
+        # The solver is compared with the whole (n, d) series at once, so
+        # the kernel triangle is built once (two passes of _fill), not once
+        # per order m = 1..n.
+        calls = []
+        fill = fmc.genfun._fill
+
+        def counted(n, d, x):
+            calls.append((n, d))
+            return fill(n, d, x)
+
+        monkeypatch.setattr(fmc.genfun, "_fill", counted)
+        fmc.genfun._triangle.cache_clear()
+        assert solver_match(20, 3).passed
+        assert calls == [(20, 3), (20, 3)]
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_table_blowup(self, d):
         assert table_blowup_check(d).passed
@@ -125,6 +144,10 @@ class TestReport:
         report = run_verification(4, 2)
         assert report.overall
         assert all(isinstance(c, CheckResult) for c in report.checks)
+
+    def test_max_d_capped(self):
+        with pytest.raises(BudgetError, match="verify budget"):
+            run_verification(1, VERIFY_MAX_D + 1)
 
     def test_deterministic_order(self):
         first = run_verification(3, 2)

@@ -1,11 +1,15 @@
-"""Byte-exact stdout of ``decompose --n 3 --d 2`` under every theory.
+"""Byte-exact stdout of ``decompose --n 3 --d 2`` under every theory,
+and sha256 pins of the JSON output at kernel sizes.
 
 The inputs reach shifts 0 to 3, multiplicities 3 and 4, the Lawson level
 clamp, Deligne-Beilinson terms kept formal at a negative level, zero terms,
 and torsion repeated by multiplicity.  The expected bytes were captured
 before the per-theory conventions moved into one table and must not drift.
+The kernel-size digests were captured from the schoolbook ``IntPoly``
+kernel, before the triangle was evaluated in packed integers.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -137,3 +141,24 @@ def test_decompose_bytes(capsys, tmp_path, extra, expected):
     code = main(["decompose", "--theory", argv[0], "--n", "3", "--d", "2", *argv[1:]])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, expected, "")
+
+
+KERNEL_PINS = [
+    (("h-poly", "--n", "24", "--d", "3"),
+     "e472d3aa3178a7b02dcc96dee2e7aa7e6883f8dcce5b713a49451ebfefa76198"),
+    (("mult", "--n", "20", "--d", "4"),
+     "f4076c518d15208c56149094578d051f47b3d034447dfd99ba815761a4dba763"),
+    (("egf", "--n", "20", "--d", "3", "--verify"),
+     "95d2863e76201d76745507562ee2c293f111dbb4ccfbb071da660888fdabcfec"),
+    (("decompose", "--theory", "betti", "--n", "17", "--d", "2", "--mode", "ranks",
+      "--space", "p2"),
+     "0c11c90acdbc00e46bb1a439ef67c757a0fe066fb9b625a86a2c1dbbb73ca1e4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", KERNEL_PINS)
+def test_kernel_size_json_digest(capsys, argv, digest):
+    code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
