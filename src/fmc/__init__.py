@@ -13,13 +13,10 @@ from .polyseries import (
     EGF,
     IntPoly,
     ONE,
-    X,
     ZERO,
     binomial,
     egf_exp,
-    egf_mul,
     egf_term,
-    egf_unit,
     format_poly,
     monomial,
 )
@@ -31,12 +28,11 @@ from .nests import (
     enumerate_nests,
     is_nest,
     nest_stats,
-    nest_weight,
 )
 from .genfun import (
     BudgetError,
+    FormalDecomposition,
     KERNEL_BUDGET,
-    MultiplicityTable,
     egf_solve,
     h_recurrence,
     multiplicity_table,
@@ -45,7 +41,6 @@ from .genfun import (
     verify_identity,
 )
 from .theory import (
-    FormalDecomposition,
     GradedTable,
     GroupDescriptor,
     SpaceDescriptor,
@@ -54,7 +49,6 @@ from .theory import (
     betti_of_fm,
     blowup_formula,
     builtin_space,
-    decompose_formal,
     direct_sum,
     evaluate_decomposition,
     formal_evaluation,
@@ -86,14 +80,12 @@ __all__ = [
     "GroupDescriptor",
     "IntPoly",
     "KERNEL_BUDGET",
-    "MultiplicityTable",
     "NEST_BUDGET",
     "Nest",
     "NestStats",
     "ONE",
     "SpaceDescriptor",
     "VerificationReport",
-    "X",
     "ZERO",
     "ZERO_GROUP",
     "Z_GROUP",
@@ -103,13 +95,10 @@ __all__ = [
     "brute_bivariate",
     "brute_equiv",
     "builtin_space",
-    "decompose_formal",
     "direct_sum",
     "egf_exp",
-    "egf_mul",
     "egf_solve",
     "egf_term",
-    "egf_unit",
     "enumerate_nests",
     "evaluate_decomposition",
     "formal_evaluation",
@@ -120,7 +109,6 @@ __all__ = [
     "monomial",
     "multiplicity_table",
     "nest_stats",
-    "nest_weight",
     "palindrome_check",
     "parse_space",
     "proj_bundle_formula",

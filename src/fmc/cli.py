@@ -30,7 +30,6 @@ from .theory import (
     betti_of_fm,
     builtin_space,
     check_index,
-    decompose_formal,
     evaluate_decomposition,
     formal_evaluation,
     is_builtin_space,
@@ -181,7 +180,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
             "n": args.n,
             "d": args.d,
             "entries": [
-                {"m": m, "shift": i, "mult": a} for m, i, a in table.terms()
+                {"m": m, "shift": i, "mult": a} for m, i, a in table.terms
             ],
         }
         _emit(render_json(doc))
@@ -233,7 +232,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if has_index:
         check_index(theory, p, k)
 
-    dec = decompose_formal(n, d)
+    dec = multiplicity_table(n, d)
 
     if args.format == "latex":
         body = " \\oplus ".join(

@@ -44,7 +44,9 @@ polynomial division isolates it.
 Finally, the multiplicity table ``a_{m,i}`` reads off how many i-shifted
 copies of the m-th cartesian power occur in the decomposition.  It equals
 ``[x^i] ([t^n/n!] N^m) / m!``, which is exactly ``[x^i] B_{n,m}``: row n of
-the triangle, with no division.
+the triangle, with no division.  ``multiplicity_table`` reads the terms of
+the ``FormalDecomposition`` straight off that row, already in canonical
+order.
 
 Kernel calls are bounded by ``KERNEL_BUDGET``, which also caps d itself (at
 n = 1 the degree d*(n-1) is 0); larger calls raise ``BudgetError`` instead
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .polyseries import (
     EGF,
@@ -219,40 +222,50 @@ def verify_identity(series: EGF, d: int) -> EGF:
 
 
 @dataclass(frozen=True)
-class MultiplicityTable:
-    """Nonzero multiplicities ``a_{m,i}`` of the i-shifted m-th power."""
+class FormalDecomposition:
+    """X[n] as a formal sum of shifted powers: ``(m, shift, a_{m,shift})`` terms.
+
+    Terms are canonical: m descending, shift ascending, multiplicities
+    positive, one term per (m, shift).
+    """
 
     n: int
     d: int
-    entries: dict[tuple[int, int], int]
+    terms: tuple[tuple[int, int, int], ...]
 
-    def value(self, m: int, i: int) -> int:
-        return self.entries.get((m, i), 0)
+    @classmethod
+    def from_term_list(
+        cls, n: int, d: int, terms: Iterable[tuple[int, int, int]]
+    ) -> "FormalDecomposition":
+        """Aggregate duplicate (m, shift) pairs and sort canonically."""
+        totals: dict[tuple[int, int], int] = {}
+        for m, shift, mult in terms:
+            if not 1 <= m <= n:
+                raise ValueError(f"power {m} outside 1..{n}")
+            if shift < 0:
+                raise ValueError("negative shift")
+            totals[(m, shift)] = totals.get((m, shift), 0) + mult
+        if any(v < 0 for v in totals.values()):
+            raise ValueError("negative multiplicity")
+        ordered = sorted(
+            ((m, i, a) for (m, i), a in totals.items() if a),
+            key=lambda t: (-t[0], t[1]),
+        )
+        return cls(n=n, d=d, terms=tuple(ordered))
 
     def row_poly(self, m: int) -> IntPoly:
         """The polynomial ``sum_i a_{m,i} x^i`` for a fixed power m."""
-        if not 1 <= m <= self.n:
-            return ZERO
-        top = max((i for (mm, i) in self.entries if mm == m), default=-1)
-        return IntPoly(self.value(m, i) for i in range(top + 1))
+        row = {i: a for mm, i, a in self.terms if mm == m}
+        return IntPoly(row.get(i, 0) for i in range(max(row, default=-1) + 1))
 
-    def terms(self) -> list[tuple[int, int, int]]:
-        """Nonzero ``(m, i, a_{m,i})`` in canonical order: m desc, i asc."""
-        return sorted(
-            ((m, i, a) for (m, i), a in self.entries.items()),
-            key=lambda t: (-t[0], t[1]),
-        )
-
-    def total(self) -> int:
-        return sum(self.entries.values())
+    def value(self, m: int, i: int) -> int:
+        return self.row_poly(m).coefficient(i)
 
 
-def multiplicity_table(n: int, d: int) -> MultiplicityTable:
+def multiplicity_table(n: int, d: int) -> FormalDecomposition:
     """All ``a_{m,i}``: row m of the table is the partial Bell polynomial ``B_{n,m}``."""
     row = _triangle(n, d)[2]
-    entries: dict[tuple[int, int], int] = {}
-    for m in range(1, n + 1):
-        for i, a in enumerate(row[m].coeffs):
-            if a:
-                entries[(m, i)] = a
-    return MultiplicityTable(n=n, d=d, entries=entries)
+    terms = tuple(
+        (m, i, a) for m in range(n, 0, -1) for i, a in enumerate(row[m].coeffs) if a
+    )
+    return FormalDecomposition(n=n, d=d, terms=terms)

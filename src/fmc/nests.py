@@ -178,13 +178,6 @@ def _weight(son_counts: Iterable[int], d: int) -> IntPoly:
     return prod((sigma(count - 1, d) for count in son_counts), start=ONE)
 
 
-def nest_weight(nest: Nest, d: int) -> IntPoly:
-    """Weight polynomial: product over internal nodes of sigma(sons-1, d)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return _weight(nest_stats(nest).sons.values(), d)
-
-
 @lru_cache(maxsize=None)
 def _signatures(n: int) -> tuple:
     # How many nests on n labels have each (component count, sorted son

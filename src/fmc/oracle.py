@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .genfun import (
     BudgetError,
+    FormalDecomposition,
     egf_solve,
     h_recurrence,
     multiplicity_table,
@@ -31,11 +32,9 @@ from .genfun import (
 from .nests import brute_bivariate
 from .polyseries import IntPoly
 from .theory import (
-    FormalDecomposition,
     SpaceDescriptor,
     blowup_formula,
     betti_of_fm,
-    decompose_formal,
     evaluate_decomposition,
     projective_space_powers,
 )
@@ -112,7 +111,7 @@ def x3_oracle(d: int) -> FormalDecomposition:
         raise ValueError("dimension must be >= 2 (diagonal blowups degenerate)")
     terms = [(3, 0, 1)]
     terms.extend((1, j, 1) for j in range(1, 2 * d))
-    x2 = decompose_formal(2, d)
+    x2 = multiplicity_table(2, d)
     for j in range(1, d):
         for m, shift, mult in x2.terms:
             terms.append((m, shift + j, 3 * mult))
@@ -120,7 +119,7 @@ def x3_oracle(d: int) -> FormalDecomposition:
 
 
 def x2_check(d: int) -> CheckResult:
-    expected = decompose_formal(2, d)
+    expected = multiplicity_table(2, d)
     got = x2_oracle(d)
     passed = got == expected
     detail = "single blowup reproduces X[2]" if passed else (
@@ -130,7 +129,7 @@ def x2_check(d: int) -> CheckResult:
 
 
 def x3_check(d: int) -> CheckResult:
-    expected = decompose_formal(3, d)
+    expected = multiplicity_table(3, d)
     got = x3_oracle(d)
     passed = got == expected
     detail = "two-stage blowup reproduces X[3]" if passed else (
@@ -162,7 +161,7 @@ def table_blowup_check(d: int) -> CheckResult:
         raise ValueError("dimension must be >= 1")
     powers = projective_space_powers(d, "lawson", 2)
     space = SpaceDescriptor(name=f"P{d}", dim=d, kind="lawson", powers=powers)
-    dec = decompose_formal(2, d)
+    dec = multiplicity_table(2, d)
     square, base = powers[2], powers[1]
     for p in range(0, 2 * d + 1):
         for k in range(2 * p, 4 * d + 1):
@@ -196,10 +195,10 @@ def structure_check(n: int, d: int) -> CheckResult:
         problems.append("a_{n,0} != 1")
     if any(table.value(m, 0) != 0 for m in range(1, n)):
         problems.append("a_{m,0} != 0 for some m < n")
-    if any(a <= 0 for a in table.entries.values()):
+    if any(a <= 0 for _, _, a in table.terms):
         problems.append("nonpositive multiplicity")
     bound = d * (n - 1) - 1
-    if n >= 2 and any(i > bound for (_, i) in table.entries):
+    if n >= 2 and any(i > bound for _, i, _ in table.terms):
         problems.append("shift beyond d(n-1)-1")
     if n >= 2 and d >= 2 and h_recurrence(n, d).degree != bound:
         problems.append("deg h_n != d(n-1)-1")

@@ -6,14 +6,12 @@ polynomial is the empty coefficient tuple.
 
 A truncated exponential generating function (EGF) of order ``r`` stores
 polynomial coefficients ``h_0 .. h_r`` and represents ``sum h_i t^i / i!``.
-Products use the binomial convolution
+The exponential of a series with zero constant term satisfies the
+division-free recurrence (a binomial convolution)
 
-    (a * b)_n = sum_k C(n, k) a_k b_{n-k}
+    e_0 = 1,    e_n = sum_{k=1..n} C(n-1, k-1) a_k e_{n-k},
 
-so integer coefficients stay integers, and the exponential of a series with
-zero constant term satisfies the division-free recurrence
-
-    e_0 = 1,    e_n = sum_{k=1..n} C(n-1, k-1) a_k e_{n-k}.
+so integer coefficients stay integers.
 
 Truncation orders are fixed at construction; combining series of different
 orders is an error rather than a silent re-truncation.  All values are
@@ -150,18 +148,6 @@ class IntPoly:
             raise ValueError("inexact polynomial division")
         return IntPoly(quot)
 
-    def divexact_int(self, divisor: int) -> "IntPoly":
-        """Divide every coefficient by ``divisor``; raises ValueError if inexact."""
-        if divisor == 0:
-            raise ZeroDivisionError("division by zero")
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, divisor)
-            if r:
-                raise ValueError("inexact coefficient division")
-            out.append(q)
-        return IntPoly(out)
-
     def is_palindromic(self, degree: int) -> bool:
         """True if the coefficients read the same both ways over 0..degree."""
         if degree < 0 or self.degree > degree:
@@ -178,7 +164,6 @@ class IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-X = IntPoly((0, 1))
 
 
 def monomial(exponent: int, coefficient: int = 1) -> IntPoly:
@@ -303,11 +288,6 @@ class EGF:
         return EGF([c * factor for c in self.coeffs], self.order)
 
 
-def egf_unit(order: int) -> EGF:
-    """The multiplicative identity: h_0 = 1, all other coefficients zero."""
-    return EGF([ONE], order)
-
-
 def egf_term(n: int, value: Union[IntPoly, int], order: int) -> EGF:
     """The series whose only nonzero coefficient is ``h_n = value``."""
     if not 0 <= n <= order:
@@ -315,22 +295,6 @@ def egf_term(n: int, value: Union[IntPoly, int], order: int) -> EGF:
     coeffs = [ZERO] * (order + 1)
     coeffs[n] = _as_poly(value)
     return EGF(coeffs, order)
-
-
-def egf_mul(a: EGF, b: EGF) -> EGF:
-    """Binomial-convolution product; truncation orders must match."""
-    a._check_order(b)
-    out = []
-    for n in range(a.order + 1):
-        acc = ZERO
-        for k in range(n + 1):
-            ak = a.coeffs[k]
-            bk = b.coeffs[n - k]
-            if ak.is_zero or bk.is_zero:
-                continue
-            acc = acc + ak * bk * binomial(n, k)
-        out.append(acc)
-    return EGF(out, a.order)
 
 
 def egf_exp(a: EGF) -> EGF:

@@ -34,9 +34,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
-from .genfun import BudgetError, multiplicity_table
+from .genfun import BudgetError, FormalDecomposition, multiplicity_table
 from .polyseries import ONE, IntPoly, ZERO
 
 # What a negative shifted level reads: level 0, the zero group, or nothing
@@ -224,45 +224,6 @@ class SpaceDescriptor:
             raise ValueError(f"unknown kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class FormalDecomposition:
-    """Formal right-hand side of the decomposition: (m, shift, mult) terms.
-
-    Terms are canonical: m descending, shift ascending, multiplicities
-    positive, one term per (m, shift).
-    """
-
-    n: int
-    d: int
-    terms: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def from_term_list(
-        cls, n: int, d: int, terms: Iterable[tuple[int, int, int]]
-    ) -> "FormalDecomposition":
-        """Aggregate duplicate (m, shift) pairs and sort canonically."""
-        totals: dict[tuple[int, int], int] = {}
-        for m, shift, mult in terms:
-            if not 1 <= m <= n:
-                raise ValueError(f"power {m} outside 1..{n}")
-            if shift < 0:
-                raise ValueError("negative shift")
-            totals[(m, shift)] = totals.get((m, shift), 0) + mult
-        if any(v < 0 for v in totals.values()):
-            raise ValueError("negative multiplicity")
-        ordered = sorted(
-            ((m, i, a) for (m, i), a in totals.items() if a),
-            key=lambda t: (-t[0], t[1]),
-        )
-        return cls(n=n, d=d, terms=tuple(ordered))
-
-
-def decompose_formal(n: int, d: int) -> FormalDecomposition:
-    """The decomposition of X[n] as a formal sum of shifted powers."""
-    table = multiplicity_table(n, d)
-    return FormalDecomposition(n=n, d=d, terms=tuple(table.terms()))
-
-
 def format_group_term(kind: str, m: int, p: int | None = None, k: int | None = None) -> str:
     """Printable name of one indexed group of the m-th power."""
     return theory_of(kind).text.format(X="X" if m == 1 else f"X^{m}", p=p, k=k)
@@ -305,8 +266,11 @@ def _sum_terms(
         if listed > SUMMAND_BUDGET:
             raise BudgetError(f"summand budget exceeded: {listed} > {SUMMAND_BUDGET}")
         rank += mult * group.free_rank
-        torsion.extend(group.torsion * mult)
-        formal.extend(group.formal * mult)
+        # An empty part is skipped: () * mult overflows once mult > sys.maxsize.
+        if group.torsion:
+            torsion.extend(group.torsion * mult)
+        if group.formal:
+            formal.extend(group.formal * mult)
     return GroupDescriptor(free_rank=rank, torsion=tuple(torsion), formal=tuple(formal))
 
 
@@ -606,5 +570,8 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
 def load_space(path: str) -> SpaceDescriptor:
     """Read and validate a space descriptor file (JSON); duplicate keys are errors."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle, object_pairs_hook=_reject_duplicate_keys)
+        try:
+            doc = json.load(handle, object_pairs_hook=_reject_duplicate_keys)
+        except RecursionError:
+            raise ValueError(f"descriptor file {path!r} is nested too deeply") from None
     return parse_space(doc)

@@ -18,7 +18,6 @@ from fmc.theory import (
     GroupDescriptor,
     builtin_space,
     betti_of_fm,
-    decompose_formal,
     evaluate_decomposition,
     proj_bundle_formula,
     projective_space_table,
@@ -69,7 +68,7 @@ def test_criterion_1_x2_formal_terms(capsys):
 def test_criterion_2_x3_multiplicities():
     with criterion(2, 1.0, "X[3] shift multiplicities match the closed forms"):
         for d in range(2, 6):
-            dec = decompose_formal(3, d)
+            dec = multiplicity_table(3, d)
             point_row = {i: a for m, i, a in dec.terms if m == 1}
             square_row = {i: a for m, i, a in dec.terms if m == 2}
             for j in range(1, 2 * d):
@@ -105,9 +104,9 @@ def test_criterion_4_identity_residual():
 def test_criterion_5_blowup_oracles():
     with criterion(5, 1.0, "blowup reconstructions of X[2] and X[3] for d <= 5"):
         for d in range(1, 6):
-            assert x2_oracle(d) == decompose_formal(2, d), d
+            assert x2_oracle(d) == multiplicity_table(2, d), d
         for d in range(2, 6):
-            assert x3_oracle(d) == decompose_formal(3, d), d
+            assert x3_oracle(d) == multiplicity_table(3, d), d
 
 
 def test_criterion_6_betti():
@@ -152,7 +151,7 @@ def test_criterion_7_structural_invariants():
                 for m in range(1, n):
                     assert table.value(m, 0) == 0, (n, d, m)
                 assert all(
-                    isinstance(a, int) and a > 0 for a in table.entries.values()
+                    isinstance(a, int) and a > 0 for _, _, a in table.terms
                 ), (n, d)
                 if n >= 2 and d >= 2:
                     assert h_recurrence(n, d).degree == d * (n - 1) - 1, (n, d)
@@ -168,7 +167,7 @@ def test_criterion_8_lawson_spot_check():
         assert square_rank + point_rank == 3
 
         space = builtin_space("projective-plane", "lawson", max_power=2)
-        value = evaluate_decomposition(decompose_formal(2, 2), space, 1, 2)
+        value = evaluate_decomposition(multiplicity_table(2, 2), space, 1, 2)
         assert value == GroupDescriptor(free_rank=3)
 
 

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import fmc
 from fmc.cli import main, render_json
-from fmc.theory import decompose_formal, formal_evaluation
+from fmc.genfun import multiplicity_table
+from fmc.polyseries import IntPoly
+from fmc.theory import betti_of_fm, formal_evaluation
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +350,18 @@ class TestInputGuards:
         assert out == ""
         assert "not a canonical decimal integer" in err
 
+    def test_deeply_nested_file_exit_2(self, capsys, tmp_path):
+        # json.load gives up with RecursionError; that is bad input, not a crash.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "lawson", "--n", "2", "--d", "1",
+            "--mode", "ranks", "--space", str(path), "--p", "0", "--k", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err
+
 
 class TestPoincareProperty:
     @settings(max_examples=40, deadline=None)
@@ -392,7 +406,7 @@ class TestIndexAgreement:
     def test_cli_refuses_what_the_library_refuses(self, kind):
         # With any index given, formal mode exits 2 exactly when the library
         # refuses the index: a missing or stray slot, or one out of range.
-        dec = decompose_formal(2, 2)
+        dec = multiplicity_table(2, 2)
         for p in INDEX_VALUES:
             for k in INDEX_VALUES:
                 if p is None and k is None:
@@ -449,3 +463,26 @@ class TestLargeMultiplicities:
         assert result.returncode == 2, result.stderr
         assert "summand budget exceeded" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("n", [21, 24])
+    def test_lawson_ranks_past_int64_exit_0(self, capsys, n):
+        # Some multiplicities pass sys.maxsize from n = 21 on; summing them
+        # must not repeat an empty torsion or formal tuple that many times.
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "lawson", "--n", str(n), "--d", "2",
+            "--mode", "ranks", "--space", "p2", "--p", "5", "--k", "14",
+            "--format", "json",
+        )
+        assert code == 0, err
+        assert int(json.loads(out)["value"]["free_rank"]) > sys.maxsize
+
+    @pytest.mark.parametrize("n", [21, 24, 32, 40])
+    def test_betti_k_is_poincare_coefficient(self, capsys, n):
+        poincare = betti_of_fm(IntPoly([1, 0, 1, 0, 1]), 2, n)
+        for k in (14, 2 * n, 2 * n + 1):
+            code, out, err = run_cli(
+                capsys, "decompose", "--theory", "betti", "--n", str(n), "--d", "2",
+                "--mode", "ranks", "--space", "p2", "--k", str(k), "--format", "json",
+            )
+            assert code == 0, err
+            assert int(json.loads(out)["value"]["free_rank"]) == poincare.coefficient(k), k

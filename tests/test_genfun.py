@@ -1,4 +1,5 @@
 from functools import lru_cache
+from math import prod
 
 import pytest
 
@@ -6,6 +7,7 @@ import fmc.genfun
 from fmc.genfun import (
     KERNEL_BUDGET,
     BudgetError,
+    FormalDecomposition,
     egf_solve,
     h_recurrence,
     multiplicity_table,
@@ -13,8 +15,39 @@ from fmc.genfun import (
     sigma,
     verify_identity,
 )
-from fmc.nests import brute_bivariate, enumerate_nests, nest_stats, nest_weight
-from fmc.polyseries import EGF, IntPoly, ONE, ZERO, binomial, egf_mul, egf_term, egf_unit
+from fmc.nests import brute_bivariate, enumerate_nests, nest_stats
+from fmc.polyseries import EGF, IntPoly, ONE, ZERO, binomial, egf_term
+
+
+def nest_weight(nest, d):
+    """Weight polynomial: product over internal nodes of sigma(sons-1, d)."""
+    return prod((sigma(count - 1, d) for count in nest_stats(nest).sons.values()), start=ONE)
+
+
+def egf_mul(a, b):
+    """Binomial-convolution product of two series of the same order."""
+    out = []
+    for n in range(a.order + 1):
+        acc = ZERO
+        for k in range(n + 1):
+            ak = a.coeffs[k]
+            bk = b.coeffs[n - k]
+            if ak.is_zero or bk.is_zero:
+                continue
+            acc = acc + ak * bk * binomial(n, k)
+        out.append(acc)
+    return EGF(out, a.order)
+
+
+def divexact_int(poly, divisor):
+    """Divide every coefficient by ``divisor``; raises ValueError if inexact."""
+    out = []
+    for c in poly.coeffs:
+        q, r = divmod(c, divisor)
+        if r:
+            raise ValueError("inexact coefficient division")
+        out.append(q)
+    return IntPoly(out)
 
 
 def brute_h(n, d):
@@ -155,7 +188,7 @@ class TestIdentity:
 class TestMultiplicityTable:
     def test_single_point(self):
         table = multiplicity_table(1, 4)
-        assert table.entries == {(1, 0): 1}
+        assert table.terms == ((1, 0, 1),)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_two_labels(self, d):
@@ -163,17 +196,17 @@ class TestMultiplicityTable:
         assert table.value(2, 0) == 1
         for j in range(1, d):
             assert table.value(1, j) == 1
-        assert sum(table.entries.values()) == 1 + max(d - 1, 0)
+        assert sum(a for _, _, a in table.terms) == 1 + max(d - 1, 0)
 
     def test_three_labels_d2(self):
         table = multiplicity_table(3, 2)
-        assert table.entries == {
-            (3, 0): 1,
-            (2, 1): 3,
-            (1, 1): 1,
-            (1, 2): 4,
-            (1, 3): 1,
-        }
+        assert table.terms == (
+            (3, 0, 1),
+            (2, 1, 3),
+            (1, 1, 1),
+            (1, 2, 4),
+            (1, 3, 1),
+        )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -193,7 +226,7 @@ class TestMultiplicityTable:
             for count in nest_stats(nest).sons.values():
                 pairs *= max(d * (count - 1) - 1, 0)
             expected += pairs
-        assert multiplicity_table(n, d).total() == expected
+        assert sum(a for _, _, a in multiplicity_table(n, d).terms) == expected
 
     @pytest.mark.parametrize("n", list(range(1, 13)))
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -202,10 +235,10 @@ class TestMultiplicityTable:
         assert table.value(n, 0) == 1
         for m in range(1, n):
             assert table.value(m, 0) == 0
-        assert all(isinstance(a, int) and a > 0 for a in table.entries.values())
+        assert all(isinstance(a, int) and a > 0 for _, _, a in table.terms)
         if n >= 2:
             bound = d * (n - 1) - 1
-            assert all(i <= bound for (_, i) in table.entries)
+            assert all(i <= bound for _, i, _ in table.terms)
 
     @pytest.mark.parametrize("n", list(range(1, 13)))
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -214,16 +247,21 @@ class TestMultiplicityTable:
         # identity solver, the powers by repeated products, the division exact.
         series = egf_solve(n, d)
         table = multiplicity_table(n, d)
-        power = egf_unit(n)
+        power = EGF([ONE], n)
         fact = 1
         for m in range(1, n + 1):
             power = egf_mul(power, series)
             fact *= m
-            assert table.row_poly(m) == power.coefficient(n).divexact_int(fact), m
+            assert table.row_poly(m) == divexact_int(power.coefficient(n), fact), m
 
     def test_terms_canonical_order(self):
-        terms = multiplicity_table(4, 2).terms()
-        assert terms == sorted(terms, key=lambda t: (-t[0], t[1]))
+        # The terms are read off the kernel row with no sort; sorting them
+        # again from the reverse order gives the same record.
+        for n in range(1, 13):
+            for d in range(1, 5):
+                table = multiplicity_table(n, d)
+                resorted = FormalDecomposition.from_term_list(n, d, reversed(table.terms))
+                assert table == resorted, (n, d)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -231,10 +269,8 @@ class TestMultiplicityTable:
         # each row is symmetric under i -> d(n-m) - i, the shadow of the
         # two equivalent weight conventions
         table = multiplicity_table(n, d)
-        for m in range(1, n + 1):
-            for (mm, i), a in table.entries.items():
-                if mm == m:
-                    assert table.value(m, d * (n - m) - i) == a, (n, d, m, i)
+        for m, i, a in table.terms:
+            assert table.value(m, d * (n - m) - i) == a, (n, d, m, i)
 
 
 class TestKernelBudget:

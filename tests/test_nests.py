@@ -1,4 +1,5 @@
 import itertools
+from math import prod
 
 import pytest
 
@@ -12,10 +13,14 @@ from fmc.nests import (
     enumerate_nests,
     is_nest,
     nest_stats,
-    nest_weight,
 )
 from fmc.oracle import run_verification
 from fmc.polyseries import IntPoly, ONE
+
+
+def nest_weight(nest, d):
+    """Weight polynomial: product over internal nodes of sigma(sons-1, d)."""
+    return prod((sigma(count - 1, d) for count in nest_stats(nest).sons.values()), start=ONE)
 
 
 def filter_all_families(n):

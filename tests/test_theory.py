@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fmc.genfun import multiplicity_table
 from fmc.polyseries import IntPoly, ONE
 from fmc.theory import (
     FormalDecomposition,
@@ -14,7 +16,6 @@ from fmc.theory import (
     betti_of_fm,
     blowup_formula,
     builtin_space,
-    decompose_formal,
     direct_sum,
     evaluate_decomposition,
     formal_evaluation,
@@ -78,13 +79,13 @@ class TestGradedTable:
 
 class TestDecomposeFormal:
     def test_n2_d3(self):
-        assert decompose_formal(2, 3).terms == ((2, 0, 1), (1, 1, 1), (1, 2, 1))
+        assert multiplicity_table(2, 3).terms == ((2, 0, 1), (1, 1, 1), (1, 2, 1))
 
     def test_n1(self):
-        assert decompose_formal(1, 5).terms == ((1, 0, 1),)
+        assert multiplicity_table(1, 5).terms == ((1, 0, 1),)
 
     def test_n3_d2(self):
-        assert decompose_formal(3, 2).terms == (
+        assert multiplicity_table(3, 2).terms == (
             (3, 0, 1),
             (2, 1, 3),
             (1, 1, 1),
@@ -156,7 +157,7 @@ class TestBlowupFormula:
     def test_matches_decomposition_on_tables(self, d):
         powers = projective_space_powers(d, "lawson", 2)
         space = SpaceDescriptor(name="P", dim=d, kind="lawson", powers=powers)
-        dec = decompose_formal(2, d)
+        dec = multiplicity_table(2, d)
         for p in range(0, 2 * d + 1):
             for k in range(2 * p, 4 * d + 1):
                 lhs = blowup_formula(powers[2], powers[1], d, p, k)
@@ -167,26 +168,26 @@ class TestBlowupFormula:
 class TestEvaluate:
     def test_plane_square_rank(self):
         space = builtin_space("projective-plane", "lawson", max_power=2)
-        value = evaluate_decomposition(decompose_formal(2, 2), space, 1, 2)
+        value = evaluate_decomposition(multiplicity_table(2, 2), space, 1, 2)
         assert value == GroupDescriptor(free_rank=3)
 
     def test_identity_decomposition_keeps_table(self):
         space = builtin_space("p2", "lawson", max_power=1)
-        dec = decompose_formal(1, 2)
+        dec = multiplicity_table(1, 2)
         for (p, k), group in space.powers[1].groups.items():
             if k >= 2 * p:
                 assert evaluate_decomposition(dec, space, p, k) == group
 
     def test_chow_evaluation(self):
         space = builtin_space("p1", "chow", max_power=2)
-        dec = decompose_formal(2, 1)
+        dec = multiplicity_table(2, 1)
         # X[2] = square of the line: Chow ranks 1, 2, 1
         assert [
             evaluate_decomposition(dec, space, p).free_rank for p in range(3)
         ] == [1, 2, 1]
 
     def test_db_formal_terms(self):
-        value = formal_evaluation(decompose_formal(2, 2), "db", 1, 2)
+        value = formal_evaluation(multiplicity_table(2, 2), "db", 1, 2)
         assert value.formal == ("H^0_D(X, Z(0))", "H^2_D(X^2, Z(1))")
 
     def test_db_negative_level_stays_formal(self):
@@ -199,34 +200,34 @@ class TestEvaluate:
                 2: GradedTable({(0, 0): Z_GROUP}),
             },
         )
-        value = evaluate_decomposition(decompose_formal(2, 2), space, 0, 2)
+        value = evaluate_decomposition(multiplicity_table(2, 2), space, 0, 2)
         assert value.formal == ("H^0_D(X, Z(-1))",)
 
     def test_lawson_level_clamp(self):
         # at p=0 the shifted terms read level 0, not a missing negative level
         space = builtin_space("p2", "lawson", max_power=2)
-        value = evaluate_decomposition(decompose_formal(2, 2), space, 0, 2)
+        value = evaluate_decomposition(multiplicity_table(2, 2), space, 0, 2)
         # terms: L_0H_2(X^2) rank 2, clamp L_{-1}H_0(X) -> L_0H_0(X) rank 1
         assert value == GroupDescriptor(free_rank=3)
 
     def test_betti_evaluation(self):
         space = builtin_space("p2", "betti")
-        dec = decompose_formal(2, 2)
+        dec = multiplicity_table(2, 2)
         ranks = [evaluate_decomposition(dec, space, k=k).free_rank for k in range(9)]
         assert ranks == [1, 0, 3, 0, 4, 0, 3, 0, 1]
 
     def test_missing_power_table(self):
         space = builtin_space("p2", "lawson", max_power=1)
         with pytest.raises(ValueError, match="power"):
-            evaluate_decomposition(decompose_formal(2, 2), space, 1, 2)
+            evaluate_decomposition(multiplicity_table(2, 2), space, 1, 2)
 
     def test_invalid_outer_index(self):
         space = builtin_space("p2", "lawson", max_power=2)
         with pytest.raises(ValueError):
-            evaluate_decomposition(decompose_formal(2, 2), space, 2, 1)
+            evaluate_decomposition(multiplicity_table(2, 2), space, 2, 1)
 
     def test_stray_index_rejected(self):
-        dec = decompose_formal(2, 2)
+        dec = multiplicity_table(2, 2)
         with pytest.raises(ValueError, match="takes no index k"):
             formal_evaluation(dec, "chow", 1, 0)
         with pytest.raises(ValueError, match="takes no index p"):
@@ -237,12 +238,12 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         space = builtin_space("p2", "lawson", max_power=2)
         with pytest.raises(ValueError):
-            evaluate_decomposition(decompose_formal(2, 3), space, 1, 2)
+            evaluate_decomposition(multiplicity_table(2, 3), space, 1, 2)
 
     def test_theories_consume_identical_terms(self):
         # at an index deep enough that no term drops to zero, every theory
         # must surface exactly one formal summand per unit of multiplicity
-        dec = decompose_formal(3, 2)
+        dec = multiplicity_table(3, 2)
         total = sum(mult for _, _, mult in dec.terms)
         evaluations = {
             "lawson": formal_evaluation(dec, "lawson", 6, 12),
@@ -252,6 +253,26 @@ class TestEvaluate:
         }
         for kind, value in evaluations.items():
             assert len(value.formal) == total, kind
+
+    @pytest.mark.parametrize(
+        "kind, p, k", [("lawson", 5, 14), ("lawson", 0, 30), ("chow", 12, None), ("chow", 20, None)]
+    )
+    def test_ranks_past_int64_match_term_sum(self, kind, p, k):
+        # At n = 21 some multiplicities pass sys.maxsize.  The rank is summed
+        # here term by term with the conventions written out: a shift i reads
+        # lawson at (max(p - i, 0), k - 2i) and chow at level p - i, and a
+        # negative slot reads the zero group.
+        n = 21
+        dec = multiplicity_table(n, 2)
+        assert max(mult for _, _, mult in dec.terms) > sys.maxsize
+        space = builtin_space("p2", kind, max_power=n)
+        expected = 0
+        for m, i, mult in dec.terms:
+            at = (max(p - i, 0), k - 2 * i) if kind == "lawson" else (p - i, 0)
+            if min(at) >= 0:
+                expected += mult * space.powers[m].lookup(*at).free_rank
+        assert expected > sys.maxsize
+        assert evaluate_decomposition(dec, space, p, k) == GroupDescriptor(free_rank=expected)
 
 
 class TestBetti:
@@ -311,7 +332,7 @@ class TestBetti:
         betti = IntPoly([1 if i % 2 == 0 else 0 for i in range(2 * d + 1)])
         chi = betti(-1)
         scalar = sum(
-            mult * chi**m for m, _, mult in decompose_formal(n, d).terms
+            mult * chi**m for m, _, mult in multiplicity_table(n, d).terms
         )
         assert betti_of_fm(betti, d, n)(-1) == scalar
 

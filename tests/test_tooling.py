@@ -1,3 +1,4 @@
+import json
 import os
 import shlex
 import subprocess
@@ -28,6 +29,29 @@ def test_shipped_script_runs(script, args):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mult", "--n", "4", "--d", "2", "--format", "json"],
+        ["decompose", "--theory", "lawson", "--n", "3", "--d", "2", "--mode", "formal"],
+    ],
+)
+def test_trace_child_matches_cli(argv, tmp_path, capsys):
+    # The trace harness wraps public functions by name, so deleting or
+    # renaming one must neither break tracing nor change what is printed.
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "trace_child.py"), str(trace), "--", *argv],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert main(argv) == 0
+    assert result.stdout == capsys.readouterr().out.encode("utf-8")
+    times = json.loads(trace.read_text(encoding="utf-8"))["times"]
+    assert times["genfun.multiplicity_table_s"] > 0
 
 
 def readme_commands():
