@@ -9,65 +9,7 @@ cross-checks every multiplicity against independent brute-force and
 blowup-construction oracles.
 """
 
-from .polyseries import (
-    EGF,
-    IntPoly,
-    ONE,
-    ZERO,
-    binomial,
-    egf_exp,
-    egf_term,
-    format_poly,
-    monomial,
-)
-from .nests import (
-    NEST_BUDGET,
-    Nest,
-    NestStats,
-    brute_bivariate,
-    enumerate_nests,
-    is_nest,
-    nest_stats,
-)
-from .genfun import (
-    BudgetError,
-    FormalDecomposition,
-    KERNEL_BUDGET,
-    egf_solve,
-    h_recurrence,
-    multiplicity_table,
-    recurrence_egf,
-    sigma,
-    verify_identity,
-)
-from .theory import (
-    GradedTable,
-    GroupDescriptor,
-    SpaceDescriptor,
-    ZERO_GROUP,
-    Z_GROUP,
-    betti_of_fm,
-    blowup_formula,
-    builtin_space,
-    direct_sum,
-    evaluate_decomposition,
-    formal_evaluation,
-    load_space,
-    parse_space,
-    proj_bundle_formula,
-    proj_bundle_table,
-    projective_space_powers,
-    projective_space_table,
-)
-from .oracle import (
-    CheckResult,
-    VerificationReport,
-    brute_equiv,
-    palindrome_check,
-    run_verification,
-    x2_oracle,
-    x3_oracle,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -122,3 +64,66 @@ __all__ = [
     "x2_oracle",
     "x3_oracle",
 ]
+
+# Each public name and the submodule that defines it.  A name is imported
+# on first access (PEP 562) and then cached here, so ``import fmc`` loads
+# no submodule and a command pays only for the modules it runs.
+_HOMES = {
+    "EGF": "polyseries",
+    "IntPoly": "polyseries",
+    "ONE": "polyseries",
+    "ZERO": "polyseries",
+    "binomial": "polyseries",
+    "egf_exp": "polyseries",
+    "egf_term": "polyseries",
+    "format_poly": "polyseries",
+    "monomial": "polyseries",
+    "NEST_BUDGET": "nests",
+    "Nest": "nests",
+    "NestStats": "nests",
+    "brute_bivariate": "nests",
+    "enumerate_nests": "nests",
+    "is_nest": "nests",
+    "nest_stats": "nests",
+    "BudgetError": "genfun",
+    "FormalDecomposition": "genfun",
+    "KERNEL_BUDGET": "genfun",
+    "egf_solve": "genfun",
+    "h_recurrence": "genfun",
+    "multiplicity_table": "genfun",
+    "recurrence_egf": "genfun",
+    "sigma": "genfun",
+    "verify_identity": "genfun",
+    "GradedTable": "theory",
+    "GroupDescriptor": "theory",
+    "SpaceDescriptor": "theory",
+    "ZERO_GROUP": "theory",
+    "Z_GROUP": "theory",
+    "betti_of_fm": "theory",
+    "blowup_formula": "theory",
+    "builtin_space": "theory",
+    "direct_sum": "theory",
+    "evaluate_decomposition": "theory",
+    "formal_evaluation": "theory",
+    "load_space": "theory",
+    "parse_space": "theory",
+    "proj_bundle_formula": "theory",
+    "proj_bundle_table": "theory",
+    "projective_space_powers": "theory",
+    "projective_space_table": "theory",
+    "CheckResult": "oracle",
+    "VerificationReport": "oracle",
+    "brute_equiv": "oracle",
+    "palindrome_check": "oracle",
+    "run_verification": "oracle",
+    "x2_oracle": "oracle",
+    "x3_oracle": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

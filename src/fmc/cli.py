@@ -16,32 +16,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
 
 from . import __version__
-from .genfun import h_recurrence, multiplicity_table, recurrence_egf, verify_identity
-from .nests import BudgetError, NEST_BUDGET, enumerate_nests, nest_stats
-from .oracle import run_verification, solver_match
-from .polyseries import IntPoly, format_poly
-from .theory import (
-    THEORIES,
-    GroupDescriptor,
-    SpaceDescriptor,
-    betti_of_fm,
-    builtin_space,
-    check_index,
-    evaluate_decomposition,
-    formal_evaluation,
-    is_builtin_space,
-    load_space,
-    term_group_name,
-)
+
+# Each handler imports the modules it runs, so a command loads only what it
+# needs.  Annotations are not evaluated (PEP 563); the fmc types they name
+# are imported by the handlers that use them.  The parser needs two facts
+# of the library without importing it, copied here and pinned by tests:
+# the theory names of ``fmc.theory.THEORIES``, in table order, and
+# ``fmc.nests.NEST_BUDGET``.
+_THEORY_NAMES = ("lawson", "chow", "db", "betti")
+_NEST_BUDGET = 7
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def _json_ready(value: Any) -> Any:
+def _json_ready(value: object) -> object:
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
@@ -77,7 +68,7 @@ def _any_int(text: str) -> int:
 
 
 def _group_doc(group: GroupDescriptor) -> dict:
-    doc: dict[str, Any] = {}
+    doc: dict[str, object] = {}
     if group.formal:
         if group.free_rank or group.torsion:
             doc["free_rank"] = group.free_rank
@@ -99,6 +90,8 @@ def _emit(text: str) -> None:
 
 
 def cmd_nests(args: argparse.Namespace) -> int:
+    from .nests import enumerate_nests, nest_stats
+
     found = enumerate_nests(args.n, allow_large=args.budget_override)
     with_stats = ((nest, nest_stats(nest)) for nest in found)
     if args.format == "json":
@@ -134,6 +127,9 @@ def cmd_nests(args: argparse.Namespace) -> int:
 
 
 def cmd_h_poly(args: argparse.Namespace) -> int:
+    from .genfun import h_recurrence
+    from .polyseries import format_poly
+
     poly = h_recurrence(args.n, args.d)
     if args.format == "json":
         doc = {"n": args.n, "d": args.d, "coeffs": list(poly.coeffs)}
@@ -144,15 +140,20 @@ def cmd_h_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_egf(args: argparse.Namespace) -> int:
+    from .genfun import recurrence_egf, verify_identity
+    from .polyseries import format_poly
+
     series = recurrence_egf(args.n, args.d)
     failures = []
     if args.verify:
+        from .oracle import solver_match
+
         if not verify_identity(series, args.d).is_zero:
             failures.append("identity-residual")
         if not solver_match(args.n, args.d).passed:
             failures.append("solver-match")
     if args.format == "json":
-        doc: dict[str, Any] = {
+        doc: dict[str, object] = {
             "n": args.n,
             "d": args.d,
             "h": [list(c.coeffs) for c in series.coeffs],
@@ -174,6 +175,9 @@ def cmd_egf(args: argparse.Namespace) -> int:
 
 
 def cmd_mult(args: argparse.Namespace) -> int:
+    from .genfun import multiplicity_table
+    from .polyseries import format_poly
+
     table = multiplicity_table(args.n, args.d)
     if args.format == "json":
         doc = {
@@ -195,6 +199,8 @@ def cmd_mult(args: argparse.Namespace) -> int:
 
 
 def _resolve_space(args: argparse.Namespace) -> SpaceDescriptor:
+    from .theory import builtin_space, is_builtin_space, load_space
+
     if args.space is None:
         raise ValueError("--space is required in ranks mode")
     if is_builtin_space(args.space):
@@ -214,6 +220,8 @@ def _resolve_space(args: argparse.Namespace) -> SpaceDescriptor:
 
 
 def _latex_term(theory: str, m: int, shift: int, mult: int) -> str:
+    from .theory import THEORIES
+
     # The symbolic form of the shift action: level p-i, degree k-2i.
     body = THEORIES[theory].latex.format(
         X="X" if m == 1 else f"X^{{{m}}}",
@@ -226,6 +234,16 @@ def _latex_term(theory: str, m: int, shift: int, mult: int) -> str:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .genfun import multiplicity_table
+    from .polyseries import format_poly
+    from .theory import (
+        betti_of_fm,
+        check_index,
+        evaluate_decomposition,
+        formal_evaluation,
+        term_group_name,
+    )
+
     n, d, theory = args.n, args.d, args.theory
     p, k = args.p, args.k
     has_index = p is not None or k is not None
@@ -241,7 +259,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         _emit(f"$ {body} $")
         return 0
 
-    doc: dict[str, Any] = {"n": n, "d": d, "theory": theory, "mode": args.mode}
+    doc: dict[str, object] = {"n": n, "d": d, "theory": theory, "mode": args.mode}
     header = f"n={n} d={d} theory={theory} mode={args.mode}"
     if has_index:
         if p is not None:
@@ -256,7 +274,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     term_docs = []
     if args.mode == "formal":
         for m, shift, mult in dec.terms:
-            entry: dict[str, Any] = {"m": m, "shift": shift, "mult": mult}
+            entry: dict[str, object] = {"m": m, "shift": shift, "mult": mult}
             if has_index:
                 entry["group"] = term_group_name(theory, m, shift, p, k)
             term_docs.append(entry)
@@ -297,6 +315,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import run_verification
+
     report = run_verification(args.max_n, args.max_d, allow_large=args.budget_override)
     if args.format == "json":
         doc = {
@@ -348,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nests.add_argument(
         "--budget-override",
         action="store_true",
-        help=f"enumerate past the default budget of n <= {NEST_BUDGET}",
+        help=f"enumerate past the default budget of n <= {_NEST_BUDGET}",
     )
     p_nests.set_defaults(handler=cmd_nests)
 
@@ -376,9 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mult.set_defaults(handler=cmd_mult)
 
     p_dec = sub.add_parser("decompose", help="decomposition of X[n] for a chosen theory")
-    p_dec.add_argument(
-        "--theory", choices=tuple(THEORIES), required=True
-    )
+    p_dec.add_argument("--theory", choices=_THEORY_NAMES, required=True)
     p_dec.add_argument("--n", type=_positive_int, required=True)
     p_dec.add_argument("--d", type=_positive_int, required=True)
     p_dec.add_argument("--p", type=_any_int, default=None, help="level index")
@@ -398,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--budget-override",
         action="store_true",
-        help=f"allow brute-force enumeration past n = {NEST_BUDGET}",
+        help=f"allow brute-force enumeration past n = {_NEST_BUDGET}",
     )
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.set_defaults(handler=cmd_verify)
@@ -417,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except BudgetError as exc:
-        print(f"fmc: error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"fmc: error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .genfun import BudgetError, FormalDecomposition, multiplicity_table
@@ -298,11 +298,12 @@ def evaluate_decomposition(
             f"space dimension {space.dim} does not match decomposition d={dec.d}"
         )
     theory = check_index(space.kind, p, k)
-    betti = space.betti
-    if betti is not None:
+    if space.betti is not None:
+        # Many terms share a power m; each power is computed once.
+        power = cache(space.betti.__pow__)
         return _sum_terms(
             dec, theory, p, k,
-            lambda m, pp, kk: GroupDescriptor(free_rank=(betti ** m).coefficient(kk)),
+            lambda m, pp, kk: GroupDescriptor(free_rank=power(m).coefficient(kk)),
         )
     for m, _, _ in dec.terms:
         if m not in space.powers:

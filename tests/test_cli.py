@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fmc
-from fmc.cli import main, render_json
+from fmc.cli import build_parser, main, render_json
 from fmc.genfun import multiplicity_table
+from fmc.nests import NEST_BUDGET
 from fmc.polyseries import IntPoly
-from fmc.theory import betti_of_fm, formal_evaluation
+from fmc.theory import THEORIES, betti_of_fm, formal_evaluation
 
 
 def run_cli(capsys, *argv):
@@ -486,3 +488,61 @@ class TestLargeMultiplicities:
             )
             assert code == 0, err
             assert int(json.loads(out)["value"]["free_rank"]) == poincare.coefficient(k), k
+
+
+# Runs one command in a fresh interpreter and prints the fmc modules it loaded.
+FOOTPRINT = """
+import contextlib, io, json, sys
+from fmc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "fmc")))
+"""
+
+
+def import_footprint(*argv):
+    src = Path(fmc.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+NOT_KERNEL = {"fmc.theory", "fmc.nests", "fmc.oracle"}
+
+
+class TestImports:
+    def test_version_loads_only_the_cli(self):
+        assert import_footprint("--version") == {"fmc", "fmc.cli"}
+
+    @pytest.mark.parametrize(
+        "argv, unused",
+        [
+            (("h-poly", "--n", "4", "--d", "2"), NOT_KERNEL),
+            (("mult", "--n", "4", "--d", "2"), NOT_KERNEL),
+            (("egf", "--n", "4", "--d", "2"), NOT_KERNEL),
+            (
+                ("decompose", "--theory", "betti", "--n", "3", "--d", "2",
+                 "--mode", "ranks", "--space", "p2"),
+                {"fmc.nests", "fmc.oracle"},
+            ),
+        ],
+    )
+    def test_command_loads_only_what_it_runs(self, argv, unused):
+        loaded = import_footprint(*argv)
+        assert "fmc.genfun" in loaded
+        assert not loaded & unused
+
+    def test_parser_literals_match_the_library(self, capsys):
+        # The parser copies these so that building it imports no library module.
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (theory,) = [a for a in commands.choices["decompose"]._actions if a.dest == "theory"]
+        assert theory.choices == tuple(THEORIES)
+        for sub, phrase in (("nests", "budget of n <="), ("verify", "past n =")):
+            _, out, _ = run_cli(capsys, sub, "--help")
+            assert f"{phrase} {NEST_BUDGET}" in " ".join(out.split())

@@ -216,6 +216,20 @@ class TestEvaluate:
         ranks = [evaluate_decomposition(dec, space, k=k).free_rank for k in range(9)]
         assert ranks == [1, 0, 3, 0, 4, 0, 3, 0, 1]
 
+    def test_betti_k_computes_each_power_once(self, monkeypatch):
+        dec = multiplicity_table(40, 2)
+        space = builtin_space("p2", "betti")
+        calls = []
+        plain_pow = IntPoly.__pow__
+
+        def counted(self, m):
+            calls.append(m)
+            return plain_pow(self, m)
+
+        monkeypatch.setattr(IntPoly, "__pow__", counted)
+        evaluate_decomposition(dec, space, k=14)
+        assert sorted(calls) == sorted({m for m, _, _ in dec.terms})
+
     def test_missing_power_table(self):
         space = builtin_space("p2", "lawson", max_power=1)
         with pytest.raises(ValueError, match="power"):

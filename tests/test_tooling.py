@@ -7,14 +7,34 @@ from pathlib import Path
 
 import pytest
 
-import fmc
 from fmc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+PUBLIC_NAMES = """
+import json, fmc
+bound = {}
+exec("from fmc import *", bound)
+print(json.dumps({
+    "unbound": [name for name in fmc.__all__ if name not in bound],
+    "table": sorted(fmc._HOMES),
+    "all": sorted(fmc.__all__),
+}))
+"""
+
+
 def test_public_names_resolve():
-    assert [name for name in fmc.__all__ if not hasattr(fmc, name)] == []
+    # A fresh interpreter, so that no earlier test has imported a submodule
+    # the lazy package would otherwise have to load.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", PUBLIC_NAMES], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    names = json.loads(result.stdout)
+    assert names["unbound"] == []
+    assert names["table"] == names["all"]
 
 
 @pytest.mark.parametrize(
