@@ -15,7 +15,7 @@ def main():
     max_d = int(sys.argv[2]) if len(sys.argv) > 2 else 4
     for d in range(1, max_d + 1):
         print(f"== d = {d} ==")
-        for n, h in enumerate(recurrence_egf(max_n, d).coeffs[1:], start=1):
+        for n, h in enumerate(recurrence_egf(max_n, d)[1:], start=1):
             print(f"h_{n} = {format_poly(h)}")
         table = multiplicity_table(max_n, d)
         print(f"decomposition of X[{max_n}]:")

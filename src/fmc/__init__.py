@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "CheckResult",
-    "EGF",
     "FormalDecomposition",
     "GradedTable",
     "GroupDescriptor",
@@ -40,7 +39,6 @@ __all__ = [
     "direct_sum",
     "egf_exp",
     "egf_solve",
-    "egf_term",
     "enumerate_nests",
     "evaluate_decomposition",
     "formal_evaluation",
@@ -69,13 +67,11 @@ __all__ = [
 # on first access (PEP 562) and then cached here, so ``import fmc`` loads
 # no submodule and a command pays only for the modules it runs.
 _HOMES = {
-    "EGF": "polyseries",
     "IntPoly": "polyseries",
     "ONE": "polyseries",
     "ZERO": "polyseries",
     "binomial": "polyseries",
     "egf_exp": "polyseries",
-    "egf_term": "polyseries",
     "format_poly": "polyseries",
     "monomial": "polyseries",
     "NEST_BUDGET": "nests",

@@ -148,7 +148,7 @@ def cmd_egf(args: argparse.Namespace) -> int:
     if args.verify:
         from .oracle import solver_match
 
-        if not verify_identity(series, args.d).is_zero:
+        if any(verify_identity(series, args.d)):
             failures.append("identity-residual")
         if not solver_match(args.n, args.d).passed:
             failures.append("solver-match")
@@ -156,7 +156,7 @@ def cmd_egf(args: argparse.Namespace) -> int:
         doc: dict[str, object] = {
             "n": args.n,
             "d": args.d,
-            "h": [list(c.coeffs) for c in series.coeffs],
+            "h": [list(c.coeffs) for c in series],
         }
         if args.verify:
             doc["verified"] = not failures
@@ -164,7 +164,7 @@ def cmd_egf(args: argparse.Namespace) -> int:
         _emit(render_json(doc))
     else:
         lines = [f"n={args.n} d={args.d}"]
-        for i, c in enumerate(series.coeffs):
+        for i, c in enumerate(series):
             lines.append(f"h_{i} = {format_poly(c)}")
         if args.verify:
             lines.append(
@@ -435,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"fmc: error: {exc}", file=sys.stderr)
         return 2
 

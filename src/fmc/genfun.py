@@ -44,9 +44,8 @@ polynomial division isolates it.
 Finally, the multiplicity table ``a_{m,i}`` reads off how many i-shifted
 copies of the m-th cartesian power occur in the decomposition.  It equals
 ``[x^i] ([t^n/n!] N^m) / m!``, which is exactly ``[x^i] B_{n,m}``: row n of
-the triangle, with no division.  ``multiplicity_table`` reads the terms of
-the ``FormalDecomposition`` straight off that row, already in canonical
-order.
+the triangle, with no division.  ``multiplicity_table`` hands that row to
+the ``FormalDecomposition`` as it stands.
 
 Kernel calls are bounded by ``KERNEL_BUDGET``, which also caps d itself (at
 n = 1 the degree d*(n-1) is 0); larger calls raise ``BudgetError`` instead
@@ -57,18 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
-from .polyseries import (
-    EGF,
-    ONE,
-    ZERO,
-    IntPoly,
-    binomial,
-    egf_exp,
-    egf_term,
-    monomial,
-)
+from .polyseries import ONE, ZERO, IntPoly, binomial, egf_exp, monomial
 
 #: Largest kernel call, as (labels n, top degree d*(n-1)); d alone is held
 #: to the second limit too.  The packed triangle at n = 40, d = 4 takes
@@ -154,16 +143,17 @@ def h_recurrence(n: int, d: int) -> IntPoly:
     return _triangle(n, d)[1][-1]
 
 
-def recurrence_egf(n_max: int, d: int) -> EGF:
-    """The series ``N`` with coefficients ``0, h_1, ..., h_n_max``."""
-    return EGF((ZERO,) + _triangle(n_max, d)[1], n_max)
+def recurrence_egf(n_max: int, d: int) -> tuple[IntPoly, ...]:
+    """The series ``N`` as its coefficients ``(0, h_1, ..., h_n_max)``."""
+    return (ZERO,) + _triangle(n_max, d)[1]
 
 
-def egf_solve(n_max: int, d: int) -> EGF:
+def egf_solve(n_max: int, d: int) -> tuple[IntPoly, ...]:
     """Solve the functional identity for ``N`` order by order in t.
 
-    Independent of the partition recurrence: the two constructions agree
-    coefficientwise, which the verification suite asserts.
+    Returns ``(0, h_1, ..., h_n_max)``.  Independent of the partial-Bell
+    triangle: the two constructions agree coefficientwise, which the
+    verification suite asserts.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -197,66 +187,55 @@ def egf_solve(n_max: int, d: int) -> EGF:
         h.append(hn)
         exp_top.append(low_top + hn * xd)
         exp_low.append(low_low + hn)
-    return EGF(h, n_max)
+    return tuple(h)
 
 
-def verify_identity(series: EGF, d: int) -> EGF:
-    """Residual of the functional identity for a candidate series.
+def verify_identity(series: tuple[IntPoly, ...], d: int) -> tuple[IntPoly, ...]:
+    """Residual of the functional identity for a candidate series ``(0, h_1, ...)``.
 
     Returns ``exp(x^d N) - x^(d+1) exp(N) - (1-x) x^d t - (1 - x^(d+1))``
-    truncated at the order of ``series``; the zero series iff the identity
-    holds to that order.
+    truncated at the order of ``series``; every coefficient is zero iff the
+    identity holds to that order.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if not series.coefficient(0).is_zero:
+    if series[0]:
         raise ValueError("series must have zero constant term")
-    order = series.order
     xd = monomial(d)
     xd1 = monomial(d + 1)
-    lhs = egf_exp(series.scale(xd)) - egf_exp(series).scale(xd1)
-    rhs = egf_term(0, ONE - xd1, order)
-    if order >= 1:
-        rhs = rhs + egf_term(1, xd - xd1, order)
-    return lhs - rhs
+    top = egf_exp(tuple(h * xd for h in series))
+    residual = [a - b * xd1 for a, b in zip(top, egf_exp(series))]
+    residual[0] -= ONE - xd1
+    if len(residual) > 1:
+        residual[1] -= xd - xd1
+    return tuple(residual)
 
 
 @dataclass(frozen=True)
 class FormalDecomposition:
-    """X[n] as a formal sum of shifted powers: ``(m, shift, a_{m,shift})`` terms.
+    """X[n] as a formal sum of shifted powers of X.
 
-    Terms are canonical: m descending, shift ascending, multiplicities
-    positive, one term per (m, shift).
+    ``rows[m - 1]`` is the polynomial ``sum_i a_{m,i} x^i``: the copies of
+    the m-th power, by shift i, for m = 1..n.
     """
 
     n: int
     d: int
-    terms: tuple[tuple[int, int, int], ...]
+    rows: tuple[IntPoly, ...]
 
-    @classmethod
-    def from_term_list(
-        cls, n: int, d: int, terms: Iterable[tuple[int, int, int]]
-    ) -> "FormalDecomposition":
-        """Aggregate duplicate (m, shift) pairs and sort canonically."""
-        totals: dict[tuple[int, int], int] = {}
-        for m, shift, mult in terms:
-            if not 1 <= m <= n:
-                raise ValueError(f"power {m} outside 1..{n}")
-            if shift < 0:
-                raise ValueError("negative shift")
-            totals[(m, shift)] = totals.get((m, shift), 0) + mult
-        if any(v < 0 for v in totals.values()):
-            raise ValueError("negative multiplicity")
-        ordered = sorted(
-            ((m, i, a) for (m, i), a in totals.items() if a),
-            key=lambda t: (-t[0], t[1]),
+    @property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        """``(m, shift, a_{m,shift})`` with m descending, shift ascending, a > 0."""
+        return tuple(
+            (m, i, a)
+            for m in range(self.n, 0, -1)
+            for i, a in enumerate(self.rows[m - 1].coeffs)
+            if a
         )
-        return cls(n=n, d=d, terms=tuple(ordered))
 
     def row_poly(self, m: int) -> IntPoly:
         """The polynomial ``sum_i a_{m,i} x^i`` for a fixed power m."""
-        row = {i: a for mm, i, a in self.terms if mm == m}
-        return IntPoly(row.get(i, 0) for i in range(max(row, default=-1) + 1))
+        return self.rows[m - 1] if 1 <= m <= self.n else ZERO
 
     def value(self, m: int, i: int) -> int:
         return self.row_poly(m).coefficient(i)
@@ -264,8 +243,4 @@ class FormalDecomposition:
 
 def multiplicity_table(n: int, d: int) -> FormalDecomposition:
     """All ``a_{m,i}``: row m of the table is the partial Bell polynomial ``B_{n,m}``."""
-    row = _triangle(n, d)[2]
-    terms = tuple(
-        (m, i, a) for m in range(n, 0, -1) for i, a in enumerate(row[m].coeffs) if a
-    )
-    return FormalDecomposition(n=n, d=d, terms=terms)
+    return FormalDecomposition(n=n, d=d, rows=_triangle(n, d)[2][1:])

@@ -3,7 +3,7 @@
 Three unrelated computation routes must agree wherever they meet:
 
 * the exhaustive nest enumeration against the generating-function table;
-* the partition recurrence against the order-by-order identity solver;
+* the partial-Bell triangle against the order-by-order identity solver;
 * the explicit blowup constructions of X[2] and X[3] against the nest
   formula (X[2] is one blowup of the square along the diagonal; X[3] blows
   up the cube along the small diagonal, codimension 2d, then along three
@@ -30,7 +30,7 @@ from .genfun import (
     verify_identity,
 )
 from .nests import brute_bivariate
-from .polyseries import IntPoly
+from .polyseries import ONE, IntPoly
 from .theory import (
     SpaceDescriptor,
     blowup_formula,
@@ -67,8 +67,7 @@ def brute_equiv(n: int, d: int, allow_large: bool = False) -> CheckResult:
     """Nest enumeration vs generating-function table, all powers at once."""
     brute = brute_bivariate(n, d, allow_large=allow_large)
     table = multiplicity_table(n, d)
-    rows = {m: table.row_poly(m) for m in range(1, n + 1)}
-    rows = {m: p for m, p in rows.items() if not p.is_zero}
+    rows = {m: p for m, p in enumerate(table.rows, start=1) if p}
     passed = brute == rows
     detail = "nest sums match table rows" if passed else (
         f"mismatch: nests={{{', '.join(f'{m}: {p}' for m, p in brute.items())}}} "
@@ -78,7 +77,7 @@ def brute_equiv(n: int, d: int, allow_large: bool = False) -> CheckResult:
 
 
 def solver_match(n: int, d: int) -> CheckResult:
-    """Partition recurrence vs identity solver, coefficient by coefficient."""
+    """Partial-Bell triangle vs identity solver, coefficient by coefficient."""
     passed = egf_solve(n, d) == recurrence_egf(n, d)
     detail = "solver reproduces recurrence" if passed else "solver coefficients differ"
     return CheckResult("solver-match", {"n": n, "d": d}, passed, detail)
@@ -87,21 +86,26 @@ def solver_match(n: int, d: int) -> CheckResult:
 def identity_residual(order: int, d: int) -> CheckResult:
     """Functional-identity residual of the recurrence series."""
     residual = verify_identity(recurrence_egf(order, d), d)
-    passed = residual.is_zero
+    passed = not any(residual)
     detail = "residual identically zero" if passed else "nonzero residual"
     return CheckResult("identity-residual", {"order": order, "d": d}, passed, detail)
 
 
+def _shifts(top: int) -> IntPoly:
+    # x + x^2 + ... + x^top: blowing up a center of codimension top + 1 adds
+    # one copy of the center at each of these shifts.
+    return IntPoly([0] + [1] * top)
+
+
 def x2_oracle(d: int) -> FormalDecomposition:
-    """X[2] terms from the single blowup of the square along the diagonal."""
+    """X[2] rows from the single blowup of the square along the diagonal."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    terms = [(2, 0, 1)] + [(1, j, 1) for j in range(1, d)]
-    return FormalDecomposition.from_term_list(2, d, terms)
+    return FormalDecomposition(2, d, (_shifts(d - 1), ONE))
 
 
 def x3_oracle(d: int) -> FormalDecomposition:
-    """X[3] terms from the two-stage blowup of the cube.
+    """X[3] rows from the two-stage blowup of the cube.
 
     Stage one blows up the small diagonal (a copy of X, codimension 2d);
     stage two blows up three disjoint centers, each a copy of X[2] in
@@ -109,13 +113,10 @@ def x3_oracle(d: int) -> FormalDecomposition:
     """
     if d < 2:
         raise ValueError("dimension must be >= 2 (diagonal blowups degenerate)")
-    terms = [(3, 0, 1)]
-    terms.extend((1, j, 1) for j in range(1, 2 * d))
+    centers = 3 * _shifts(d - 1)
     x2 = multiplicity_table(2, d)
-    for j in range(1, d):
-        for m, shift, mult in x2.terms:
-            terms.append((m, shift + j, 3 * mult))
-    return FormalDecomposition.from_term_list(3, d, terms)
+    point = _shifts(2 * d - 1) + centers * x2.row_poly(1)
+    return FormalDecomposition(3, d, (point, centers * x2.row_poly(2), ONE))
 
 
 def x2_check(d: int) -> CheckResult:

@@ -4,8 +4,8 @@ Polynomials are dense, with arbitrary-precision integer coefficients stored
 low power first; the canonical form carries no trailing zero, and the zero
 polynomial is the empty coefficient tuple.
 
-A truncated exponential generating function (EGF) of order ``r`` stores
-polynomial coefficients ``h_0 .. h_r`` and represents ``sum h_i t^i / i!``.
+A truncated exponential generating function of order ``r`` is a plain tuple
+``(h_0, ..., h_r)`` of polynomials and stands for ``sum h_i t^i / i!``.
 The exponential of a series with zero constant term satisfies the
 division-free recurrence (a binomial convolution)
 
@@ -13,10 +13,8 @@ division-free recurrence (a binomial convolution)
 
 so integer coefficients stay integers.
 
-Truncation orders are fixed at construction; combining series of different
-orders is an error rather than a silent re-truncation.  All values are
-immutable and all operations are pure functions, so they may be shared
-freely across threads.
+All values are immutable and all operations are pure functions, so they
+may be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -31,9 +29,10 @@ class IntPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = tuple(int(c) for c in coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        self.coeffs: tuple[int, ...] = cs
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        self.coeffs: tuple[int, ...] = cs[:end]
 
     @property
     def degree(self) -> int:
@@ -210,107 +209,20 @@ def binomial(n: int, k: int) -> int:
     return _PASCAL[n][k]
 
 
-def _as_poly(value: Union[IntPoly, int]) -> IntPoly:
-    if isinstance(value, IntPoly):
-        return value
-    if isinstance(value, int):
-        return IntPoly((value,)) if value else ZERO
-    raise TypeError(f"expected IntPoly or int, got {type(value).__name__}")
-
-
-class EGF:
-    """Truncated exponential generating function with polynomial coefficients.
-
-    ``coeffs[i]`` is the polynomial ``h_i`` of the series
-    ``sum h_i t^i / i!`` truncated at ``t**order``.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Iterable[Union[IntPoly, int]], order: int | None = None) -> None:
-        polys = tuple(_as_poly(c) for c in coeffs)
-        if order is None:
-            if not polys:
-                raise ValueError("empty coefficient list and no order given")
-            order = len(polys) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(polys) > order + 1:
-            raise ValueError("more coefficients than the truncation order allows")
-        polys += (ZERO,) * (order + 1 - len(polys))
-        self.order: int = order
-        self.coeffs: tuple[IntPoly, ...] = polys
-
-    def coefficient(self, n: int) -> IntPoly:
-        if 0 <= n <= self.order:
-            return self.coeffs[n]
-        return ZERO
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EGF):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("EGF", self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"EGF(order={self.order}, coeffs={[list(c.coeffs) for c in self.coeffs]})"
-
-    def _check_order(self, other: "EGF") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"EGF truncation orders differ: {self.order} != {other.order}"
-            )
-
-    def __add__(self, other: "EGF") -> "EGF":
-        if not isinstance(other, EGF):
-            return NotImplemented
-        self._check_order(other)
-        return EGF([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __sub__(self, other: "EGF") -> "EGF":
-        if not isinstance(other, EGF):
-            return NotImplemented
-        self._check_order(other)
-        return EGF([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __neg__(self) -> "EGF":
-        return EGF([-c for c in self.coeffs], self.order)
-
-    def scale(self, q: Union[IntPoly, int]) -> "EGF":
-        """Multiply every coefficient by a fixed polynomial (or integer)."""
-        factor = _as_poly(q)
-        return EGF([c * factor for c in self.coeffs], self.order)
-
-
-def egf_term(n: int, value: Union[IntPoly, int], order: int) -> EGF:
-    """The series whose only nonzero coefficient is ``h_n = value``."""
-    if not 0 <= n <= order:
-        raise ValueError("coefficient index outside truncation order")
-    coeffs = [ZERO] * (order + 1)
-    coeffs[n] = _as_poly(value)
-    return EGF(coeffs, order)
-
-
-def egf_exp(a: EGF) -> EGF:
-    """Exponential of a series with zero constant term.
+def egf_exp(a: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
+    """Exponential of a series ``(a_0, ..., a_r)`` with ``a_0 = 0``, to the same order.
 
     The result stays integral: no divisions occur.
     """
-    if not a.coeffs[0].is_zero:
+    if a[0]:
         raise ValueError("exp requires a zero constant term")
     out = [ONE]
-    for n in range(1, a.order + 1):
+    for n in range(1, len(a)):
         acc = ZERO
         for k in range(1, n + 1):
-            ak = a.coeffs[k]
+            ak = a[k]
             if ak.is_zero:
                 continue
             acc = acc + ak * out[n - k] * binomial(n - 1, k - 1)
         out.append(acc)
-    return EGF(out, a.order)
+    return tuple(out)

@@ -365,12 +365,11 @@ def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
         raise ValueError("n must be >= 1")
     if betti_x.degree > 2 * d:
         raise ValueError("Betti polynomial degree exceeds 2*dim")
-    table = multiplicity_table(n, d)
     total = ZERO
     power = ONE
-    for m in range(1, n + 1):
+    for row in multiplicity_table(n, d).rows:
         power = power * betti_x
-        row_in_q2 = IntPoly(c for a in table.row_poly(m).coeffs for c in (a, 0))
+        row_in_q2 = IntPoly(c for a in row.coeffs for c in (a, 0))
         total = total + row_in_q2 * power
     return total
 

@@ -85,7 +85,7 @@ def test_criterion_3_three_way_equality():
             solved = egf_solve(5, d)
             for n in range(1, 6):
                 rec = h_recurrence(n, d)
-                assert solved.coefficient(n) == rec, (n, d)
+                assert solved[n] == rec, (n, d)
                 grouped = brute_bivariate(n, d)
                 assert rec == grouped.get(1, ZERO), (n, d)
                 # full table agreement, all powers
@@ -98,7 +98,7 @@ def test_criterion_4_identity_residual():
     with criterion(4, 5.0, "functional identity residual zero to t^8 for d = 1..4"):
         for d in range(1, 5):
             residual = verify_identity(recurrence_egf(8, d), d)
-            assert residual.is_zero, d
+            assert not any(residual), d
 
 
 def test_criterion_5_blowup_oracles():

@@ -317,6 +317,30 @@ class TestInputGuards:
         assert message in result.stderr
         assert result.stdout == ""
 
+    def test_zero_padded_betti_file_reads_in_linear_time(self, tmp_path):
+        # Trailing zeros reach the polynomial constructor before the degree
+        # check, so it must strip them in linear time: stripping one slice
+        # at a time is quadratic and runs past the timeout here.
+        src = Path(fmc.__file__).resolve().parents[1]
+        outputs = []
+        for padding in (0, 10**6):
+            path = tmp_path / f"padded{padding}.json"
+            path.write_text(
+                '{"name": "s", "dim": 2, "kind": "betti", "betti": [1, 0, 1, 0, 1'
+                + ", 0" * padding + "]}"
+            )
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "fmc.cli", "decompose", "--theory", "betti",
+                    "--n", "3", "--d", "2", "--mode", "ranks", "--space", str(path),
+                ],
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                capture_output=True, text=True, timeout=5,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("index", [(), ("--k", "2")])
     def test_betti_space_dimension_checked(self, capsys, index):
         code, out, err = run_cli(

@@ -7,7 +7,6 @@ import fmc.genfun
 from fmc.genfun import (
     KERNEL_BUDGET,
     BudgetError,
-    FormalDecomposition,
     egf_solve,
     h_recurrence,
     multiplicity_table,
@@ -16,7 +15,7 @@ from fmc.genfun import (
     verify_identity,
 )
 from fmc.nests import brute_bivariate, enumerate_nests, nest_stats
-from fmc.polyseries import EGF, IntPoly, ONE, ZERO, binomial, egf_term
+from fmc.polyseries import IntPoly, ONE, ZERO, binomial
 
 
 def nest_weight(nest, d):
@@ -27,16 +26,16 @@ def nest_weight(nest, d):
 def egf_mul(a, b):
     """Binomial-convolution product of two series of the same order."""
     out = []
-    for n in range(a.order + 1):
+    for n in range(len(a)):
         acc = ZERO
         for k in range(n + 1):
-            ak = a.coeffs[k]
-            bk = b.coeffs[n - k]
+            ak = a[k]
+            bk = b[n - k]
             if ak.is_zero or bk.is_zero:
                 continue
             acc = acc + ak * bk * binomial(n, k)
         out.append(acc)
-    return EGF(out, a.order)
+    return tuple(out)
 
 
 def divexact_int(poly, divisor):
@@ -136,21 +135,22 @@ class TestRecurrence:
 
 class TestSolver:
     def test_first_coefficient(self):
-        assert egf_solve(1, 3).coefficient(1) == ONE
+        assert egf_solve(1, 3) == (ZERO, ONE)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_second_coefficient(self, d):
-        assert egf_solve(2, d).coefficient(2) == IntPoly([0] + [1] * (d - 1))
+        assert egf_solve(2, d)[2] == IntPoly([0] + [1] * (d - 1))
 
     def test_d1_collapses(self):
-        assert egf_solve(2, 1).coefficient(2) == ZERO
+        assert egf_solve(2, 1)[2] == ZERO
 
     @pytest.mark.parametrize("n", list(range(1, 13)))
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_recurrence(self, n, d):
         solved = egf_solve(n, d)
+        assert len(solved) == n + 1
         for m in range(1, n + 1):
-            assert solved.coefficient(m) == h_recurrence(m, d)
+            assert solved[m] == h_recurrence(m, d)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -162,27 +162,29 @@ class TestSolver:
 class TestIdentity:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_recurrence_satisfies_identity(self, d):
-        assert verify_identity(recurrence_egf(6, d), d).is_zero
+        residual = verify_identity(recurrence_egf(6, d), d)
+        assert len(residual) == 7
+        assert not any(residual)
 
     def test_perturbation_detected_at_order_two(self):
         series = recurrence_egf(5, 2)
-        bumped = series + egf_term(2, 1, 5)
+        bumped = series[:2] + (series[2] + ONE,) + series[3:]
         residual = verify_identity(bumped, 2)
-        assert residual.coefficient(0).is_zero
-        assert residual.coefficient(1).is_zero
-        assert not residual.coefficient(2).is_zero
+        assert residual[0].is_zero
+        assert residual[1].is_zero
+        assert not residual[2].is_zero
 
     def test_zero_series_residual(self):
         d = 3
-        residual = verify_identity(EGF([ZERO] * 4, 3), d)
-        assert residual.coefficient(0).is_zero
+        residual = verify_identity((ZERO,) * 4, d)
+        assert residual[0].is_zero
         # order-1 term is -(1-x) x^d
         expected = -(IntPoly([0] * d + [1]) - IntPoly([0] * (d + 1) + [1]))
-        assert residual.coefficient(1) == expected
+        assert residual[1] == expected
 
     def test_requires_zero_constant_term(self):
         with pytest.raises(ValueError):
-            verify_identity(EGF([ONE, ZERO], 1), 2)
+            verify_identity((ONE, ZERO), 2)
 
 
 class TestMultiplicityTable:
@@ -247,21 +249,35 @@ class TestMultiplicityTable:
         # identity solver, the powers by repeated products, the division exact.
         series = egf_solve(n, d)
         table = multiplicity_table(n, d)
-        power = EGF([ONE], n)
+        power = (ONE,) + (ZERO,) * n
         fact = 1
         for m in range(1, n + 1):
             power = egf_mul(power, series)
             fact *= m
-            assert table.row_poly(m) == divexact_int(power.coefficient(n), fact), m
+            assert table.row_poly(m) == divexact_int(power[n], fact), m
 
     def test_terms_canonical_order(self):
-        # The terms are read off the kernel row with no sort; sorting them
-        # again from the reverse order gives the same record.
-        for n in range(1, 13):
-            for d in range(1, 5):
-                table = multiplicity_table(n, d)
-                resorted = FormalDecomposition.from_term_list(n, d, reversed(table.terms))
-                assert table == resorted, (n, d)
+        # The terms are read off the rows with no sort: the same entries as
+        # the nest sums, m descending and shift ascending, zeros left out.
+        for n, d in [(1, 2), (3, 2), (4, 3), (5, 1), (5, 2)]:
+            entries = [
+                (m, i, a)
+                for m, poly in brute_bivariate(n, d).items()
+                for i, a in enumerate(poly.coeffs)
+                if a
+            ]
+            expected = tuple(sorted(entries, key=lambda t: (-t[0], t[1])))
+            assert multiplicity_table(n, d).terms == expected, (n, d)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (5, 3)])
+    def test_reads_zero_outside_powers(self, n, d):
+        # Powers run over 1..n; m = 0 must not wrap round to row n.
+        table = multiplicity_table(n, d)
+        assert table.value(n, 0) == 1
+        for m in (-1, 0, n + 1):
+            assert table.row_poly(m) == ZERO
+            assert table.value(m, 0) == 0
+        assert table.value(n, -1) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -1,49 +1,54 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fmc.polyseries import (
-    EGF,
-    IntPoly,
-    ONE,
-    ZERO,
-    binomial,
-    egf_exp,
-    egf_term,
-    monomial,
-)
+from fmc.polyseries import IntPoly, ONE, ZERO, binomial, egf_exp, monomial
 
 X = IntPoly((0, 1))
 
 
+# Series are tuples (h_0, ..., h_r) of polynomials; the ring operations
+# below are local references, since the package itself only needs exp.
+
+
 def egf_unit(order):
     """The multiplicative identity: h_0 = 1, all other coefficients zero."""
-    return EGF([ONE], order)
+    return (ONE,) + (ZERO,) * order
+
+
+def egf_term(n, value, order):
+    """The series whose only nonzero coefficient is ``h_n = value``."""
+    return tuple(value if i == n else ZERO for i in range(order + 1))
+
+
+def egf_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def egf_scale(a, q):
+    return tuple(c * q for c in a)
 
 
 def egf_mul(a, b):
-    """Binomial-convolution product; truncation orders must match."""
-    a._check_order(b)
+    """Binomial-convolution product of two series of the same order."""
     out = []
-    for n in range(a.order + 1):
+    for n in range(len(a)):
         acc = ZERO
         for k in range(n + 1):
-            ak = a.coeffs[k]
-            bk = b.coeffs[n - k]
+            ak = a[k]
+            bk = b[n - k]
             if ak.is_zero or bk.is_zero:
                 continue
             acc = acc + ak * bk * binomial(n, k)
         out.append(acc)
-    return EGF(out, a.order)
+    return tuple(out)
 
 
 ORDER = 5
 
 small_polys = st.lists(st.integers(-9, 9), max_size=5).map(IntPoly)
-small_egfs = st.lists(small_polys, min_size=ORDER + 1, max_size=ORDER + 1).map(
-    lambda cs: EGF(cs, ORDER)
-)
+small_egfs = st.lists(small_polys, min_size=ORDER + 1, max_size=ORDER + 1).map(tuple)
 zero_const_egfs = st.lists(small_polys, min_size=ORDER, max_size=ORDER).map(
-    lambda cs: EGF([ZERO] + cs, ORDER)
+    lambda cs: (ZERO, *cs)
 )
 
 
@@ -132,44 +137,32 @@ class TestBinomial:
 
 
 class TestEGF:
-    def test_length_matches_order(self):
-        e = EGF([1, 2], 4)
-        assert len(e.coeffs) == 5
-        with pytest.raises(ValueError):
-            EGF([1, 2, 3], 1)
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            egf_mul(egf_unit(3), egf_unit(4))
-        with pytest.raises(ValueError):
-            egf_unit(3) + egf_unit(4)
-
     def test_t_times_t(self):
-        t = egf_term(1, 1, 4)
-        assert egf_mul(t, t).coefficient(2) == IntPoly([2])
+        t = egf_term(1, ONE, 4)
+        assert egf_mul(t, t)[2] == IntPoly([2])
 
     def test_unit_is_identity(self):
-        e = EGF([0, 1, IntPoly([0, 1]), 5], 3)
+        e = (ZERO, ONE, IntPoly([0, 1]), IntPoly([5]))
         assert egf_mul(egf_unit(3), e) == e
 
     def test_binomial_cross_term(self):
         e = egf_term(1, X, 4)
-        assert egf_mul(e, e).coefficient(2) == IntPoly([0, 0, 2])
+        assert egf_mul(e, e)[2] == IntPoly([0, 0, 2])
 
     def test_exp_of_t(self):
-        series = egf_exp(egf_term(1, 1, 6))
-        assert all(series.coefficient(i) == ONE for i in range(7))
+        series = egf_exp(egf_term(1, ONE, 6))
+        assert series == (ONE,) * 7
 
     def test_exp_of_2t(self):
-        series = egf_exp(egf_term(1, 2, 6))
-        assert all(series.coefficient(i) == IntPoly([2**i]) for i in range(7))
+        series = egf_exp(egf_term(1, IntPoly([2]), 6))
+        assert series == tuple(IntPoly([2**i]) for i in range(7))
 
     def test_exp_counts_perfect_matchings(self):
         # exp(t^2/2!) counts the ways to pair up labeled points.
-        series = egf_exp(egf_term(2, 1, 8))
+        series = egf_exp(egf_term(2, ONE, 8))
+        assert len(series) == 9
         for points in range(9):
-            expected = count_perfect_matchings(points)
-            assert series.coefficient(points) == IntPoly([expected] if expected else [])
+            assert series[points] == IntPoly([count_perfect_matchings(points)])
 
     def test_exp_requires_zero_constant_term(self):
         with pytest.raises(ValueError):
@@ -179,12 +172,12 @@ class TestEGF:
     def test_ring_laws(self, a, b, c):
         assert egf_mul(a, b) == egf_mul(b, a)
         assert egf_mul(egf_mul(a, b), c) == egf_mul(a, egf_mul(b, c))
-        assert egf_mul(a, b + c) == egf_mul(a, b) + egf_mul(a, c)
+        assert egf_mul(a, egf_add(b, c)) == egf_add(egf_mul(a, b), egf_mul(a, c))
 
     @given(a=zero_const_egfs, b=zero_const_egfs)
     def test_exp_is_additive_to_multiplicative(self, a, b):
-        assert egf_exp(a + b) == egf_mul(egf_exp(a), egf_exp(b))
+        assert egf_exp(egf_add(a, b)) == egf_mul(egf_exp(a), egf_exp(b))
 
     @given(a=small_egfs, b=small_egfs, q=small_polys)
     def test_scalar_poly_commutes_with_product(self, a, b, q):
-        assert egf_mul(a, b).scale(q) == egf_mul(a.scale(q), b)
+        assert egf_scale(egf_mul(a, b), q) == egf_mul(egf_scale(a, q), b)

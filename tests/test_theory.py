@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from fmc.genfun import multiplicity_table
 from fmc.polyseries import IntPoly, ONE
 from fmc.theory import (
-    FormalDecomposition,
     GradedTable,
     GroupDescriptor,
     SpaceDescriptor,
@@ -92,12 +91,6 @@ class TestDecomposeFormal:
             (1, 2, 4),
             (1, 3, 1),
         )
-
-    def test_from_term_list_aggregates(self):
-        dec = FormalDecomposition.from_term_list(
-            2, 2, [(1, 1, 1), (2, 0, 1), (1, 1, 2)]
-        )
-        assert dec.terms == ((2, 0, 1), (1, 1, 3))
 
 
 class TestProjectiveTables:

@@ -56,6 +56,7 @@ def test_shipped_script_runs(script, args):
     [
         ["mult", "--n", "4", "--d", "2", "--format", "json"],
         ["decompose", "--theory", "lawson", "--n", "3", "--d", "2", "--mode", "formal"],
+        ["egf", "--n", "4", "--d", "2", "--verify"],
     ],
 )
 def test_trace_child_matches_cli(argv, tmp_path, capsys):
@@ -71,7 +72,8 @@ def test_trace_child_matches_cli(argv, tmp_path, capsys):
     assert main(argv) == 0
     assert result.stdout == capsys.readouterr().out.encode("utf-8")
     times = json.loads(trace.read_text(encoding="utf-8"))["times"]
-    assert times["genfun.multiplicity_table_s"] > 0
+    metric = "genfun.verify_identity_s" if argv[0] == "egf" else "genfun.multiplicity_table_s"
+    assert times[metric] > 0
 
 
 def readme_commands():
