@@ -53,8 +53,6 @@ __all__ = [
     "parse_space",
     "proj_bundle_formula",
     "proj_bundle_table",
-    "projective_space_powers",
-    "projective_space_table",
     "recurrence_egf",
     "run_verification",
     "sigma",
@@ -105,8 +103,6 @@ _HOMES = {
     "parse_space": "theory",
     "proj_bundle_formula": "theory",
     "proj_bundle_table": "theory",
-    "projective_space_powers": "theory",
-    "projective_space_table": "theory",
     "CheckResult": "oracle",
     "VerificationReport": "oracle",
     "brute_equiv": "oracle",

@@ -204,7 +204,7 @@ def _resolve_space(args: argparse.Namespace) -> SpaceDescriptor:
     if args.space is None:
         raise ValueError("--space is required in ranks mode")
     if is_builtin_space(args.space):
-        space = builtin_space(args.space, args.theory, max_power=args.n)
+        space = builtin_space(args.space, args.theory)
     else:
         space = load_space(args.space)
         if space.kind != args.theory:
@@ -286,7 +286,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         header += f" space={space.name}"
         for m, shift, mult in dec.terms:
             term_docs.append({"m": m, "shift": shift, "mult": mult})
-        if k is None and space.betti is not None:
+        if theory == "betti" and k is None:
             poincare = betti_of_fm(space.betti, d, n)
         else:
             value = evaluate_decomposition(dec, space, p, k)

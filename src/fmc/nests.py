@@ -54,11 +54,6 @@ class Nest:
             raise ValueError("family is not a nest")
         return cls(n=n, members=members)
 
-    @property
-    def internal(self) -> tuple[tuple[int, ...], ...]:
-        """Members that are not singletons (the internal forest nodes)."""
-        return tuple(m for m in self.members if len(m) > 1)
-
     def __str__(self) -> str:
         return " ".join("{" + ",".join(map(str, m)) + "}" for m in self.members)
 

@@ -19,6 +19,7 @@ be reported at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .genfun import (
     BudgetError,
@@ -32,11 +33,12 @@ from .genfun import (
 from .nests import brute_bivariate
 from .polyseries import ONE, IntPoly
 from .theory import (
+    POINT_TABLE,
     SpaceDescriptor,
     blowup_formula,
     betti_of_fm,
     evaluate_decomposition,
-    projective_space_powers,
+    proj_bundle_table,
 )
 
 #: Largest ``max_d`` of a verification sweep.  The table-blowup check runs
@@ -119,24 +121,24 @@ def x3_oracle(d: int) -> FormalDecomposition:
     return FormalDecomposition(3, d, (point, centers * x2.row_poly(2), ONE))
 
 
-def x2_check(d: int) -> CheckResult:
-    expected = multiplicity_table(2, d)
-    got = x2_oracle(d)
+def _blowup_check(
+    n: int, d: int, oracle: Callable[[int], FormalDecomposition], construction: str
+) -> CheckResult:
+    expected = multiplicity_table(n, d)
+    got = oracle(d)
     passed = got == expected
-    detail = "single blowup reproduces X[2]" if passed else (
+    detail = f"{construction} reproduces X[{n}]" if passed else (
         f"blowup terms {got.terms} != nest terms {expected.terms}"
     )
-    return CheckResult("blowup-x2", {"d": d}, passed, detail)
+    return CheckResult(f"blowup-x{n}", {"d": d}, passed, detail)
+
+
+def x2_check(d: int) -> CheckResult:
+    return _blowup_check(2, d, x2_oracle, "single blowup")
 
 
 def x3_check(d: int) -> CheckResult:
-    expected = multiplicity_table(3, d)
-    got = x3_oracle(d)
-    passed = got == expected
-    detail = "two-stage blowup reproduces X[3]" if passed else (
-        f"blowup terms {got.terms} != nest terms {expected.terms}"
-    )
-    return CheckResult("blowup-x3", {"d": d}, passed, detail)
+    return _blowup_check(3, d, x3_oracle, "two-stage blowup")
 
 
 def min_formula_check(d: int) -> CheckResult:
@@ -154,16 +156,16 @@ def min_formula_check(d: int) -> CheckResult:
 def table_blowup_check(d: int) -> CheckResult:
     """Blowup formula on graded tables vs term-by-term evaluation.
 
-    Uses d-dimensional projective space: the square's table comes from the
-    projective-bundle formula, the blowup has codimension d, and the two
-    sides must agree at every valid index.
+    Uses d-dimensional projective space: its table and its square's come
+    from the projective-bundle formula over a point, the blowup has
+    codimension d, and the two sides must agree at every valid index.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    powers = projective_space_powers(d, "lawson", 2)
-    space = SpaceDescriptor(name=f"P{d}", dim=d, kind="lawson", powers=powers)
+    base = proj_bundle_table(POINT_TABLE, d + 1, d, "lawson")
+    square = proj_bundle_table(base, d + 1, 2 * d, "lawson")
+    space = SpaceDescriptor(name=f"P{d}", dim=d, kind="lawson", powers={1: base, 2: square})
     dec = multiplicity_table(2, d)
-    square, base = powers[2], powers[1]
     for p in range(0, 2 * d + 1):
         for k in range(2 * p, 4 * d + 1):
             lhs = blowup_formula(square, base, d, p, k, kind="lawson")

@@ -113,14 +113,6 @@ class IntPoly:
             acc = acc * value + c
         return acc
 
-    def shift(self, j: int) -> "IntPoly":
-        """Multiply by ``x**j``."""
-        if j < 0:
-            raise ValueError("negative shift")
-        if self.is_zero:
-            return ZERO
-        return IntPoly((0,) * j + self.coeffs)
-
     def divexact(self, divisor: "IntPoly") -> "IntPoly":
         """Exact polynomial quotient; raises ValueError on any remainder."""
         if divisor.is_zero:
@@ -165,11 +157,11 @@ ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 
-def monomial(exponent: int, coefficient: int = 1) -> IntPoly:
-    """The polynomial ``coefficient * x**exponent``."""
+def monomial(exponent: int) -> IntPoly:
+    """The polynomial ``x**exponent``."""
     if exponent < 0:
         raise ValueError("negative exponent")
-    return IntPoly((0,) * exponent + (coefficient,))
+    return IntPoly((0,) * exponent + (1,))
 
 
 def format_poly(p: IntPoly, var: str = "x") -> str:

@@ -14,10 +14,10 @@ Groups are finitely generated abelian: a free rank plus cyclic torsion
 orders, with an escape hatch of unevaluated formal terms for data the
 tables cannot know (cycle-space homology groups need not be finitely
 generated in general, and no integral product formula is assumed: tables
-for cartesian powers must be supplied, or derived by the projective-bundle
-formula when the factors are projective spaces).  Betti data is a
-Poincare polynomial instead of tables, and powers are taken with rational
-coefficients.
+for cartesian powers must be supplied).  Betti data is a Poincare
+polynomial instead of tables, and powers are taken with rational
+coefficients; the built-in projective spaces carry one for Lawson and Chow
+data too, since their groups are Betti numbers of their powers.
 
 The single blowup formula reads: the value on the blowup of X along a
 center Y of codimension r is the value on X plus the values on Y at the
@@ -208,9 +208,11 @@ class GradedTable:
 class SpaceDescriptor:
     """A named space with dimension, theory kind, and graded data.
 
-    ``betti`` holds a Poincare polynomial for kind "betti"; table kinds
-    store graded tables for the cartesian powers in ``powers`` (the space
-    itself is power 1).
+    ``betti`` holds a Poincare polynomial: the data of kind "betti", and of
+    any Lawson or Chow space whose groups are its Betti numbers,
+    ``L_pH_k = H_k`` and ``Ch_p = H_{2p}`` (the built-in projective spaces
+    and their powers).  Other spaces store graded tables for the cartesian
+    powers in ``powers`` (the space itself is power 1).
     """
 
     name: str
@@ -290,8 +292,9 @@ def evaluate_decomposition(
 ) -> GroupDescriptor:
     """Direct sum over the decomposition terms of the space's graded data.
 
-    Table kinds need a table for every power appearing in the terms; the
-    Betti kind derives powers of the Poincare polynomial instead.
+    A space with a Poincare polynomial reads each group off its powers:
+    ``H_k`` for Betti and Lawson data, ``H_{2p}`` for Chow.  Otherwise it
+    needs a table for every power appearing in the terms.
     """
     if space.dim != dec.d:
         raise ValueError(
@@ -303,7 +306,9 @@ def evaluate_decomposition(
         power = cache(space.betti.__pow__)
         return _sum_terms(
             dec, theory, p, k,
-            lambda m, pp, kk: GroupDescriptor(free_rank=power(m).coefficient(kk)),
+            lambda m, pp, kk: GroupDescriptor(
+                free_rank=power(m).coefficient(kk if theory.has_degree else 2 * pp)
+            ),
         )
     for m, _, _ in dec.terms:
         if m not in space.powers:
@@ -410,54 +415,24 @@ def proj_bundle_table(y: GradedTable, r: int, total_dim: int, kind: str) -> Grad
     return GradedTable(groups)
 
 
-def projective_space_table(a: int, kind: str = "lawson") -> GradedTable:
-    """Graded table of a-dimensional projective space, built from a point."""
-    if a < 0:
-        raise ValueError("dimension must be >= 0")
-    if a == 0:
-        return POINT_TABLE
-    return proj_bundle_table(POINT_TABLE, a + 1, a, kind)
-
-
-def projective_space_powers(a: int, kind: str, max_power: int) -> dict[int, GradedTable]:
-    """Tables for the powers of projective space via iterated bundles.
-
-    The m-th power is a projective bundle with rank parameter a+1 over the
-    (m-1)-st, so no product formula is needed.
-    """
-    if max_power < 1:
-        raise ValueError("max_power must be >= 1")
-    powers = {1: projective_space_table(a, kind)}
-    for m in range(2, max_power + 1):
-        if a == 0:
-            powers[m] = powers[1]
-        else:
-            powers[m] = proj_bundle_table(powers[m - 1], a + 1, m * a, kind)
-    return powers
-
-
-def builtin_space(name: str, kind: str, max_power: int = 1) -> SpaceDescriptor:
+def builtin_space(name: str, kind: str) -> SpaceDescriptor:
     """One of the built-in sample spaces with data for the requested kind.
 
     Available names: point, projective-line (p1), projective-plane (p2).
-    Lawson and Chow kinds carry tables for powers 1..max_power; the Betti
-    kind carries the Poincare polynomial.  No built-in Deligne-Beilinson
-    tables ship: supply a descriptor file for that kind.
+    Every kind but Deligne-Beilinson carries the Poincare polynomial
+    ``1 + q^2 + ... + q^(2a)`` of a-dimensional projective space, and the
+    Lawson and Chow groups of its powers are read off the powers of that
+    polynomial.  No built-in Deligne-Beilinson data ships: supply a
+    descriptor file for that kind.
     """
     key = name.lower()
     if key not in _BUILTIN_DIMS:
         raise ValueError(f"unknown built-in space {name!r}")
-    a = _BUILTIN_DIMS[key]
-    canonical = _BUILTIN_CANONICAL[a]
-    if kind == "betti":
-        poly = IntPoly([1 if i % 2 == 0 else 0 for i in range(2 * a + 1)])
-        return SpaceDescriptor(name=canonical, dim=a, kind="betti", betti=poly)
-    if kind in ("lawson", "chow"):
-        powers = projective_space_powers(a, kind, max_power)
-        return SpaceDescriptor(name=canonical, dim=a, kind=kind, powers=powers)
     if kind == "db":
         raise ValueError("no built-in Deligne-Beilinson tables; supply a descriptor file")
-    raise ValueError(f"unknown kind {kind!r}")
+    a = _BUILTIN_DIMS[key]
+    poly = IntPoly([1 if i % 2 == 0 else 0 for i in range(2 * a + 1)])
+    return SpaceDescriptor(name=_BUILTIN_CANONICAL[a], dim=a, kind=kind, betti=poly)
 
 
 def is_builtin_space(name: str) -> bool:

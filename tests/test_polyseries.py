@@ -104,8 +104,8 @@ class TestIntPoly:
         assert IntPoly([1, 0, 1]).is_palindromic(2)
 
     def test_monomial_and_shift(self):
-        assert monomial(3, 2) == IntPoly([0, 0, 0, 2])
-        assert IntPoly([1, 1]).shift(2) == IntPoly([0, 0, 1, 1])
+        assert 2 * monomial(3) == IntPoly([0, 0, 0, 2])
+        assert IntPoly([1, 1]) * monomial(2) == IntPoly([0, 0, 1, 1])
 
     @given(a=small_polys, b=small_polys, c=small_polys)
     def test_ring_laws(self, a, b, c):

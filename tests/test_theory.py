@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fmc.genfun import multiplicity_table
-from fmc.polyseries import IntPoly, ONE
+import fmc.theory
+from fmc.polyseries import IntPoly, ONE, monomial
 from fmc.theory import (
+    POINT_TABLE,
     GradedTable,
     GroupDescriptor,
     SpaceDescriptor,
@@ -20,8 +22,6 @@ from fmc.theory import (
     formal_evaluation,
     parse_space,
     proj_bundle_formula,
-    projective_space_powers,
-    projective_space_table,
 )
 
 P1_BETTI = IntPoly([1, 0, 1])
@@ -94,50 +94,50 @@ class TestDecomposeFormal:
 
 
 class TestProjectiveTables:
-    def test_point(self):
-        table = projective_space_table(0)
-        assert table.groups == {(0, 0): Z_GROUP}
+    def test_point(self, bundle_powers):
+        assert bundle_powers(0, "lawson", 1)[1].groups == {(0, 0): Z_GROUP}
 
     def test_bundle_over_point(self):
         # rank parameter 3 over a point rebuilds the projective plane
-        assert proj_bundle_formula(projective_space_table(0), 3, 1, 2) == Z_GROUP
+        assert proj_bundle_formula(POINT_TABLE, 3, 1, 2) == Z_GROUP
 
-    def test_bundle_over_plane(self):
-        assert proj_bundle_formula(projective_space_table(2), 3, 1, 2) == GroupDescriptor(2)
+    def test_bundle_over_plane(self, bundle_powers):
+        plane = bundle_powers(2, "lawson", 1)[1]
+        assert proj_bundle_formula(plane, 3, 1, 2) == GroupDescriptor(2)
 
-    def test_bundle_identity(self):
-        table = projective_space_table(2)
+    def test_bundle_identity(self, bundle_powers):
+        table = bundle_powers(2, "lawson", 1)[1]
         for key in table.groups:
             assert proj_bundle_formula(table, 1, *key) == table.lookup(*key)
 
-    def test_plane_ranks(self):
+    def test_plane_ranks(self, bundle_powers):
         # rank 1 exactly for even k with 2p <= k <= 4
-        table = projective_space_table(2)
+        table = bundle_powers(2, "lawson", 1)[1]
         for p in range(0, 4):
             for k in range(0, 7):
                 expected = 1 if (k % 2 == 0 and 2 * p <= k <= 4) else 0
                 assert table.lookup(p, k).free_rank == expected
 
-    def test_chow_tables(self):
-        table = projective_space_table(2, "chow")
-        assert table.groups == {(0, 0): Z_GROUP, (1, 0): Z_GROUP, (2, 0): Z_GROUP}
-        square = projective_space_powers(2, "chow", 2)[2]
+    def test_chow_tables(self, bundle_powers):
+        plane, square = bundle_powers(2, "chow", 2).values()
+        assert plane.groups == {(0, 0): Z_GROUP, (1, 0): Z_GROUP, (2, 0): Z_GROUP}
         # Chow ranks of the square of the plane: 1,2,3,2,1 in levels 0..4
         assert [square.lookup(p, 0).free_rank for p in range(5)] == [1, 2, 3, 2, 1]
 
 
 class TestBlowupFormula:
-    def test_r1_is_identity(self):
-        x = projective_space_table(2)
-        assert blowup_formula(x, projective_space_table(1), 1, 1, 2) == x.lookup(1, 2)
+    def test_r1_is_identity(self, bundle_powers):
+        x = bundle_powers(2, "lawson", 1)[1]
+        y = bundle_powers(1, "lawson", 1)[1]
+        assert blowup_formula(x, y, 1, 1, 2) == x.lookup(1, 2)
 
-    def test_degree_zero(self):
-        powers = projective_space_powers(2, "lawson", 2)
+    def test_degree_zero(self, bundle_powers):
+        powers = bundle_powers(2, "lawson", 2)
         got = blowup_formula(powers[2], powers[1], 2, 0, 0)
         assert got == powers[2].lookup(0, 0) == Z_GROUP
 
-    def test_r_below_one_rejected(self):
-        x = projective_space_table(1)
+    def test_r_below_one_rejected(self, bundle_powers):
+        x = bundle_powers(1, "lawson", 1)[1]
         with pytest.raises(ValueError):
             blowup_formula(x, x, 0, 0, 0)
 
@@ -147,8 +147,8 @@ class TestBlowupFormula:
             blowup_formula(table, table, 3, 1, 4, kind="db")
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_matches_decomposition_on_tables(self, d):
-        powers = projective_space_powers(d, "lawson", 2)
+    def test_matches_decomposition_on_tables(self, d, bundle_powers):
+        powers = bundle_powers(d, "lawson", 2)
         space = SpaceDescriptor(name="P", dim=d, kind="lawson", powers=powers)
         dec = multiplicity_table(2, d)
         for p in range(0, 2 * d + 1):
@@ -160,19 +160,19 @@ class TestBlowupFormula:
 
 class TestEvaluate:
     def test_plane_square_rank(self):
-        space = builtin_space("projective-plane", "lawson", max_power=2)
+        space = builtin_space("projective-plane", "lawson")
         value = evaluate_decomposition(multiplicity_table(2, 2), space, 1, 2)
         assert value == GroupDescriptor(free_rank=3)
 
-    def test_identity_decomposition_keeps_table(self):
-        space = builtin_space("p2", "lawson", max_power=1)
+    def test_identity_decomposition_keeps_table(self, bundle_powers):
+        space = builtin_space("p2", "lawson")
         dec = multiplicity_table(1, 2)
-        for (p, k), group in space.powers[1].groups.items():
+        for (p, k), group in bundle_powers(2, "lawson", 1)[1].groups.items():
             if k >= 2 * p:
                 assert evaluate_decomposition(dec, space, p, k) == group
 
     def test_chow_evaluation(self):
-        space = builtin_space("p1", "chow", max_power=2)
+        space = builtin_space("p1", "chow")
         dec = multiplicity_table(2, 1)
         # X[2] = square of the line: Chow ranks 1, 2, 1
         assert [
@@ -198,7 +198,7 @@ class TestEvaluate:
 
     def test_lawson_level_clamp(self):
         # at p=0 the shifted terms read level 0, not a missing negative level
-        space = builtin_space("p2", "lawson", max_power=2)
+        space = builtin_space("p2", "lawson")
         value = evaluate_decomposition(multiplicity_table(2, 2), space, 0, 2)
         # terms: L_0H_2(X^2) rank 2, clamp L_{-1}H_0(X) -> L_0H_0(X) rank 1
         assert value == GroupDescriptor(free_rank=3)
@@ -209,9 +209,19 @@ class TestEvaluate:
         ranks = [evaluate_decomposition(dec, space, k=k).free_rank for k in range(9)]
         assert ranks == [1, 0, 3, 0, 4, 0, 3, 0, 1]
 
-    def test_betti_k_computes_each_power_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, p, k", [("lawson", 5, 14), ("chow", 20, None), ("betti", None, 14)],
+        ids=["lawson", "chow", "betti"],
+    )
+    def test_ranks_compute_each_power_once(self, monkeypatch, kind, p, k):
+        # Built-in ranks are read off powers of the Poincare polynomial,
+        # one power per distinct m; no bundle table is built on the way.
+        def unreachable(*args):
+            raise AssertionError("projective-bundle formula reached")
+
+        monkeypatch.setattr(fmc.theory, "proj_bundle_formula", unreachable)
         dec = multiplicity_table(40, 2)
-        space = builtin_space("p2", "betti")
+        space = builtin_space("p2", kind)
         calls = []
         plain_pow = IntPoly.__pow__
 
@@ -220,16 +230,34 @@ class TestEvaluate:
             return plain_pow(self, m)
 
         monkeypatch.setattr(IntPoly, "__pow__", counted)
-        evaluate_decomposition(dec, space, k=14)
+        evaluate_decomposition(dec, space, p, k)
         assert sorted(calls) == sorted({m for m, _, _ in dec.terms})
 
-    def test_missing_power_table(self):
-        space = builtin_space("p2", "lawson", max_power=1)
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("kind", ["lawson", "chow"])
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_builtin_ranks_match_bundle_tables(self, a, kind, n, bundle_powers):
+        # The Poincare-polynomial reads against tables built from a point by
+        # iterated projective bundles, at every valid index and a little past
+        # the top dimension.
+        dec = multiplicity_table(n, a)
+        builtin = builtin_space(f"p{a}", kind)
+        tables = SpaceDescriptor("P", a, kind, powers=bundle_powers(a, kind, n))
+        top = a * n + 1
+        for p in range(top + 1):
+            for k in range(2 * p, 2 * top + 1) if kind == "lawson" else (None,):
+                got = evaluate_decomposition(dec, builtin, p, k)
+                assert got == evaluate_decomposition(dec, tables, p, k), (p, k)
+
+    def test_missing_power_table(self, bundle_powers):
+        # Only power 1 is supplied, as a descriptor file without "powers".
+        plane = bundle_powers(2, "lawson", 1)[1]
+        space = SpaceDescriptor("P2", 2, "lawson", powers={1: plane})
         with pytest.raises(ValueError, match="power"):
             evaluate_decomposition(multiplicity_table(2, 2), space, 1, 2)
 
     def test_invalid_outer_index(self):
-        space = builtin_space("p2", "lawson", max_power=2)
+        space = builtin_space("p2", "lawson")
         with pytest.raises(ValueError):
             evaluate_decomposition(multiplicity_table(2, 2), space, 2, 1)
 
@@ -243,7 +271,7 @@ class TestEvaluate:
             evaluate_decomposition(dec, builtin_space("p2", "betti"), 0, 4)
 
     def test_dimension_mismatch(self):
-        space = builtin_space("p2", "lawson", max_power=2)
+        space = builtin_space("p2", "lawson")
         with pytest.raises(ValueError):
             evaluate_decomposition(multiplicity_table(2, 3), space, 1, 2)
 
@@ -264,7 +292,7 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "kind, p, k", [("lawson", 5, 14), ("lawson", 0, 30), ("chow", 12, None), ("chow", 20, None)]
     )
-    def test_ranks_past_int64_match_term_sum(self, kind, p, k):
+    def test_ranks_past_int64_match_term_sum(self, kind, p, k, bundle_powers):
         # At n = 21 some multiplicities pass sys.maxsize.  The rank is summed
         # here term by term with the conventions written out: a shift i reads
         # lawson at (max(p - i, 0), k - 2i) and chow at level p - i, and a
@@ -272,12 +300,13 @@ class TestEvaluate:
         n = 21
         dec = multiplicity_table(n, 2)
         assert max(mult for _, _, mult in dec.terms) > sys.maxsize
-        space = builtin_space("p2", kind, max_power=n)
+        powers = bundle_powers(2, kind, n)
         expected = 0
         for m, i, mult in dec.terms:
             at = (max(p - i, 0), k - 2 * i) if kind == "lawson" else (p - i, 0)
             if min(at) >= 0:
-                expected += mult * space.powers[m].lookup(*at).free_rank
+                expected += mult * powers[m].lookup(*at).free_rank
+        space = builtin_space("p2", kind)
         assert expected > sys.maxsize
         assert evaluate_decomposition(dec, space, p, k) == GroupDescriptor(free_rank=expected)
 
@@ -294,7 +323,7 @@ class TestBetti:
 
     def test_plane_pair(self):
         # independent hand expansion: (1+q^2+q^4)^2 + q^2 (1+q^2+q^4)
-        expected = P2_BETTI ** 2 + P2_BETTI.shift(2)
+        expected = P2_BETTI ** 2 + P2_BETTI * monomial(2)
         assert betti_of_fm(P2_BETTI, 2, 2) == expected
         assert expected == IntPoly([1, 0, 3, 0, 4, 0, 3, 0, 1])
 

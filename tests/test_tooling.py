@@ -57,6 +57,10 @@ def test_shipped_script_runs(script, args):
         ["mult", "--n", "4", "--d", "2", "--format", "json"],
         ["decompose", "--theory", "lawson", "--n", "3", "--d", "2", "--mode", "formal"],
         ["egf", "--n", "4", "--d", "2", "--verify"],
+        [
+            "decompose", "--theory", "lawson", "--n", "3", "--d", "2",
+            "--mode", "ranks", "--space", "p2", "--p", "1", "--k", "2",
+        ],
     ],
 )
 def test_trace_child_matches_cli(argv, tmp_path, capsys):
