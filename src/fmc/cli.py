@@ -90,30 +90,30 @@ def _emit(text: str) -> None:
 
 
 def cmd_nests(args: argparse.Namespace) -> int:
-    from .nests import enumerate_nests, nest_stats
+    from .nests import nests_with_stats
 
-    found = enumerate_nests(args.n, allow_large=args.budget_override)
-    with_stats = ((nest, nest_stats(nest)) for nest in found)
+    found = nests_with_stats(args.n, allow_large=args.budget_override)
     if args.format == "json":
+        # Member tuples go in as they are: render_json lists them.
         doc = {
             "n": args.n,
             "count": len(found),
             "nests": [
                 {
-                    "members": [list(m) for m in nest.members],
+                    "members": nest.members,
                     "components": stats.components,
                     "sons": [
-                        {"member": list(member), "count": count}
+                        {"member": member, "count": count}
                         for member, count in sorted(stats.sons.items())
                     ],
                 }
-                for nest, stats in with_stats
+                for nest, stats in found
             ],
         }
         _emit(render_json(doc))
     else:
         lines = [f"n={args.n} count={len(found)}"]
-        for nest, stats in with_stats:
+        for nest, stats in found:
             sons = " ".join(
                 "{" + ",".join(map(str, member)) + "}=" + str(count)
                 for member, count in sorted(stats.sons.items())
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument(
         "--space",
         default=None,
-        help="descriptor file, or a built-in name (point, p1, p2)",
+        help="descriptor file, or a built-in name (p1, p2)",
     )
     p_dec.add_argument("--mode", choices=("formal", "ranks"), default="formal")
     p_dec.add_argument("--format", choices=("json", "text", "latex"), default="text")

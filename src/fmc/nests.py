@@ -6,20 +6,28 @@ disjoint or nested.  Such a family is exactly a forest: the leaves are the
 singletons, every internal node is the union of its sons, and every
 internal node has at least two sons.
 
-Each nest carries two statistics, both read off one walk over its members
-by size: the number of connected components (maximal members) and, for
-every internal node, its number of sons.  The weight polynomial of a nest
-in ambient dimension ``d`` is the product over internal nodes I of
-``x + x^2 + ... + x^(d*(sons(I)-1)-1)``; the empty product is 1.  It
-depends only on the nest's signature (component count, sorted son counts),
-so the brute-force side of the decomposition checks counts signatures once
-per n and sums their weights, grouped by component count, for each ``d``.
+Each nest carries two statistics: the number of connected components
+(maximal members) and, for every internal node, its number of sons.  The
+enumeration builds every nest as a forest (partition {1..n} into
+components, then partition each root into sons), so it reads both
+statistics off the construction.  The trees on each block are built once
+per enumeration and shared by every forest that holds the block, so the
+cost is proportional to the number of nests rather than to the number of
+candidate subset families.  A family from outside the enumerator
+(``Nest.from_family``, ``is_nest``, ``nest_stats``) is validated, and its
+statistics found, by one walk over its members by size instead.
 
-Enumeration is recursive over forests (partition into components, then
-partition each root into sons), so the cost is proportional to the number
-of nests rather than to the number of candidate subset families.  Output
-order is canonical: members are sorted label tuples and nests are compared
-as sorted member sequences.
+The weight polynomial of a nest in ambient dimension ``d`` is the product
+over internal nodes I of ``x + x^2 + ... + x^(d*(sons(I)-1)-1)``; the empty
+product is 1.  It depends only on the nest's signature (component count,
+sorted son counts), so the brute-force side of the decomposition checks
+counts signatures once per n, straight off the construction, and sums
+their weights, grouped by component count, for each ``d``.  The count
+still visits every labelled forest, so it stays independent of the
+generating-function kernel.
+
+Output order is canonical: members are sorted label tuples and nests are
+compared as sorted member sequences.
 """
 
 from __future__ import annotations
@@ -121,15 +129,33 @@ def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...
         yield ((first,),) + part
 
 
-def _trees(block: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # All sets of internal members for a tree rooted at `block` (len >= 2);
-    # the root itself is always included.
-    for part in _set_partitions(block):
-        if len(part) < 2:
-            continue
-        subgens = [_trees(b) for b in part if len(b) >= 2]
-        for combo in itertools.product(*subgens):
-            yield (block,) + tuple(itertools.chain.from_iterable(combo))
+def _trees(block: tuple[int, ...], memo: dict) -> tuple[tuple, ...]:
+    # Every tree rooted at `block` (len >= 2), each as its (internal member,
+    # son count) pairs, root first.  `memo` keeps the trees of every block
+    # met so far, so one enumeration builds each block's trees once.
+    found = memo.get(block)
+    if found is None:
+        found = memo[block] = tuple(
+            ((block, len(part)),) + tuple(itertools.chain.from_iterable(combo))
+            for part in _set_partitions(block)
+            if len(part) >= 2
+            for combo in _choices(part, memo)
+        )
+    return found
+
+
+def _choices(part: tuple[tuple[int, ...], ...], memo: dict) -> Iterator[tuple]:
+    # One tree for every block of `part` that is not a singleton, every way.
+    return itertools.product(*(_trees(block, memo) for block in part if len(block) >= 2))
+
+
+def _forests(n: int) -> Iterator[tuple[int, dict[tuple[int, ...], int]]]:
+    # (component count, {internal member: son count}) of every nest on
+    # {1..n}, in construction order: components first, then each root's tree.
+    memo: dict = {}
+    for part in _set_partitions(tuple(range(1, n + 1))):
+        for combo in _choices(part, memo):
+            yield len(part), dict(itertools.chain.from_iterable(combo))
 
 
 def _check_labels(n: int, allow_large: bool) -> None:
@@ -141,24 +167,28 @@ def _check_labels(n: int, allow_large: bool) -> None:
         )
 
 
-def enumerate_nests(n: int, allow_large: bool = False) -> list[Nest]:
-    """Every nest on ``{1..n}`` exactly once, in canonical order.
+def nests_with_stats(n: int, allow_large: bool = False) -> list[tuple[Nest, NestStats]]:
+    """Every nest on ``{1..n}`` exactly once with its statistics, in canonical order.
 
     Enumeration beyond ``NEST_BUDGET`` labels must be requested explicitly
     via ``allow_large``.
     """
     _check_labels(n, allow_large)
-    labels = tuple(range(1, n + 1))
-    singletons = tuple((label,) for label in labels)
-    nests = []
-    for part in _set_partitions(labels):
-        subgens = [_trees(b) for b in part if len(b) >= 2]
-        for combo in itertools.product(*subgens):
-            internal = tuple(itertools.chain.from_iterable(combo))
-            members = tuple(sorted(singletons + internal))
-            nests.append(Nest(n=n, members=members))
-    nests.sort(key=lambda s: s.members)
-    return nests
+    singletons = tuple((label,) for label in range(1, n + 1))
+    found = [
+        (Nest(n=n, members=tuple(sorted(singletons + tuple(sons)))), NestStats(m, sons))
+        for m, sons in _forests(n)
+    ]
+    found.sort(key=lambda pair: pair[0].members)
+    return found
+
+
+def enumerate_nests(n: int, allow_large: bool = False) -> list[Nest]:
+    """Every nest on ``{1..n}`` exactly once, in canonical order.
+
+    The budget is that of ``nests_with_stats``.
+    """
+    return [nest for nest, _ in nests_with_stats(n, allow_large)]
 
 
 def nest_stats(nest: Nest) -> NestStats:
@@ -177,8 +207,7 @@ def _weight(son_counts: Iterable[int], d: int) -> IntPoly:
 def _signatures(n: int) -> tuple:
     # How many nests on n labels have each (component count, sorted son
     # counts).  Callers check the budget first: a refused n is never cached.
-    stats = map(nest_stats, enumerate_nests(n, allow_large=True))
-    counts = Counter((s.components, tuple(sorted(s.sons.values()))) for s in stats)
+    counts = Counter((m, tuple(sorted(sons.values()))) for m, sons in _forests(n))
     return tuple(sorted(counts.items()))
 
 

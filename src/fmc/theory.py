@@ -385,9 +385,9 @@ def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
 
 POINT_TABLE = GradedTable({(0, 0): Z_GROUP})
 
+# Sample spaces of dimension >= 1 only: a decomposition's d is >= 1 and must
+# equal the space's dimension.  POINT_TABLE stays the base of the bundle oracle.
 _BUILTIN_DIMS = {
-    "point": 0,
-    "pt": 0,
     "projective-line": 1,
     "p1": 1,
     "projective-plane": 2,
@@ -395,7 +395,6 @@ _BUILTIN_DIMS = {
 }
 
 _BUILTIN_CANONICAL = {
-    0: "point",
     1: "projective-line",
     2: "projective-plane",
 }
@@ -418,7 +417,7 @@ def proj_bundle_table(y: GradedTable, r: int, total_dim: int, kind: str) -> Grad
 def builtin_space(name: str, kind: str) -> SpaceDescriptor:
     """One of the built-in sample spaces with data for the requested kind.
 
-    Available names: point, projective-line (p1), projective-plane (p2).
+    Available names: projective-line (p1), projective-plane (p2).
     Every kind but Deligne-Beilinson carries the Poincare polynomial
     ``1 + q^2 + ... + q^(2a)`` of a-dimensional projective space, and the
     Lawson and Chow groups of its powers are read off the powers of that

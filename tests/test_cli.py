@@ -351,6 +351,23 @@ class TestInputGuards:
         assert out == ""
         assert "space dimension 2 does not match" in err
 
+    @pytest.mark.parametrize("name", ["point", "pt"])
+    def test_point_is_not_builtin(self, capsys, monkeypatch, tmp_path, name):
+        # A point has dimension 0 and --d is >= 1, so no decomposition could
+        # use it: the name is read as a descriptor path, absent here.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "betti", "--n", "2", "--d", "1",
+            "--mode", "ranks", "--space", name,
+        )
+        assert (code, out) == (2, "")
+        assert err
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (space,) = [a for a in commands.choices["decompose"]._actions if a.dest == "space"]
+        assert "point" not in space.help
+
     def test_duplicate_json_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(LINE_DOC)[:-1] + ', "name": "again"}')

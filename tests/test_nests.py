@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import prod
 
 import pytest
@@ -13,6 +14,7 @@ from fmc.nests import (
     enumerate_nests,
     is_nest,
     nest_stats,
+    nests_with_stats,
 )
 from fmc.oracle import run_verification
 from fmc.polyseries import IntPoly, ONE
@@ -44,6 +46,14 @@ def filter_all_families(n):
         if is_nest(n, family):
             nests.append(tuple(sorted(family)))
     return sorted(nests)
+
+
+@pytest.fixture
+def fresh_signatures():
+    """An empty signature cache before the test and after it."""
+    fmc.nests._signatures.cache_clear()
+    yield
+    fmc.nests._signatures.cache_clear()
 
 
 def reference_nest_stats(nest):
@@ -177,6 +187,13 @@ class TestStats:
         for nest in enumerate_nests(n):
             assert nest_stats(nest) == reference_nest_stats(nest)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_construction_matches_walk_and_reference(self, n):
+        found = nests_with_stats(n)
+        assert [nest for nest, _ in found] == enumerate_nests(n)
+        for nest, stats in found:
+            assert stats == nest_stats(nest) == reference_nest_stats(nest)
+
     def test_overlapping_family_rejected(self):
         with pytest.raises(ValueError, match="not a nest"):
             nest_stats(Nest(3, ((1,), (1, 2), (2,), (2, 3), (3,))))
@@ -233,19 +250,46 @@ class TestBruteBivariate:
         with pytest.raises(BudgetError):
             brute_bivariate(4, 2)
 
-    def test_one_enumeration_per_n(self, monkeypatch):
-        # verify sweeps every d for every n; the nests are enumerated once per n.
+    def test_one_enumeration_per_n(self, monkeypatch, fresh_signatures):
+        # verify sweeps every d for every n; the forests are generated once per n.
         calls = []
-        enumerate_all = fmc.nests.enumerate_nests
+        forests = fmc.nests._forests
 
-        def counted(n, allow_large=False):
+        def counted(n):
             calls.append(n)
-            return enumerate_all(n, allow_large=allow_large)
+            return forests(n)
 
-        monkeypatch.setattr(fmc.nests, "enumerate_nests", counted)
-        fmc.nests._signatures.cache_clear()
+        monkeypatch.setattr(fmc.nests, "_forests", counted)
         assert run_verification(6, 3).overall
         assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_signatures_match_walk(self, n):
+        walked = Counter(
+            (stats.components, tuple(sorted(stats.sons.values())))
+            for stats in map(nest_stats, enumerate_nests(n))
+        )
+        assert fmc.nests._signatures(n) == tuple(sorted(walked.items()))
+
+    def test_wrong_son_count_fails_verify(self, monkeypatch, fresh_signatures):
+        # The oracle reads son counts off the construction, so one count off
+        # by one in the generator must show up as a failing check.
+        forests = fmc.nests._forests
+
+        def off_by_one(n):
+            rest = forests(n)
+            for m, sons in rest:
+                if sons:
+                    member = next(iter(sons))
+                    yield m, {**sons, member: sons[member] + 1}
+                    break
+                yield m, sons
+            yield from rest
+
+        monkeypatch.setattr(fmc.nests, "_forests", off_by_one)
+        report = run_verification(4, 2)
+        failed = {check.name for check in report.checks if not check.passed}
+        assert "brute-equiv" in failed
 
     def test_two_labels_d3(self):
         assert brute_bivariate(2, 3) == {2: ONE, 1: IntPoly([0, 1, 1])}

@@ -1,12 +1,15 @@
 """Byte-exact stdout of ``decompose --n 3 --d 2`` under every theory,
-and sha256 pins of the JSON output at kernel sizes.
+sha256 pins of the JSON output at kernel sizes, and of the nest listing
+and the verify report at n = 6.
 
 The inputs reach shifts 0 to 3, multiplicities 3 and 4, the Lawson level
 clamp, Deligne-Beilinson terms kept formal at a negative level, zero terms,
 and torsion repeated by multiplicity.  The expected bytes were captured
 before the per-theory conventions moved into one table and must not drift.
 The kernel-size digests were captured from the schoolbook ``IntPoly``
-kernel, before the triangle was evaluated in packed integers.
+kernel, before the triangle was evaluated in packed integers.  The nest
+and verify digests were captured while every nest's statistics were still
+found by walking its members, before they were read off the construction.
 """
 
 import hashlib
@@ -159,6 +162,26 @@ KERNEL_PINS = [
 @pytest.mark.parametrize("argv, digest", KERNEL_PINS)
 def test_kernel_size_json_digest(capsys, argv, digest):
     code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+NEST_PINS = [
+    (("nests", "--n", "6"),
+     "33a4874bf0f8b23d7977e5c2039b63774296839ee23702e2f5697b3dcb0ac693"),
+    (("nests", "--n", "6", "--format", "json"),
+     "7dbf520be13f201c1b17e40acdcc0604a163612fb971c581213d976862537aca"),
+    (("verify", "--max-n", "6", "--max-d", "3"),
+     "cb2c04a37e7dc3bfc37445ac9a31c7e8af08ddf8ded30975a981acab6a84235c"),
+    (("verify", "--max-n", "6", "--max-d", "3", "--format", "json"),
+     "1fb0b396b33c5ac0b34871754a5e6de2bba2608edcc1f1a2b235a95689b2826d"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", NEST_PINS)
+def test_nest_route_digest(capsys, argv, digest):
+    code = main(list(argv))
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
