@@ -22,8 +22,6 @@ __all__ = [
     "IntPoly",
     "KERNEL_BUDGET",
     "NEST_BUDGET",
-    "Nest",
-    "NestStats",
     "ONE",
     "SpaceDescriptor",
     "VerificationReport",
@@ -39,16 +37,13 @@ __all__ = [
     "direct_sum",
     "egf_exp",
     "egf_solve",
-    "enumerate_nests",
     "evaluate_decomposition",
     "formal_evaluation",
     "format_poly",
     "h_recurrence",
-    "is_nest",
     "load_space",
     "monomial",
     "multiplicity_table",
-    "nest_stats",
     "palindrome_check",
     "parse_space",
     "proj_bundle_formula",
@@ -73,12 +68,7 @@ _HOMES = {
     "format_poly": "polyseries",
     "monomial": "polyseries",
     "NEST_BUDGET": "nests",
-    "Nest": "nests",
-    "NestStats": "nests",
     "brute_bivariate": "nests",
-    "enumerate_nests": "nests",
-    "is_nest": "nests",
-    "nest_stats": "nests",
     "BudgetError": "genfun",
     "FormalDecomposition": "genfun",
     "KERNEL_BUDGET": "genfun",

@@ -14,6 +14,7 @@ as doubles.  Re-serializing a parsed document reproduces it byte for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -90,39 +91,47 @@ def _emit(text: str) -> None:
 
 
 def cmd_nests(args: argparse.Namespace) -> int:
-    from .nests import nests_with_stats
+    from .nests import _check_labels, _forests
 
-    found = nests_with_stats(args.n, allow_large=args.budget_override)
-    if args.format == "json":
-        # Member tuples go in as they are: render_json lists them.
-        doc = {
-            "n": args.n,
-            "count": len(found),
-            "nests": [
-                {
-                    "members": nest.members,
-                    "components": stats.components,
-                    "sons": [
-                        {"member": member, "count": count}
-                        for member, count in sorted(stats.sons.items())
-                    ],
-                }
-                for nest, stats in found
-            ],
-        }
-        _emit(render_json(doc))
-    else:
-        lines = [f"n={args.n} count={len(found)}"]
-        for nest, stats in found:
-            sons = " ".join(
-                "{" + ",".join(map(str, member)) + "}=" + str(count)
-                for member, count in sorted(stats.sons.items())
+    n = args.n
+    _check_labels(n, args.budget_override)
+    labels = range(1, n + 1)
+    singletons = tuple((label,) for label in labels)
+    rows = sorted(
+        (tuple(sorted(singletons + tuple(sons))), m, sorted(sons.items()))
+        for m, sons in _forests(n)
+    )
+    # Each nest is written as soon as it is formatted.  Every value is a
+    # small integer, so the JSON fragments are built by hand, in the bytes
+    # render_json would give, without holding the whole document.  Every
+    # nonempty subset of the labels is a member of some nest, so each is
+    # formatted once, up front.
+    as_json = args.format == "json"
+    name = {
+        member: ("[{}]" if as_json else "{{{}}}").format(",".join(map(str, member)))
+        for size in labels
+        for member in itertools.combinations(labels, size)
+    }
+
+    write = sys.stdout.write
+    if as_json:
+        write(f'{{"n":{n},"count":{len(rows)},"nests":[')
+        comma = ""
+        for members, m, sons in rows:
+            listed = ",".join(f'{{"member":{name[s]},"count":{c}}}' for s, c in sons)
+            write(
+                f'{comma}{{"members":[{",".join(map(name.__getitem__, members))}],'
+                f'"components":{m},"sons":[{listed}]}}'
             )
-            line = f"{nest}  components={stats.components}"
+            comma = ","
+        write("]}\n")
+    else:
+        write(f"n={n} count={len(rows)}\n")
+        for members, m, sons in rows:
+            line = f"{' '.join(map(name.__getitem__, members))}  components={m}"
             if sons:
-                line += f" sons: {sons}"
-            lines.append(line)
-        _emit("\n".join(lines))
+                line += " sons: " + " ".join(f"{name[s]}={c}" for s, c in sons)
+            write(line + "\n")
     return 0
 
 

@@ -13,9 +13,9 @@ components, then partition each root into sons), so it reads both
 statistics off the construction.  The trees on each block are built once
 per enumeration and shared by every forest that holds the block, so the
 cost is proportional to the number of nests rather than to the number of
-candidate subset families.  A family from outside the enumerator
-(``Nest.from_family``, ``is_nest``, ``nest_stats``) is validated, and its
-statistics found, by one walk over its members by size instead.
+candidate subset families.  ``fmc nests`` sorts these forests into the
+canonical order (members are sorted label tuples, and nests are compared
+as sorted member sequences) and writes them as it goes.
 
 The weight polynomial of a nest in ambient dimension ``d`` is the product
 over internal nodes I of ``x + x^2 + ... + x^(d*(sons(I)-1)-1)``; the empty
@@ -25,19 +25,15 @@ counts signatures once per n, straight off the construction, and sums
 their weights, grouped by component count, for each ``d``.  The count
 still visits every labelled forest, so it stays independent of the
 generating-function kernel.
-
-Output order is canonical: members are sorted label tuples and nests are
-compared as sorted member sequences.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .genfun import BudgetError, sigma
 from .polyseries import ONE, IntPoly
@@ -45,75 +41,6 @@ from .polyseries import ONE, IntPoly
 #: Hard cap on the label count for exhaustive enumeration; the number of
 #: nests grows super-exponentially (n=7 already has 78416).
 NEST_BUDGET = 7
-
-
-@dataclass(frozen=True)
-class Nest:
-    """A nest on ``{1..n}``; members are sorted tuples, sorted as a sequence."""
-
-    n: int
-    members: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_family(cls, n: int, family: Iterable[Iterable[int]]) -> "Nest":
-        """Canonicalize and validate a raw family of label sets."""
-        members = canonical_members(family)
-        if not is_nest(n, members):
-            raise ValueError("family is not a nest")
-        return cls(n=n, members=members)
-
-    def __str__(self) -> str:
-        return " ".join("{" + ",".join(map(str, m)) + "}" for m in self.members)
-
-
-@dataclass(frozen=True)
-class NestStats:
-    """Component count and per-internal-node son counts of a nest."""
-
-    components: int
-    sons: dict[tuple[int, ...], int]
-
-
-def canonical_members(family: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Sorted tuple-of-tuples form of a family of label sets."""
-    return tuple(sorted(tuple(sorted(m)) for m in {frozenset(m) for m in family}))
-
-
-def is_nest(n: int, family: Iterable[Iterable[int]]) -> bool:
-    """True iff the family contains all singletons and no overlapped pair.
-
-    Members must be drawn from ``{1..n}``; the empty set is never a valid
-    member.
-    """
-    if n < 1:
-        raise ValueError("label count must be >= 1")
-    sets = [frozenset(m) for m in family]
-    for member in sets:
-        if not member:
-            return False
-        if not member <= frozenset(range(1, n + 1)):
-            raise ValueError("member labels outside 1..n")
-    present = set(sets)
-    singletons = {frozenset((label,)) for label in range(1, n + 1)}
-    return present >= singletons and _forest(present) is not None
-
-
-def _forest(members: Iterable[Collection[int]]) -> NestStats | None:
-    # The statistics of distinct members, or None if two partially overlap.
-    # top[label] is the largest member seen so far holding the label, and a
-    # member's sons are the tops it meets.  Those tops are disjoint, so they
-    # lie inside the member exactly when their sizes add up to the number
-    # of its labels they cover.  The tops left at the end are the components.
-    top: dict[int, Collection[int]] = {}
-    sons: dict[Collection[int], int] = {}
-    for member in sorted(members, key=len):
-        below = {top[label] for label in member if label in top}
-        if sum(map(len, below)) != sum(label in top for label in member):
-            return None
-        if len(member) > 1:
-            sons[member] = len(below)
-        top.update(dict.fromkeys(member, member))
-    return NestStats(components=len(set(top.values())), sons=sons)
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -165,38 +92,6 @@ def _check_labels(n: int, allow_large: bool) -> None:
         raise BudgetError(
             f"enumeration budget exceeded: n={n} > {NEST_BUDGET} (override to proceed)"
         )
-
-
-def nests_with_stats(n: int, allow_large: bool = False) -> list[tuple[Nest, NestStats]]:
-    """Every nest on ``{1..n}`` exactly once with its statistics, in canonical order.
-
-    Enumeration beyond ``NEST_BUDGET`` labels must be requested explicitly
-    via ``allow_large``.
-    """
-    _check_labels(n, allow_large)
-    singletons = tuple((label,) for label in range(1, n + 1))
-    found = [
-        (Nest(n=n, members=tuple(sorted(singletons + tuple(sons)))), NestStats(m, sons))
-        for m, sons in _forests(n)
-    ]
-    found.sort(key=lambda pair: pair[0].members)
-    return found
-
-
-def enumerate_nests(n: int, allow_large: bool = False) -> list[Nest]:
-    """Every nest on ``{1..n}`` exactly once, in canonical order.
-
-    The budget is that of ``nests_with_stats``.
-    """
-    return [nest for nest, _ in nests_with_stats(n, allow_large)]
-
-
-def nest_stats(nest: Nest) -> NestStats:
-    """Component count and son counts, singleton sons included; ValueError if not a nest."""
-    stats = _forest(nest.members)
-    if stats is None:
-        raise ValueError("family is not a nest")
-    return stats
 
 
 def _weight(son_counts: Iterable[int], d: int) -> IntPoly:

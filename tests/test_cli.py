@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -531,6 +532,25 @@ class TestLargeMultiplicities:
             assert int(json.loads(out)["value"]["free_rank"]) == poincare.coefficient(k), k
 
 
+class TestNestListingMemory:
+    def test_n7_json_fits_in_160_mib(self):
+        # The listing at the admitted budget is written nest by nest, so the
+        # 19 MB document is never held, let alone copied before encoding.
+        # The digest is that of the listing rendered as one document.
+        limit = 160 * 1024 * 1024
+        src = Path(fmc.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "fmc.cli", "nests", "--n", "7", "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout).hexdigest() == (
+            "4509bfd93db95cd5830d23b57816394f59508bc7b270db49aef6a8ad9fa91989"
+        )
+
+
 # Runs one command in a fresh interpreter and prints the fmc modules it loaded.
 FOOTPRINT = """
 import contextlib, io, json, sys
@@ -570,6 +590,7 @@ class TestImports:
                  "--mode", "ranks", "--space", "p2"),
                 {"fmc.nests", "fmc.oracle"},
             ),
+            (("nests", "--n", "3"), {"fmc.theory", "fmc.oracle"}),
         ],
     )
     def test_command_loads_only_what_it_runs(self, argv, unused):

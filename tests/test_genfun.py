@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 from math import prod
 
@@ -14,13 +15,48 @@ from fmc.genfun import (
     sigma,
     verify_identity,
 )
-from fmc.nests import brute_bivariate, enumerate_nests, nest_stats
+from fmc.nests import brute_bivariate
 from fmc.polyseries import IntPoly, ONE, ZERO, binomial
 
 
-def nest_weight(nest, d):
+@lru_cache(maxsize=None)
+def nest_signatures(n):
+    """Independent oracle: (component count, son counts) of every nest on {1..n}.
+
+    A nest is its singletons plus a laminar family of larger subsets, found
+    by a depth-first search that adds each subset meeting every chosen one
+    trivially or by inclusion.  A component is a member inside no other; a
+    son of a member is a member below it with no member strictly between.
+    """
+    labels = range(1, n + 1)
+    singletons = [frozenset((label,)) for label in labels]
+    subsets = [
+        frozenset(combo)
+        for size in range(2, n + 1)
+        for combo in itertools.combinations(labels, size)
+    ]
+    found = []
+
+    def sons(member, members):
+        below = [other for other in members if other < member]
+        return sum(not any(child < mid for mid in below) for child in below)
+
+    def extend(start, chosen):
+        members = singletons + chosen
+        components = sum(not any(m < other for other in members) for m in members)
+        found.append((components, tuple(sons(member, members) for member in chosen)))
+        for i in range(start, len(subsets)):
+            subset = subsets[i]
+            if all(subset <= t or t <= subset or not subset & t for t in chosen):
+                extend(i + 1, chosen + [subset])
+
+    extend(0, [])
+    return tuple(found)
+
+
+def nest_weight(son_counts, d):
     """Weight polynomial: product over internal nodes of sigma(sons-1, d)."""
-    return prod((sigma(count - 1, d) for count in nest_stats(nest).sons.values()), start=ONE)
+    return prod((sigma(count - 1, d) for count in son_counts), start=ONE)
 
 
 def egf_mul(a, b):
@@ -52,9 +88,9 @@ def divexact_int(poly, divisor):
 def brute_h(n, d):
     """Independent oracle: sum nest weights over single-component nests."""
     total = ZERO
-    for nest in enumerate_nests(n):
-        if nest_stats(nest).components == 1:
-            total = total + nest_weight(nest, d)
+    for components, son_counts in nest_signatures(n):
+        if components == 1:
+            total = total + nest_weight(son_counts, d)
     return total
 
 
@@ -223,9 +259,9 @@ class TestMultiplicityTable:
     def test_total_counts_weighted_nests(self, n, d):
         # Independent count of (nest, weight vector) pairs.
         expected = 0
-        for nest in enumerate_nests(n):
+        for _, son_counts in nest_signatures(n):
             pairs = 1
-            for count in nest_stats(nest).sons.values():
+            for count in son_counts:
                 pairs *= max(d * (count - 1) - 1, 0)
             expected += pairs
         assert sum(a for _, _, a in multiplicity_table(n, d).terms) == expected

@@ -1,28 +1,139 @@
+"""The nest route: the forest construction of ``fmc.nests``, the brute-force
+weight sums it feeds, and the ``fmc nests`` listing written from it.
+
+The library keeps only the construction.  Its references live here: a
+depth-first search over laminar families, one walk over a family's members
+by size (which validates a family and finds its statistics), a cubic
+containment scan, and the listing rendered as a whole document through
+``render_json``.
+"""
+
 import itertools
-from collections import Counter
+import json
+from collections import Counter, namedtuple
+from functools import lru_cache
 from math import prod
 
 import pytest
 
+import fmc.cli
 import fmc.nests
+from fmc.cli import main, render_json
 from fmc.genfun import sigma
-from fmc.nests import (
-    BudgetError,
-    Nest,
-    NestStats,
-    brute_bivariate,
-    enumerate_nests,
-    is_nest,
-    nest_stats,
-    nests_with_stats,
-)
+from fmc.nests import BudgetError, brute_bivariate
 from fmc.oracle import run_verification
 from fmc.polyseries import IntPoly, ONE
 
+#: Component count and {internal member: son count} of a nest.
+Stats = namedtuple("Stats", "components sons")
 
-def nest_weight(nest, d):
+
+def canonical_members(family):
+    """Sorted tuple-of-tuples form of a family of label sets."""
+    return tuple(sorted(tuple(sorted(m)) for m in {frozenset(m) for m in family}))
+
+
+def walk(members):
+    """The statistics of distinct members, or None if two partially overlap.
+
+    top[label] is the largest member seen so far holding the label, and a
+    member's sons are the tops it meets.  Those tops are disjoint, so they
+    lie inside the member exactly when their sizes add up to the number of
+    its labels they cover.  The tops left at the end are the components.
+    """
+    top = {}
+    sons = {}
+    for member in sorted(members, key=len):
+        below = {top[label] for label in member if label in top}
+        if sum(map(len, below)) != sum(label in top for label in member):
+            return None
+        if len(member) > 1:
+            sons[member] = len(below)
+        top.update(dict.fromkeys(member, member))
+    return Stats(components=len(set(top.values())), sons=sons)
+
+
+def is_nest(n, family):
+    """True iff the family contains all singletons and no overlapped pair.
+
+    Members must be drawn from ``{1..n}``; the empty set is never a valid
+    member.
+    """
+    if n < 1:
+        raise ValueError("label count must be >= 1")
+    sets = [frozenset(m) for m in family]
+    for member in sets:
+        if not member:
+            return False
+        if not member <= frozenset(range(1, n + 1)):
+            raise ValueError("member labels outside 1..n")
+    present = set(sets)
+    singletons = {frozenset((label,)) for label in range(1, n + 1)}
+    return present >= singletons and walk(present) is not None
+
+
+def from_family(n, family):
+    """Canonical members of a raw family of label sets; ValueError if not a nest."""
+    members = canonical_members(family)
+    if not is_nest(n, members):
+        raise ValueError("family is not a nest")
+    return members
+
+
+def nest_stats(members):
+    """Component count and son counts, singleton sons included; ValueError if not a nest."""
+    stats = walk(members)
+    if stats is None:
+        raise ValueError("family is not a nest")
+    return stats
+
+
+def nest_weight(members, d):
     """Weight polynomial: product over internal nodes of sigma(sons-1, d)."""
-    return prod((sigma(count - 1, d) for count in nest_stats(nest).sons.values()), start=ONE)
+    return prod((sigma(count - 1, d) for count in nest_stats(members).sons.values()), start=ONE)
+
+
+def constructed(n):
+    """(members, stats) of every nest as ``fmc.nests._forests`` builds it, canonical order."""
+    singletons = tuple((label,) for label in range(1, n + 1))
+    return sorted(
+        (tuple(sorted(singletons + tuple(sons))), Stats(m, sons))
+        for m, sons in fmc.nests._forests(n)
+    )
+
+
+def enumerate_nests(n):
+    """The members of every constructed nest, in canonical order."""
+    return [members for members, _ in constructed(n)]
+
+
+@lru_cache(maxsize=None)
+def reference_nests(n):
+    """Independent oracle: every nest on {1..n}, canonical order, by a depth-first search.
+
+    A nest is its singletons plus a laminar family of larger subsets: each
+    such member has at least two sons, since its largest proper sub-members
+    cover it.  The search takes the larger subsets in a fixed order and adds
+    each one that meets every chosen member trivially or by inclusion.
+    """
+    labels = range(1, n + 1)
+    singletons = [frozenset((label,)) for label in labels]
+    subsets = [
+        frozenset(combo)
+        for size in range(2, n + 1)
+        for combo in itertools.combinations(labels, size)
+    ]
+    found = []
+
+    def extend(start, chosen):
+        found.append(canonical_members(singletons + chosen))
+        for i in range(start, len(subsets)):
+            subset = subsets[i]
+            if all(subset <= t or t <= subset or not subset & t for t in chosen):
+                extend(i + 1, chosen + [subset])
+
+    extend(0, [])
+    return tuple(sorted(found))
 
 
 def filter_all_families(n):
@@ -48,35 +159,75 @@ def filter_all_families(n):
     return sorted(nests)
 
 
+def reference_nest_stats(members):
+    """Independent oracle: the statistics by cubic containment scans.
+
+    A component is a member inside no other; a son of a member is a member
+    below it with no member strictly between the two.
+    """
+    sets = [frozenset(m) for m in members]
+    component_count = 0
+    for member in sets:
+        if not any(member < other for other in sets):
+            component_count += 1
+    sons = {}
+    for member, key in zip(sets, members):
+        if len(member) == 1:
+            continue
+        below = [other for other in sets if other < member]
+        count = sum(
+            1 for child in below if not any(child < mid for mid in below)
+        )
+        sons[key] = count
+    return Stats(components=component_count, sons=sons)
+
+
+def reference_listing(n, fmt):
+    """``fmc nests`` stdout as a whole document, rendered through render_json."""
+    found = [(members, nest_stats(members)) for members in reference_nests(n)]
+    if fmt == "json":
+        doc = {
+            "n": n,
+            "count": len(found),
+            "nests": [
+                {
+                    "members": members,
+                    "components": stats.components,
+                    "sons": [
+                        {"member": member, "count": count}
+                        for member, count in sorted(stats.sons.items())
+                    ],
+                }
+                for members, stats in found
+            ],
+        }
+        return render_json(doc) + "\n"
+    lines = [f"n={n} count={len(found)}"]
+    for members, stats in found:
+        sons = " ".join(
+            "{" + ",".join(map(str, member)) + "}=" + str(count)
+            for member, count in sorted(stats.sons.items())
+        )
+        line = " ".join("{" + ",".join(map(str, m)) + "}" for m in members)
+        line += f"  components={stats.components}"
+        if sons:
+            line += f" sons: {sons}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def listing(capsys, n, fmt):
+    code = main(["nests", "--n", str(n), "--format", fmt])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 @pytest.fixture
 def fresh_signatures():
     """An empty signature cache before the test and after it."""
     fmc.nests._signatures.cache_clear()
     yield
     fmc.nests._signatures.cache_clear()
-
-
-def reference_nest_stats(nest):
-    """Independent oracle: the statistics by cubic containment scans.
-
-    A component is a member inside no other; a son of a member is a member
-    below it with no member strictly between the two.
-    """
-    members = [frozenset(m) for m in nest.members]
-    component_count = 0
-    for member in members:
-        if not any(member < other for other in members):
-            component_count += 1
-    sons = {}
-    for member, key in zip(members, nest.members):
-        if len(member) == 1:
-            continue
-        below = [other for other in members if other < member]
-        count = sum(
-            1 for child in below if not any(child < mid for mid in below)
-        )
-        sons[key] = count
-    return NestStats(components=component_count, sons=sons)
 
 
 class TestIsNest:
@@ -120,89 +271,84 @@ class TestEnumeration:
         assert len(enumerate_nests(3)) == 8
 
     def test_n2_contents(self):
-        members = sorted(nest.members for nest in enumerate_nests(2))
-        assert members == [((1,), (1, 2), (2,)), ((1,), (2,))]
+        assert enumerate_nests(2) == [((1,), (1, 2), (2,)), ((1,), (2,))]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_filter_oracle(self, n):
         expected = filter_all_families(n)
-        got = [nest.members for nest in enumerate_nests(n)]
-        assert got == expected
+        assert enumerate_nests(n) == expected
+        assert list(reference_nests(n)) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_all_valid_no_duplicates(self, n):
         nests = enumerate_nests(n)
         assert len(set(nests)) == len(nests)
-        for nest in nests:
-            assert is_nest(n, nest.members)
+        for members in nests:
+            assert is_nest(n, members)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_nests(0)
+            brute_bivariate(0, 2)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            enumerate_nests(8)
+            brute_bivariate(8, 2)
         # override path works below the cap too
-        assert len(enumerate_nests(3, allow_large=True)) == 8
+        assert brute_bivariate(3, 2, allow_large=True) == brute_bivariate(3, 2)
 
 
 class TestFromFamily:
     def test_canonicalizes(self):
-        nest = Nest.from_family(3, [(3,), (2,), (1,), (3, 2), (2, 1, 3)])
-        assert nest.members == ((1,), (1, 2, 3), (2,), (2, 3), (3,))
+        members = from_family(3, [(3,), (2,), (1,), (3, 2), (2, 1, 3)])
+        assert members == ((1,), (1, 2, 3), (2,), (2, 3), (3,))
         # the internal nodes are the members with sons
-        assert sorted(nest_stats(nest).sons) == [(1, 2, 3), (2, 3)]
+        assert sorted(nest_stats(members).sons) == [(1, 2, 3), (2, 3)]
 
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="not a nest"):
-            Nest.from_family(3, [(1,), (2,), (3,), (1, 2), (2, 3)])
+            from_family(3, [(1,), (2,), (3,), (1, 2), (2, 3)])
 
     def test_deduplicates(self):
-        nest = Nest.from_family(2, [(1,), (1,), (2,), (1, 2), (2, 1)])
-        assert nest.members == ((1,), (1, 2), (2,))
+        members = from_family(2, [(1,), (1,), (2,), (1, 2), (2, 1)])
+        assert members == ((1,), (1, 2), (2,))
 
 
 class TestStats:
     def test_chain_example(self):
-        nest = Nest(3, ((1,), (1, 2, 3), (2,), (2, 3), (3,)))
-        stats = nest_stats(nest)
+        stats = nest_stats(((1,), (1, 2, 3), (2,), (2, 3), (3,)))
         assert stats.components == 1
         assert stats.sons == {(1, 2, 3): 2, (2, 3): 2}
 
     def test_all_singletons(self):
-        nest = Nest(3, ((1,), (2,), (3,)))
-        stats = nest_stats(nest)
+        stats = nest_stats(((1,), (2,), (3,)))
         assert stats.components == 3
         assert stats.sons == {}
 
     def test_one_pair(self):
-        nest = Nest(3, ((1,), (1, 2), (2,), (3,)))
-        stats = nest_stats(nest)
+        stats = nest_stats(((1,), (1, 2), (2,), (3,)))
         assert stats.components == 2
         assert stats.sons == {(1, 2): 2}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_reference(self, n):
-        for nest in enumerate_nests(n):
-            assert nest_stats(nest) == reference_nest_stats(nest)
+        for members in reference_nests(n):
+            assert nest_stats(members) == reference_nest_stats(members)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_construction_matches_walk_and_reference(self, n):
-        found = nests_with_stats(n)
-        assert [nest for nest, _ in found] == enumerate_nests(n)
-        for nest, stats in found:
-            assert stats == nest_stats(nest) == reference_nest_stats(nest)
+        found = constructed(n)
+        assert [members for members, _ in found] == list(reference_nests(n))
+        for members, stats in found:
+            assert stats == nest_stats(members) == reference_nest_stats(members)
 
     def test_overlapping_family_rejected(self):
         with pytest.raises(ValueError, match="not a nest"):
-            nest_stats(Nest(3, ((1,), (1, 2), (2,), (2, 3), (3,))))
+            nest_stats(((1,), (1, 2), (2,), (2, 3), (3,)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_son_count_identity(self, n):
         # sum of (sons - 1) over internal nodes = n - components
-        for nest in enumerate_nests(n):
-            stats = nest_stats(nest)
+        for _, stats in constructed(n):
             assert stats.components >= 1
             assert all(c >= 2 for c in stats.sons.values())
             assert sum(c - 1 for c in stats.sons.values()) == n - stats.components
@@ -210,30 +356,26 @@ class TestStats:
 
 class TestWeights:
     def test_all_singletons_weight_one(self):
-        assert nest_weight(Nest(3, ((1,), (2,), (3,))), 2) == ONE
+        assert nest_weight(((1,), (2,), (3,)), 2) == ONE
 
     def test_single_root_three_sons(self):
-        nest = Nest(3, ((1,), (1, 2, 3), (2,), (3,)))
-        assert nest_weight(nest, 2) == IntPoly([0, 1, 1, 1])
+        assert nest_weight(((1,), (1, 2, 3), (2,), (3,)), 2) == IntPoly([0, 1, 1, 1])
 
     def test_binary_chain(self):
-        nest = Nest(3, ((1,), (1, 2, 3), (2,), (2, 3), (3,)))
-        assert nest_weight(nest, 2) == IntPoly([0, 0, 1])
+        assert nest_weight(((1,), (1, 2, 3), (2,), (2, 3), (3,)), 2) == IntPoly([0, 0, 1])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("d", [2, 3])
     def test_max_total_weight(self, n, d):
-        top = max(
-            nest_weight(nest, d).degree for nest in enumerate_nests(n)
-        )
+        top = max(nest_weight(members, d).degree for members in reference_nests(n))
         assert top == d * (n - 1) - 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_weight_degree_bound(self, n, d):
-        for nest in enumerate_nests(n):
-            stats = nest_stats(nest)
-            weight = nest_weight(nest, d)
+        for members in reference_nests(n):
+            stats = nest_stats(members)
+            weight = nest_weight(members, d)
             if weight.is_zero:
                 continue
             bound = d * (n - stats.components) - len(stats.sons)
@@ -267,7 +409,7 @@ class TestBruteBivariate:
     def test_signatures_match_walk(self, n):
         walked = Counter(
             (stats.components, tuple(sorted(stats.sons.values())))
-            for stats in map(nest_stats, enumerate_nests(n))
+            for stats in map(nest_stats, reference_nests(n))
         )
         assert fmc.nests._signatures(n) == tuple(sorted(walked.items()))
 
@@ -319,8 +461,8 @@ class TestBruteBivariate:
             return IntPoly(coeffs)
 
         flipped = {}
-        for nest in enumerate_nests(n):
-            stats = nest_stats(nest)
+        for members in reference_nests(n):
+            stats = nest_stats(members)
             weight = ONE
             for count in stats.sons.values():
                 weight = weight * flipped_node_weight(count)
@@ -330,3 +472,35 @@ class TestBruteBivariate:
             flipped[m] = flipped.get(m, IntPoly()) + weight
         flipped = {m: p for m, p in flipped.items() if not p.is_zero}
         assert flipped == brute_bivariate(n, d)
+
+
+class TestListing:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_reference_renderer(self, capsys, n, fmt):
+        assert listing(capsys, n, fmt) == (0, reference_listing(n, fmt), "")
+
+    def test_json_copies_no_document(self, capsys, monkeypatch):
+        expected = reference_listing(5, "json")
+
+        def refuse(value):
+            raise AssertionError("the nest listing went through _json_ready")
+
+        monkeypatch.setattr(fmc.cli, "_json_ready", refuse)
+        assert listing(capsys, 5, "json") == (0, expected, "")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_json_roundtrip(self, capsys, n):
+        code, out, _ = listing(capsys, n, "json")
+        assert code == 0
+        assert render_json(json.loads(out)) == out.rstrip("\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_budget_checked_before_output(self, capsys, monkeypatch, fmt):
+        def refuse(n):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(fmc.nests, "_forests", refuse)
+        code, out, err = listing(capsys, 8, fmt)
+        assert (code, out) == (2, "")
+        assert "budget" in err
