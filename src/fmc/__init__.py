@@ -13,49 +13,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError",
-    "CheckResult",
-    "FormalDecomposition",
-    "GradedTable",
-    "GroupDescriptor",
-    "IntPoly",
-    "KERNEL_BUDGET",
-    "NEST_BUDGET",
-    "ONE",
-    "SpaceDescriptor",
-    "VerificationReport",
-    "ZERO",
-    "ZERO_GROUP",
-    "Z_GROUP",
-    "betti_of_fm",
-    "binomial",
-    "blowup_formula",
-    "brute_bivariate",
-    "brute_equiv",
-    "builtin_space",
-    "direct_sum",
-    "egf_exp",
-    "egf_solve",
-    "evaluate_decomposition",
-    "formal_evaluation",
-    "format_poly",
-    "h_recurrence",
-    "load_space",
-    "monomial",
-    "multiplicity_table",
-    "palindrome_check",
-    "parse_space",
-    "proj_bundle_formula",
-    "proj_bundle_table",
-    "recurrence_egf",
-    "run_verification",
-    "sigma",
-    "verify_identity",
-    "x2_oracle",
-    "x3_oracle",
-]
-
 # Each public name and the submodule that defines it.  A name is imported
 # on first access (PEP 562) and then cached here, so ``import fmc`` loads
 # no submodule and a command pays only for the modules it runs.
@@ -64,9 +21,7 @@ _HOMES = {
     "ONE": "polyseries",
     "ZERO": "polyseries",
     "binomial": "polyseries",
-    "egf_exp": "polyseries",
     "format_poly": "polyseries",
-    "monomial": "polyseries",
     "NEST_BUDGET": "nests",
     "brute_bivariate": "nests",
     "BudgetError": "genfun",
@@ -101,6 +56,8 @@ _HOMES = {
     "x2_oracle": "oracle",
     "x3_oracle": "oracle",
 }
+
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):

@@ -39,7 +39,12 @@ down by the functional identity
 
 which an independent solver unwinds order by order in t: at order n the
 unknown ``h_n`` enters with the factor ``x^d (1-x)``, so one exact
-polynomial division isolates it.
+division isolates it.  It runs the kernel's two integer passes, the first
+at ``x = 2``: each ``h_n(2)`` bounds the nonnegative coefficients of ``h_n``,
+so it fixes the slot width and checks the unpacked ``h_n``.  The residual
+check uses no packing code: it evaluates the identity once, at a power of 2
+above twice a bound on every residual coefficient, where it vanishes iff
+the residual does.
 
 Finally, the multiplicity table ``a_{m,i}`` reads off how many i-shifted
 copies of the m-th cartesian power occur in the decomposition.  It equals
@@ -47,9 +52,9 @@ copies of the m-th cartesian power occur in the decomposition.  It equals
 the triangle, with no division.  ``multiplicity_table`` hands that row to
 the ``FormalDecomposition`` as it stands.
 
-Kernel calls are bounded by ``KERNEL_BUDGET``, which also caps d itself (at
-n = 1 the degree d*(n-1) is 0); larger calls raise ``BudgetError`` instead
-of running for minutes.
+Kernel and solver calls are bounded by ``KERNEL_BUDGET``, which also caps d
+itself (at n = 1 the degree d*(n-1) is 0); larger calls raise
+``BudgetError`` instead of running for minutes.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polyseries import ONE, ZERO, IntPoly, binomial, egf_exp, monomial
+from .polyseries import ZERO, IntPoly, binomial
 
 #: Largest kernel call, as (labels n, top degree d*(n-1)); d alone is held
 #: to the second limit too.  The packed triangle at n = 40, d = 4 takes
@@ -104,22 +109,8 @@ def _fill(n: int, d: int, x: int) -> list[list[int]]:
     return rows
 
 
-def _unpack(value: int, w: int, at_one: int) -> IntPoly:
-    # Digits of value in base 2^(8w), low first.  A carry out of any slot
-    # lowers the digit sum below the coefficient sum at_one, so the check
-    # refuses every width too narrow for the coefficients.
-    raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
-    poly = IntPoly(int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w))
-    if sum(poly.coeffs) != at_one:
-        raise ArithmeticError(f"packed kernel entry overflows its {w}-byte slots")
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _triangle(n: int, d: int) -> tuple[int, tuple[IntPoly, ...], tuple[IntPoly, ...]]:
-    # Kernel entry: validate and budget a call, then fill the triangle at
-    # x = 1 for the slot width w and at x = 2^(8w), and unpack only
-    # (w, (h_1, ..., h_n), (B_{n,0}, ..., B_{n,n})).
+def _check_size(n: int, d: int) -> None:
+    # The one size check of the kernel and the solver.
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 1:
@@ -130,6 +121,25 @@ def _triangle(n: int, d: int) -> tuple[int, tuple[IntPoly, ...], tuple[IntPoly, 
             f"kernel budget exceeded: n={n}, d={d}, d*(n-1)={d * (n - 1)} "
             f"(limits n <= {max_n}, d <= {max_degree}, d*(n-1) <= {max_degree})"
         )
+
+
+def _unpack(value: int, w: int, expected: int, at: int = 1) -> IntPoly:
+    # Digits of value in base 2^(8w), low first.  A carry out of a slot
+    # lowers their value at the point at (1 or 2) below the expected one,
+    # so the check refuses every width too narrow for the coefficients.
+    raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
+    poly = IntPoly(int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w))
+    if poly(at) != expected:
+        raise ArithmeticError(f"packed entry overflows its {w}-byte slots")
+    return poly
+
+
+@lru_cache(maxsize=None)
+def _triangle(n: int, d: int) -> tuple[int, tuple[IntPoly, ...], tuple[IntPoly, ...]]:
+    # Kernel entry: check the size of a call, then fill the triangle at
+    # x = 1 for the slot width w and at x = 2^(8w), and unpack only
+    # (w, (h_1, ..., h_n), (B_{n,0}, ..., B_{n,n})).
+    _check_size(n, d)
     at_one = _fill(n, d, 1)
     w = (max(max(row) for row in at_one).bit_length() + 7) // 8
     packed = _fill(n, d, 1 << (8 * w))
@@ -148,6 +158,41 @@ def recurrence_egf(n_max: int, d: int) -> tuple[IntPoly, ...]:
     return (ZERO,) + _triangle(n_max, d)[1]
 
 
+def _exp_at(a: list[int]) -> list[int]:
+    # Coefficients of exp(sum a_n t^n / n!) for a_0 = 0, to the same order,
+    # by the division-free recurrence e_n = sum_k C(n-1, k-1) a_k e_{n-k}.
+    e = [1]
+    for n in range(1, len(a)):
+        e.append(sum(binomial(n - 1, k - 1) * a[k] * e[n - k] for k in range(1, n + 1) if a[k]))
+    return e
+
+
+def _solve_at(n_max: int, d: int, x: int) -> list[int]:
+    # The order-by-order solve at an integer point x other than 0 and 1:
+    # [0, h_1(x), ..., h_n_max(x)], each h_n(x) an exact quotient by x^d (1-x).
+    xd = x**d
+    xd1 = xd * x
+    lead = xd - xd1
+    h = [0]
+    exp_top = [1]  # exp(x^d N) at x
+    exp_low = [1]  # exp(N) at x
+    for n in range(1, n_max + 1):
+        low_top = low_low = 0
+        for k in range(1, n):
+            if h[k]:
+                c = binomial(n - 1, k - 1) * h[k]
+                low_top += c * exp_top[n - k]
+                low_low += c * exp_low[n - k]
+        low_top *= xd
+        hn, rem = divmod((lead if n == 1 else 0) - low_top + low_low * xd1, lead)
+        if rem:
+            raise ArithmeticError(f"identity solve failed at order {n}: division not exact")
+        h.append(hn)
+        exp_top.append(low_top + hn * xd)
+        exp_low.append(low_low + hn)
+    return h
+
+
 def egf_solve(n_max: int, d: int) -> tuple[IntPoly, ...]:
     """Solve the functional identity for ``N`` order by order in t.
 
@@ -155,60 +200,36 @@ def egf_solve(n_max: int, d: int) -> tuple[IntPoly, ...]:
     triangle: the two constructions agree coefficientwise, which the
     verification suite asserts.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    xd = monomial(d)
-    xd1 = monomial(d + 1)
-    lead = xd - xd1  # x^d (1 - x), the factor multiplying the unknown h_n
-    rhs_1 = xd - xd1  # coefficient of t in (1-x) x^d t
-
-    h: list[IntPoly] = [ZERO]
-    exp_top: list[IntPoly] = [ONE]  # coefficients of exp(x^d N)
-    exp_low: list[IntPoly] = [ONE]  # coefficients of exp(N)
-    for n in range(1, n_max + 1):
-        low_top = ZERO
-        low_low = ZERO
-        for k in range(1, n):
-            c = binomial(n - 1, k - 1)
-            if h[k].is_zero:
-                continue
-            low_top = low_top + (h[k] * xd) * exp_top[n - k] * c
-            low_low = low_low + h[k] * exp_low[n - k] * c
-        rhs = rhs_1 if n == 1 else ZERO
-        residual = rhs - (low_top - low_low * xd1)
-        try:
-            hn = residual.divexact(lead)
-        except ValueError as exc:
-            raise ArithmeticError(
-                f"identity solve failed at order {n}: division not exact"
-            ) from exc
-        h.append(hn)
-        exp_top.append(low_top + hn * xd)
-        exp_low.append(low_low + hn)
-    return tuple(h)
+    _check_size(n_max, d)
+    at_two = _solve_at(n_max, d, 2)
+    w = (max(at_two).bit_length() + 7) // 8
+    packed = _solve_at(n_max, d, 1 << (8 * w))
+    return (ZERO,) + tuple(_unpack(v, w, c, 2) for v, c in zip(packed[1:], at_two[1:]))
 
 
-def verify_identity(series: tuple[IntPoly, ...], d: int) -> tuple[IntPoly, ...]:
-    """Residual of the functional identity for a candidate series ``(0, h_1, ...)``.
+def verify_identity(series: tuple[IntPoly, ...], d: int) -> bool:
+    """Whether a candidate series ``(0, h_1, ...)`` satisfies the functional identity.
 
-    Returns ``exp(x^d N) - x^(d+1) exp(N) - (1-x) x^d t - (1 - x^(d+1))``
-    truncated at the order of ``series``; every coefficient is zero iff the
-    identity holds to that order.
+    True iff ``exp(x^d N) - x^(d+1) exp(N) = (1-x) x^d t + (1 - x^(d+1))``
+    holds to the order of ``series``.  The candidate's coefficients may have
+    any sign.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if series[0]:
         raise ValueError("series must have zero constant term")
-    xd = monomial(d)
-    xd1 = monomial(d + 1)
-    top = egf_exp(tuple(h * xd for h in series))
-    residual = [a - b * xd1 for a, b in zip(top, egf_exp(series))]
-    residual[0] -= ONE - xd1
+    # No residual coefficient exceeds 2 e_n + 1 < 2^(s-1), e the exponential
+    # of the absolute coefficient sums, so it is zero iff its value at 2^s is.
+    bound = 2 * max(_exp_at([sum(map(abs, h.coeffs)) for h in series])) + 1
+    x = 1 << (bound.bit_length() + 1)
+    xd = x**d
+    xd1 = xd * x
+    values = [h(x) for h in series]
+    residual = [a - b * xd1 for a, b in zip(_exp_at([v * xd for v in values]), _exp_at(values))]
+    residual[0] -= 1 - xd1
     if len(residual) > 1:
         residual[1] -= xd - xd1
-    return tuple(residual)
+    return not any(residual)
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,7 @@ def solver_match(n: int, d: int) -> CheckResult:
 
 def identity_residual(order: int, d: int) -> CheckResult:
     """Functional-identity residual of the recurrence series."""
-    residual = verify_identity(recurrence_egf(order, d), d)
-    passed = not any(residual)
+    passed = verify_identity(recurrence_egf(order, d), d)
     detail = "residual identically zero" if passed else "nonzero residual"
     return CheckResult("identity-residual", {"order": order, "d": d}, passed, detail)
 
@@ -142,11 +141,12 @@ def x3_check(d: int) -> CheckResult:
 
 
 def min_formula_check(d: int) -> CheckResult:
-    """Closed form of the X-multiplicities of X[3] in two equivalent shapes."""
+    """The X-multiplicities of X[3], ``h_3``, against their closed form in two shapes."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    passed = all(
-        1 + 3 * min(j - 1, 2 * d - 1 - j) == min(3 * j - 2, 6 * d - 3 * j - 2)
+    h = h_recurrence(3, d).coeffs
+    passed = len(h) == 2 * d and h[0] == 0 and all(
+        h[j] == 1 + 3 * min(j - 1, 2 * d - 1 - j) == min(3 * j - 2, 6 * d - 3 * j - 2)
         for j in range(1, 2 * d)
     )
     detail = "both closed forms agree" if passed else "closed forms disagree"

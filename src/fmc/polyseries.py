@@ -1,17 +1,10 @@
-"""Exact arithmetic for integer polynomials and truncated exponential series.
+"""Exact arithmetic for integer polynomials.
 
 Polynomials are dense, with arbitrary-precision integer coefficients stored
 low power first; the canonical form carries no trailing zero, and the zero
-polynomial is the empty coefficient tuple.
-
-A truncated exponential generating function of order ``r`` is a plain tuple
-``(h_0, ..., h_r)`` of polynomials and stands for ``sum h_i t^i / i!``.
-The exponential of a series with zero constant term satisfies the
-division-free recurrence (a binomial convolution)
-
-    e_0 = 1,    e_n = sum_{k=1..n} C(n-1, k-1) a_k e_{n-k},
-
-so integer coefficients stay integers.
+polynomial is the empty coefficient tuple.  ``binomial`` reads binomial
+coefficients off a cached Pascal triangle, and ``format_poly`` writes a
+polynomial as the command line prints it.
 
 All values are immutable and all operations are pure functions, so they
 may be shared freely across threads.
@@ -113,32 +106,6 @@ class IntPoly:
             acc = acc * value + c
         return acc
 
-    def divexact(self, divisor: "IntPoly") -> "IntPoly":
-        """Exact polynomial quotient; raises ValueError on any remainder."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return ZERO
-        dd = divisor.degree
-        lead = divisor.coeffs[-1]
-        qd = self.degree - dd
-        if qd < 0:
-            raise ValueError("inexact polynomial division")
-        rem = list(self.coeffs)
-        quot = [0] * (qd + 1)
-        for i in range(qd, -1, -1):
-            c = rem[i + dd]
-            if c % lead:
-                raise ValueError("inexact polynomial division")
-            f = c // lead
-            quot[i] = f
-            if f:
-                for j, dc in enumerate(divisor.coeffs):
-                    rem[i + j] -= f * dc
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return IntPoly(quot)
-
     def is_palindromic(self, degree: int) -> bool:
         """True if the coefficients read the same both ways over 0..degree."""
         if degree < 0 or self.degree > degree:
@@ -155,13 +122,6 @@ class IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-
-
-def monomial(exponent: int) -> IntPoly:
-    """The polynomial ``x**exponent``."""
-    if exponent < 0:
-        raise ValueError("negative exponent")
-    return IntPoly((0,) * exponent + (1,))
 
 
 def format_poly(p: IntPoly, var: str = "x") -> str:
@@ -199,22 +159,3 @@ def binomial(n: int, k: int) -> int:
         row = (1,) + tuple(prev[i] + prev[i + 1] for i in range(len(prev) - 1)) + (1,)
         _PASCAL.append(row)
     return _PASCAL[n][k]
-
-
-def egf_exp(a: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
-    """Exponential of a series ``(a_0, ..., a_r)`` with ``a_0 = 0``, to the same order.
-
-    The result stays integral: no divisions occur.
-    """
-    if a[0]:
-        raise ValueError("exp requires a zero constant term")
-    out = [ONE]
-    for n in range(1, len(a)):
-        acc = ZERO
-        for k in range(1, n + 1):
-            ak = a[k]
-            if ak.is_zero:
-                continue
-            acc = acc + ak * out[n - k] * binomial(n - 1, k - 1)
-        out.append(acc)
-    return tuple(out)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fmc
+import fmc.genfun
 from fmc.cli import build_parser, main, render_json
 from fmc.genfun import multiplicity_table
 from fmc.nests import NEST_BUDGET
@@ -126,6 +127,32 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "egf", "--n", "4", "--d", "2", "--verify")
         assert code == 0
         assert "verified: ok" in out
+
+    @pytest.mark.parametrize(
+        "patched, failures",
+        [
+            ("recurrence_egf", ["identity-residual", "solver-match"]),
+            ("egf_solve", ["solver-match"]),
+        ],
+    )
+    def test_egf_verify_names_failures(self, capsys, monkeypatch, patched, failures):
+        # Both checks judge the printed series: a wrong h_3 from the kernel
+        # fails both, a wrong solver only the match.
+        real = getattr(fmc.genfun, patched)
+
+        def wrong(n, d):
+            series = real(n, d)
+            return series[:3] + (series[3] + IntPoly([1]),) + series[4:]
+
+        monkeypatch.setattr(fmc.genfun, patched, wrong)
+        code, out, _ = run_cli(capsys, "egf", "--n", "4", "--d", "2", "--verify")
+        assert code == 1
+        assert out.splitlines()[-1] == f"verified: FAILED ({', '.join(failures)})"
+        code, out, _ = run_cli(
+            capsys, "egf", "--n", "4", "--d", "2", "--verify", "--format", "json"
+        )
+        doc = json.loads(out)
+        assert (code, doc["verified"], doc["failures"]) == (1, False, failures)
 
     def test_egf_json_fields(self, capsys):
         code, out, _ = run_cli(
@@ -591,6 +618,7 @@ class TestImports:
                 {"fmc.nests", "fmc.oracle"},
             ),
             (("nests", "--n", "3"), {"fmc.theory", "fmc.oracle"}),
+            (("egf", "--n", "4", "--d", "2", "--verify"), NOT_KERNEL),
         ],
     )
     def test_command_loads_only_what_it_runs(self, argv, unused):

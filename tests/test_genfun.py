@@ -3,6 +3,7 @@ from functools import lru_cache
 from math import prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 import fmc.genfun
 from fmc.genfun import (
@@ -83,6 +84,84 @@ def divexact_int(poly, divisor):
             raise ValueError("inexact coefficient division")
         out.append(q)
     return IntPoly(out)
+
+
+def egf_exp(a):
+    """Schoolbook exponential of a series with ``a_0 = 0``, to the same order."""
+    out = [ONE]
+    for n in range(1, len(a)):
+        acc = ZERO
+        for k in range(1, n + 1):
+            if not a[k].is_zero:
+                acc = acc + a[k] * out[n - k] * binomial(n - 1, k - 1)
+        out.append(acc)
+    return tuple(out)
+
+
+def divexact(num, divisor):
+    """Schoolbook exact polynomial quotient; raises ValueError on any remainder."""
+    if num.is_zero:
+        return ZERO
+    dd = divisor.degree
+    lead = divisor.coeffs[-1]
+    qd = num.degree - dd
+    if qd < 0:
+        raise ValueError("inexact polynomial division")
+    rem = list(num.coeffs)
+    quot = [0] * (qd + 1)
+    for i in range(qd, -1, -1):
+        f, r = divmod(rem[i + dd], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        quot[i] = f
+        for j, dc in enumerate(divisor.coeffs):
+            rem[i + j] -= f * dc
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return IntPoly(quot)
+
+
+def monomial(exponent):
+    return IntPoly((0,) * exponent + (1,))
+
+
+@lru_cache(maxsize=None)
+def reference_solve(n_max, d):
+    """Independent oracle: the order-by-order identity solve in ``IntPoly`` arithmetic.
+
+    At order n the unknown ``h_n`` enters with the factor ``x^d (1-x)``, so
+    one exact polynomial division isolates it.
+    """
+    xd, xd1 = monomial(d), monomial(d + 1)
+    lead = xd - xd1
+    h, exp_top, exp_low = [ZERO], [ONE], [ONE]
+    for n in range(1, n_max + 1):
+        low_top = low_low = ZERO
+        for k in range(1, n):
+            c = binomial(n - 1, k - 1)
+            low_top = low_top + h[k] * xd * exp_top[n - k] * c
+            low_low = low_low + h[k] * exp_low[n - k] * c
+        rhs = lead if n == 1 else ZERO
+        hn = divexact(rhs - low_top + low_low * xd1, lead)
+        h.append(hn)
+        exp_top.append(low_top + hn * xd)
+        exp_low.append(low_low + hn)
+    return tuple(h)
+
+
+def reference_residual(series, d):
+    """Independent oracle: the identity's residual, order by order, in ``IntPoly``.
+
+    ``exp(x^d N) - x^(d+1) exp(N) - (1-x) x^d t - (1 - x^(d+1))``, truncated
+    at the order of ``series``.
+    """
+    xd, xd1 = monomial(d), monomial(d + 1)
+    top = egf_exp(tuple(h * xd for h in series))
+    residual = [a - b * xd1 for a, b in zip(top, egf_exp(series))]
+    residual[0] -= ONE - xd1
+    if len(residual) > 1:
+        residual[1] -= xd - xd1
+    return tuple(residual)
 
 
 def brute_h(n, d):
@@ -188,35 +267,113 @@ class TestSolver:
         for m in range(1, n + 1):
             assert solved[m] == h_recurrence(m, d)
 
+    @pytest.mark.parametrize("n", list(range(1, 13)))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_reference_solve(self, n, d):
+        assert egf_solve(n, d) == reference_solve(n, d)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             egf_solve(0, 2)
         with pytest.raises(ValueError):
             egf_solve(3, 0)
 
+    @pytest.mark.parametrize("n, d", [(KERNEL_BUDGET[0] + 1, 1), (2, KERNEL_BUDGET[1] + 1)])
+    def test_oversize_calls_rejected(self, n, d):
+        with pytest.raises(BudgetError, match="kernel budget"):
+            egf_solve(n, d)
+
+    def test_narrow_width_raises(self):
+        # At (7, 1) the largest h_n(2) takes w = 2 bytes and a coefficient of
+        # h_7 takes 9 bits, so the solve at one byte less carries out of a
+        # slot, and the carry must be refused, not read as a polynomial.
+        n, d = 7, 1
+        solve_at, unpack = fmc.genfun._solve_at, fmc.genfun._unpack
+        at_two = solve_at(n, d, 2)
+        w = (max(at_two).bit_length() + 7) // 8
+        assert w == 2
+        packed = solve_at(n, d, 1 << (8 * w))
+        assert tuple(unpack(v, w, c, 2) for v, c in zip(packed[1:], at_two[1:])) == (
+            reference_solve(n, d)[1:]
+        )
+        narrow = solve_at(n, d, 1 << (8 * (w - 1)))
+        with pytest.raises(ArithmeticError, match="overflows"):
+            for v, c in zip(narrow[1:], at_two[1:]):
+                unpack(v, w - 1, c, 2)
+
 
 class TestIdentity:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_recurrence_satisfies_identity(self, d):
-        residual = verify_identity(recurrence_egf(6, d), d)
+        series = recurrence_egf(6, d)
+        assert verify_identity(series, d) is True
+        residual = reference_residual(series, d)
         assert len(residual) == 7
         assert not any(residual)
 
     def test_perturbation_detected_at_order_two(self):
         series = recurrence_egf(5, 2)
         bumped = series[:2] + (series[2] + ONE,) + series[3:]
-        residual = verify_identity(bumped, 2)
+        assert verify_identity(bumped[:2], 2)
+        assert not verify_identity(bumped[:3], 2)
+        assert not verify_identity(bumped, 2)
+        residual = reference_residual(bumped, 2)
         assert residual[0].is_zero
         assert residual[1].is_zero
         assert not residual[2].is_zero
 
     def test_zero_series_residual(self):
         d = 3
-        residual = verify_identity((ZERO,) * 4, d)
+        assert verify_identity((ZERO,) * 4, d) is False
+        residual = reference_residual((ZERO,) * 4, d)
         assert residual[0].is_zero
         # order-1 term is -(1-x) x^d
         expected = -(IntPoly([0] * d + [1]) - IntPoly([0] * (d + 1) + [1]))
         assert residual[1] == expected
+
+    def test_negative_coefficient_detected(self):
+        series = recurrence_egf(5, 2)
+        h3 = series[3]
+        assert h3 == IntPoly([0, 1, 4, 1])
+        flipped = series[:3] + (IntPoly([0, 1, 4, -1]),) + series[4:]
+        assert verify_identity(series, 2)
+        assert not verify_identity(flipped, 2)
+
+    @pytest.mark.parametrize("point", [2, 4, 8, 16, 256, 1 << 64])
+    def test_root_at_a_small_point_detected(self, point):
+        # h_1 = 1 + (x - point)(x - 1) is wrong but has the right value at
+        # x = point, and at x = 1 as well, so the residual vanishes there:
+        # it must be evaluated past the size of the candidate's coefficients.
+        h1 = ONE + IntPoly([-point, 1]) * IntPoly([-1, 1])
+        assert h1(point) == h1(1) == 1
+        for d in (1, 2, 3):
+            assert not verify_identity((ZERO, h1), d)
+            assert verify_identity((ZERO, ONE), d)
+
+    @given(
+        d=st.integers(1, 3),
+        bumps=st.lists(
+            st.lists(st.integers(-2, 2), max_size=3).map(IntPoly), min_size=1, max_size=5
+        ),
+    )
+    def test_agrees_with_reference(self, d, bumps):
+        # Signed perturbations of the true series, the empty one included.
+        series = recurrence_egf(len(bumps), d)
+        candidate = (ZERO,) + tuple(h + b for h, b in zip(series[1:], bumps))
+        assert verify_identity(candidate, d) == (not any(reference_residual(candidate, d)))
+
+    def test_independent_of_packing(self, monkeypatch):
+        # The residual is its own route: it shares no packing code with the
+        # kernel or the solver.
+        series = recurrence_egf(8, 3)
+
+        def refuse(*args):
+            raise AssertionError("packing code called")
+
+        monkeypatch.setattr(fmc.genfun, "_fill", refuse)
+        monkeypatch.setattr(fmc.genfun, "_unpack", refuse)
+        assert verify_identity(series, 3)
+        assert not verify_identity(series[:4] + (series[4] + ONE,) + series[5:], 3)
 
     def test_requires_zero_constant_term(self):
         with pytest.raises(ValueError):
@@ -282,8 +439,9 @@ class TestMultiplicityTable:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_power_extraction(self, n, d):
         # Independent route: a_{m,i} = [x^i] ([t^n] N^m) / m! with N from the
-        # identity solver, the powers by repeated products, the division exact.
-        series = egf_solve(n, d)
+        # schoolbook identity solve, the powers by repeated products, the
+        # division exact.
+        series = reference_solve(n, d)
         table = multiplicity_table(n, d)
         power = (ONE,) + (ZERO,) * n
         fact = 1

@@ -1,6 +1,7 @@
 import pytest
 
 import fmc.genfun
+import fmc.oracle
 from fmc.genfun import BudgetError, multiplicity_table
 from fmc.oracle import (
     VERIFY_MAX_D,
@@ -81,6 +82,23 @@ class TestBlowupOracles:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_min_formula(self, d):
         assert min_formula_check(d).passed
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            IntPoly([0, 1, 4, 2]),
+            IntPoly([0, 1, 4]),
+            IntPoly([0, 1, 4, 1, 1]),
+            IntPoly([1, 1, 4, 1]),
+        ],
+    )
+    def test_min_formula_reads_the_kernel(self, monkeypatch, wrong):
+        # The check compares computed h_3 with the closed form, so a wrong
+        # kernel value fails it.
+        monkeypatch.setattr(fmc.oracle, "h_recurrence", lambda n, d: wrong)
+        result = min_formula_check(2)
+        assert not result.passed
+        assert result.detail == "closed forms disagree"
 
 
 class TestOtherChecks:

@@ -156,6 +156,10 @@ KERNEL_PINS = [
     (("decompose", "--theory", "betti", "--n", "17", "--d", "2", "--mode", "ranks",
       "--space", "p2"),
      "0c11c90acdbc00e46bb1a439ef67c757a0fe066fb9b625a86a2c1dbbb73ca1e4"),
+    (("egf", "--n", "40", "--d", "1", "--verify"),
+     "8e0ab2a3e06c3b3f83c8f51ea2ae69f8843626bb967219a52a19acc25f3dfaca"),
+    (("egf", "--n", "30", "--d", "4", "--verify"),
+     "1e5b1fdb142000879f42a852afe3ad89d7cef403368c4eb35605225b5d99e7c7"),
 ]
 
 

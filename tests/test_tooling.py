@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shlex
@@ -35,6 +36,26 @@ def test_public_names_resolve():
     names = json.loads(result.stdout)
     assert names["unbound"] == []
     assert names["table"] == names["all"]
+
+
+def test_package_imports_only_the_standard_library():
+    # fmc has no runtime dependencies: every absolute import of the package
+    # names __future__ or a standard-library module.
+    foreign = []
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []
 
 
 @pytest.mark.parametrize(
