@@ -259,6 +259,17 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
     dec = multiplicity_table(n, d)
 
+    # Ranks are evaluated in every format, so latex refuses what text and
+    # JSON refuse.
+    value: GroupDescriptor | None = None
+    poincare: IntPoly | None = None
+    if args.mode == "ranks":
+        space = _resolve_space(args)
+        if theory == "betti" and k is None:
+            poincare = betti_of_fm(space.betti, d, n)
+        else:
+            value = evaluate_decomposition(dec, space, p, k)
+
     if args.format == "latex":
         body = " \\oplus ".join(
             _latex_term(theory, m, shift, mult) for m, shift, mult in dec.terms
@@ -276,8 +287,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             doc["k"] = k
             header += f" k={k}"
 
-    value: GroupDescriptor | None = None
-    poincare: IntPoly | None = None
     term_docs = []
     if args.mode == "formal":
         for m, shift, mult in dec.terms:
@@ -288,15 +297,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         if has_index:
             value = formal_evaluation(dec, theory, p, k)
     else:  # ranks
-        space = _resolve_space(args)
         doc["space"] = space.name
         header += f" space={space.name}"
         for m, shift, mult in dec.terms:
             term_docs.append({"m": m, "shift": shift, "mult": mult})
-        if theory == "betti" and k is None:
-            poincare = betti_of_fm(space.betti, d, n)
-        else:
-            value = evaluate_decomposition(dec, space, p, k)
 
     doc["terms"] = term_docs
     if value is not None:

@@ -88,18 +88,6 @@ class IntPoly:
     def __rmul__(self, other: int) -> "IntPoly":
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, value: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):

@@ -15,9 +15,10 @@ orders, with an escape hatch of unevaluated formal terms for data the
 tables cannot know (cycle-space homology groups need not be finitely
 generated in general, and no integral product formula is assumed: tables
 for cartesian powers must be supplied).  Betti data is a Poincare
-polynomial instead of tables, and powers are taken with rational
-coefficients; the built-in projective spaces carry one for Lawson and Chow
-data too, since their groups are Betti numbers of their powers.
+polynomial P instead of tables, and so is the Lawson and Chow data of the
+built-in projective spaces, whose groups are Betti numbers of their powers.
+Such a space is read as one coefficient of the Poincare polynomial
+``P_{X[n]} = sum_m B_{n,m}(q^2) P^m`` of X[n], in integers.
 
 The single blowup formula reads: the value on the blowup of X along a
 center Y of codimension r is the value on X plus the values on Y at the
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 from .genfun import BudgetError, FormalDecomposition, multiplicity_table
-from .polyseries import ONE, IntPoly, ZERO
+from .polyseries import IntPoly, ZERO
 
 # What a negative shifted level reads: level 0, the zero group, or nothing
 # evaluable (a formal summand in a decomposition, an error in a table read).
@@ -211,8 +212,10 @@ class SpaceDescriptor:
     ``betti`` holds a Poincare polynomial: the data of kind "betti", and of
     any Lawson or Chow space whose groups are its Betti numbers,
     ``L_pH_k = H_k`` and ``Ch_p = H_{2p}`` (the built-in projective spaces
-    and their powers).  Other spaces store graded tables for the cartesian
-    powers in ``powers`` (the space itself is power 1).
+    and their powers).  Evaluation reads such a space as one coefficient of
+    the Poincare polynomial of X[n].  Other spaces store graded tables for
+    the cartesian powers in ``powers`` (the space itself is power 1).
+    Deligne-Beilinson data has no Poincare-polynomial form.
     """
 
     name: str
@@ -224,6 +227,8 @@ class SpaceDescriptor:
     def __post_init__(self) -> None:
         if self.kind not in THEORIES:
             raise ValueError(f"unknown kind {self.kind!r}")
+        if self.kind == "db" and self.betti is not None:
+            raise ValueError("Deligne-Beilinson data is a table, not a Poincare polynomial")
 
 
 def format_group_term(kind: str, m: int, p: int | None = None, k: int | None = None) -> str:
@@ -292,9 +297,10 @@ def evaluate_decomposition(
 ) -> GroupDescriptor:
     """Direct sum over the decomposition terms of the space's graded data.
 
-    A space with a Poincare polynomial reads each group off its powers:
-    ``H_k`` for Betti and Lawson data, ``H_{2p}`` for Chow.  Otherwise it
-    needs a table for every power appearing in the terms.
+    A space with a Poincare polynomial is read as one coefficient of the
+    Poincare polynomial of X[n] (``betti_of_fm``): ``H_k`` for Betti and
+    Lawson data, ``H_{2p}`` for Chow.  Otherwise it needs a table for every
+    power appearing in the terms.
     """
     if space.dim != dec.d:
         raise ValueError(
@@ -302,14 +308,11 @@ def evaluate_decomposition(
         )
     theory = check_index(space.kind, p, k)
     if space.betti is not None:
-        # Many terms share a power m; each power is computed once.
-        power = cache(space.betti.__pow__)
-        return _sum_terms(
-            dec, theory, p, k,
-            lambda m, pp, kk: GroupDescriptor(
-                free_rank=power(m).coefficient(kk if theory.has_degree else 2 * pp)
-            ),
-        )
+        # A term (m, i) reads [q^(k-2i)] P^m, or [q^(2p-2i)] P^m for Chow, so
+        # the sum over terms is one coefficient of P_{X[n]}.  A clamped level
+        # is never read, and a negative degree is a zero coefficient.
+        poincare = _poincare(dec.rows, space.betti)
+        return GroupDescriptor(free_rank=poincare.coefficient(k if theory.has_degree else 2 * p))
     for m, _, _ in dec.terms:
         if m not in space.powers:
             raise ValueError(f"space {space.name!r} has no table for power X^{m}")
@@ -370,13 +373,16 @@ def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
         raise ValueError("n must be >= 1")
     if betti_x.degree > 2 * d:
         raise ValueError("Betti polynomial degree exceeds 2*dim")
+    return _poincare(multiplicity_table(n, d).rows, betti_x)
+
+
+def _poincare(rows: tuple[IntPoly, ...], betti_x: IntPoly) -> IntPoly:
+    # sum_m B_{n,m}(q^2) P^m by Horner's rule in P, from m = n down to 1:
+    # n + 1 products, each by P alone.
     total = ZERO
-    power = ONE
-    for row in multiplicity_table(n, d).rows:
-        power = power * betti_x
-        row_in_q2 = IntPoly(c for a in row.coeffs for c in (a, 0))
-        total = total + row_in_q2 * power
-    return total
+    for row in reversed(rows):
+        total = total * betti_x + IntPoly(c for a in row.coeffs for c in (a, 0))
+    return total * betti_x
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,12 @@ def test_criterion_6_betti():
         assert betti_of_fm(plane, 2, 2) == IntPoly(expected)
 
         for d in range(1, 4):
+            binomial_row = ONE
+            for _ in range(2 * d):
+                binomial_row = binomial_row * IntPoly([1, 1])
             palindromic_inputs = [
                 IntPoly([1 if i % 2 == 0 else 0 for i in range(2 * d + 1)]),
-                (ONE + IntPoly([0, 1])) ** (2 * d),
+                binomial_row,
                 IntPoly([1] * (2 * d + 1)),
                 IntPoly([2] + [1] * (2 * d - 1) + [2]),
             ]

@@ -495,6 +495,26 @@ class TestIndexAgreement:
                     code = main(argv)
                 assert code == expected, (p, k)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--theory", "lawson", "--d", "2", "--space", "/nonexistent.json"),
+            ("--theory", "lawson", "--d", "3", "--space", "p2", "--p", "0", "--k", "0"),
+            ("--theory", "db", "--d", "2", "--space", "p2"),
+            ("--theory", "lawson", "--d", "2"),
+            ("--theory", "lawson", "--d", "2", "--space", "p2"),
+        ],
+        ids=["missing-file", "dimension", "db-builtin", "no-space", "no-index"],
+    )
+    def test_latex_ranks_refuses_what_text_refuses(self, capsys, argv):
+        argv = ("decompose", "--n", "2", "--mode", "ranks", *argv)
+        results = [
+            run_cli(capsys, *argv, "--format", fmt) for fmt in ("text", "json", "latex")
+        ]
+        assert [code for code, _, _ in results] == [2, 2, 2]
+        assert len({err for _, _, err in results}) == 1
+        assert results[2][1] == ""
+
 
 class TestLargeMultiplicities:
     def test_lawson_n12_ranks_fit_in_512_mib(self):

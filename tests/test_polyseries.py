@@ -159,13 +159,6 @@ class TestIntPoly:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
-    @given(a=small_polys, n=st.integers(0, 4))
-    def test_power_matches_repeated_product(self, a, n):
-        expected = ONE
-        for _ in range(n):
-            expected = expected * a
-        assert a**n == expected
-
 
 class TestBinomial:
     def test_values(self):

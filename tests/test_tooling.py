@@ -137,3 +137,6 @@ def test_readme_command_runs(argv, comment, capsys):
     out = capsys.readouterr().out
     if argv[0] == "h-poly" and "json" in argv:
         assert out.rstrip("\n") == comment == '{"n":3,"d":2,"coeffs":[0,1,4,1]}'
+    if argv[0] == "decompose" and "--p" in argv:
+        assert comment == "evaluated: free rank 3"
+        assert out.splitlines()[-1] == "value: Z^3"
