@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 
 from . import __version__
 
 # Each handler imports the modules it runs, so a command loads only what it
-# needs.  Annotations are not evaluated (PEP 563); the fmc types they name
-# are imported by the handlers that use them.  The parser needs two facts
-# of the library without importing it, copied here and pinned by tests:
-# the theory names of ``fmc.theory.THEORIES``, in table order, and
-# ``fmc.nests.NEST_BUDGET``.
+# needs; ``json`` too loads only where it runs, in ``render_json`` and the
+# descriptor-file reader, so text output reads no JSON code.  Annotations
+# are not evaluated (PEP 563); the fmc types they name are imported by the
+# handlers that use them.  The parser needs two facts of the library
+# without importing it, copied here and pinned by tests: the theory names
+# of ``fmc.theory.THEORIES``, in table order, and ``fmc.nests.NEST_BUDGET``.
 _THEORY_NAMES = ("lawson", "chow", "db", "betti")
 _NEST_BUDGET = 7
 
@@ -48,6 +48,8 @@ def _json_ready(value: object) -> object:
 
 
 def render_json(doc: dict) -> str:
+    import json
+
     return json.dumps(_json_ready(doc), separators=(",", ":"))
 
 

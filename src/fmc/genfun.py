@@ -59,10 +59,10 @@ itself (at n = 1 the degree d*(n-1) is 0); larger calls raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .polyseries import ZERO, IntPoly, binomial
+from .record import Record
 
 #: Largest kernel call, as (labels n, top degree d*(n-1)); d alone is held
 #: to the second limit too.  The packed triangle at n = 40, d = 4 takes
@@ -232,17 +232,17 @@ def verify_identity(series: tuple[IntPoly, ...], d: int) -> bool:
     return not any(residual)
 
 
-@dataclass(frozen=True)
-class FormalDecomposition:
+class FormalDecomposition(Record):
     """X[n] as a formal sum of shifted powers of X.
 
     ``rows[m - 1]`` is the polynomial ``sum_i a_{m,i} x^i``: the copies of
     the m-th power, by shift i, for m = 1..n.
     """
 
-    n: int
-    d: int
-    rows: tuple[IntPoly, ...]
+    __slots__ = ("n", "d", "rows")
+
+    def __init__(self, n: int, d: int, rows: tuple[IntPoly, ...]) -> None:
+        self._set(n=n, d=d, rows=rows)
 
     @property
     def terms(self) -> tuple[tuple[int, int, int], ...]:

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Iterator, Sequence
 
 from .genfun import BudgetError, sigma
 from .polyseries import ONE, IntPoly

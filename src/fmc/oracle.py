@@ -18,8 +18,7 @@ be reported at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .genfun import (
     BudgetError,
@@ -32,6 +31,7 @@ from .genfun import (
 )
 from .nests import brute_bivariate
 from .polyseries import ONE, IntPoly
+from .record import Record
 from .theory import (
     POINT_TABLE,
     SpaceDescriptor,
@@ -48,17 +48,18 @@ from .theory import (
 VERIFY_MAX_D = 24
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    params: dict[str, int]
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "params", "passed", "detail")
+
+    def __init__(self, name: str, params: dict[str, int], passed: bool, detail: str) -> None:
+        self._set(name=name, params=params, passed=passed, detail=detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
+class VerificationReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        self._set(checks=checks)
 
     @property
     def overall(self) -> bool:

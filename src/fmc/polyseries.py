@@ -12,7 +12,7 @@ may be shared freely across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 
 class IntPoly:
@@ -71,7 +71,7 @@ class IntPoly:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: Union["IntPoly", int]) -> "IntPoly":
+    def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
         if not isinstance(other, IntPoly):

@@ -32,13 +32,12 @@ themselves.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import partial
-from typing import Callable
 
 from .genfun import BudgetError, FormalDecomposition, multiplicity_table
 from .polyseries import IntPoly, ZERO
+from .record import Record
 
 # What a negative shifted level reads: level 0, the zero group, or nothing
 # evaluable (a formal summand in a decomposition, an error in a table read).
@@ -48,8 +47,7 @@ CLAMP, ZERO_READ, FORMAL = "clamp", "zero", "formal"
 SUMMAND_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Record):
     """Index conventions of one theory.
 
     ``has_level`` and ``has_degree`` say which of the outer indices p and k
@@ -61,14 +59,27 @@ class Theory:
     condition written ``index_rule``.
     """
 
-    name: str
-    has_level: bool
-    has_degree: bool
-    negative_level: str
-    text: str
-    latex: str
-    index_rule: str = ""
-    index_ok: Callable[[int, int], bool] = lambda p, k: True
+    __slots__ = (
+        "name", "has_level", "has_degree", "negative_level", "text", "latex",
+        "index_rule", "index_ok",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        has_level: bool,
+        has_degree: bool,
+        negative_level: str,
+        text: str,
+        latex: str,
+        index_rule: str = "",
+        index_ok: Callable[[int, int], bool] = lambda p, k: True,
+    ) -> None:
+        self._set(
+            name=name, has_level=has_level, has_degree=has_degree,
+            negative_level=negative_level, text=text, latex=latex,
+            index_rule=index_rule, index_ok=index_ok,
+        )
 
     def read_index(self, p: int, k: int, shift: int) -> tuple[int, int] | None:
         """The index a term shifted by ``shift`` reads at outer (p, k).
@@ -125,8 +136,7 @@ def check_index(kind: str, p: int | None, k: int | None) -> Theory:
     return theory
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """A finitely generated abelian group, plus optional formal summands.
 
     ``free_rank`` copies of Z, a cyclic summand Z/t for each torsion order
@@ -136,16 +146,16 @@ class GroupDescriptor:
     commutative and associative on the nose.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
-    formal: tuple[str, ...] = ()
+    __slots__ = ("free_rank", "torsion", "formal")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "torsion", tuple(sorted(int(t) for t in self.torsion)))
-        object.__setattr__(self, "formal", tuple(sorted(self.formal)))
-        if self.free_rank < 0:
+    def __init__(
+        self, free_rank: int = 0, torsion: tuple[int, ...] = (), formal: tuple[str, ...] = ()
+    ) -> None:
+        torsion = tuple(sorted(int(t) for t in torsion))
+        self._set(free_rank=free_rank, torsion=torsion, formal=tuple(sorted(formal)))
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        if any(t < 2 for t in self.torsion):
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion orders must be >= 2")
 
     @property
@@ -179,8 +189,7 @@ def direct_sum(*groups: GroupDescriptor) -> GroupDescriptor:
     return GroupDescriptor(free_rank=rank, torsion=tuple(torsion), formal=tuple(formal))
 
 
-@dataclass(frozen=True)
-class GradedTable:
+class GradedTable(Record):
     """Map from index pairs (p, k) to groups; absent entries are zero.
 
     Entries with k < 0 are rejected at construction: negative degrees are
@@ -188,16 +197,16 @@ class GradedTable:
     slot is conventionally 0.
     """
 
-    groups: dict[tuple[int, int], GroupDescriptor]
+    __slots__ = ("groups",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, groups: dict[tuple[int, int], GroupDescriptor]) -> None:
         cleaned = {}
-        for (p, k), g in self.groups.items():
+        for (p, k), g in groups.items():
             if k < 0:
                 raise ValueError("graded table may not store entries with k < 0")
             if not g.is_zero:
                 cleaned[(int(p), int(k))] = g
-        object.__setattr__(self, "groups", cleaned)
+        self._set(groups=cleaned)
 
     def lookup(self, p: int, k: int) -> GroupDescriptor:
         if k < 0:
@@ -205,8 +214,7 @@ class GradedTable:
         return self.groups.get((p, k), ZERO_GROUP)
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class SpaceDescriptor(Record):
     """A named space with dimension, theory kind, and graded data.
 
     ``betti`` holds a Poincare polynomial: the data of kind "betti", and of
@@ -218,16 +226,22 @@ class SpaceDescriptor:
     Deligne-Beilinson data has no Poincare-polynomial form.
     """
 
-    name: str
-    dim: int
-    kind: str
-    betti: IntPoly | None = None
-    powers: dict[int, GradedTable] = field(default_factory=dict)
+    __slots__ = ("name", "dim", "kind", "betti", "powers")
 
-    def __post_init__(self) -> None:
-        if self.kind not in THEORIES:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "db" and self.betti is not None:
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        kind: str,
+        betti: IntPoly | None = None,
+        powers: dict[int, GradedTable] | None = None,
+    ) -> None:
+        # No powers given means a fresh empty dict for this space alone.
+        powers = {} if powers is None else powers
+        self._set(name=name, dim=dim, kind=kind, betti=betti, powers=powers)
+        if kind not in THEORIES:
+            raise ValueError(f"unknown kind {kind!r}")
+        if kind == "db" and betti is not None:
             raise ValueError("Deligne-Beilinson data is a table, not a Poincare polynomial")
 
 
@@ -549,6 +563,8 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_space(path: str) -> SpaceDescriptor:
     """Read and validate a space descriptor file (JSON); duplicate keys are errors."""
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle, object_pairs_hook=_reject_duplicate_keys)

@@ -598,33 +598,43 @@ class TestNestListingMemory:
         )
 
 
-# Runs one command in a fresh interpreter and prints the fmc modules it loaded.
+# Runs one command in a fresh interpreter and prints every module loaded by
+# then.  The child runs with -S, so that ``site`` and its .pth files preload
+# nothing, and imports nothing itself that the interpreter had not loaded.
 FOOTPRINT = """
-import contextlib, io, json, sys
+import io, sys
 from fmc.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "fmc")))
+sys.stdout = io.StringIO()
+main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+print(" ".join(sorted(sys.modules)))
 """
 
 
 def import_footprint(*argv):
     src = Path(fmc.__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, *argv],
+        [sys.executable, "-S", "-c", FOOTPRINT, *argv],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout))
+    return set(result.stdout.split())
 
 
 NOT_KERNEL = {"fmc.theory", "fmc.nests", "fmc.oracle"}
+# Standard-library modules no command loads: dataclasses alone pulls in
+# inspect, ast and dis, about 20 ms per process with its generated methods.
+NEVER_LOADED = {"dataclasses", "inspect", "typing"}
+# json loads only for JSON output or a descriptor file.
+JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
 
 
 class TestImports:
     def test_version_loads_only_the_cli(self):
-        assert import_footprint("--version") == {"fmc", "fmc.cli"}
+        loaded = import_footprint("--version")
+        assert {m for m in loaded if m.split(".")[0] == "fmc"} == {"fmc", "fmc.cli"}
+        assert not loaded & (NEVER_LOADED | JSON_MODULES)
 
     @pytest.mark.parametrize(
         "argv, unused",
@@ -639,12 +649,25 @@ class TestImports:
             ),
             (("nests", "--n", "3"), {"fmc.theory", "fmc.oracle"}),
             (("egf", "--n", "4", "--d", "2", "--verify"), NOT_KERNEL),
+            (("verify", "--max-n", "3", "--max-d", "1"), set()),
         ],
     )
     def test_command_loads_only_what_it_runs(self, argv, unused):
+        # Every case writes text and reads no descriptor file.
         loaded = import_footprint(*argv)
         assert "fmc.genfun" in loaded
-        assert not loaded & unused
+        assert not loaded & (unused | NEVER_LOADED | JSON_MODULES)
+
+    def test_json_loads_for_json_output_or_a_descriptor_file(self, tmp_path):
+        path = tmp_path / "line.json"
+        path.write_text('{"name": "L", "dim": 1, "kind": "betti", "betti": [1, 0, 1]}')
+        for argv in (
+            ("h-poly", "--n", "4", "--d", "2", "--format", "json"),
+            ("decompose", "--theory", "betti", "--n", "3", "--d", "1",
+             "--mode", "ranks", "--space", str(path)),
+        ):
+            loaded = import_footprint(*argv)
+            assert "json" in loaded and not loaded & NEVER_LOADED, argv
 
     def test_parser_literals_match_the_library(self, capsys):
         # The parser copies these so that building it imports no library module.

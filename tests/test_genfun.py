@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from functools import lru_cache
 from math import prod
 
@@ -9,6 +11,7 @@ import fmc.genfun
 from fmc.genfun import (
     KERNEL_BUDGET,
     BudgetError,
+    FormalDecomposition,
     egf_solve,
     h_recurrence,
     multiplicity_table,
@@ -462,6 +465,24 @@ class TestMultiplicityTable:
             ]
             expected = tuple(sorted(entries, key=lambda t: (-t[0], t[1])))
             assert multiplicity_table(n, d).terms == expected, (n, d)
+
+    def test_record_contract(self):
+        # An immutable value: field equality and hashing, the repr of a
+        # frozen dataclass, and no assignment.
+        table = multiplicity_table(2, 3)
+        same = FormalDecomposition(2, 3, (IntPoly([0, 1, 1]), ONE))
+        assert table == same and hash(table) == hash(same)
+        assert table != FormalDecomposition(n=2, d=2, rows=table.rows)
+        assert table != (2, 3, table.rows)
+        assert repr(table) == (
+            "FormalDecomposition(n=2, d=3, rows=(IntPoly([0, 1, 1]), IntPoly([1])))"
+        )
+        for field in ("n", "rows", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(table, field, 1)
+        assert table.n == 2
+        # Copies and pickles rebuild through __init__, past the frozen fields.
+        assert copy.deepcopy(table) == table == pickle.loads(pickle.dumps(table))
 
     @pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (5, 3)])
     def test_reads_zero_outside_powers(self, n, d):

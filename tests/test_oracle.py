@@ -157,6 +157,25 @@ class TestReport:
         assert not VerificationReport((good, bad)).overall
         assert VerificationReport(()).overall
 
+    def test_record_contract(self):
+        # Immutable values: field equality, the repr of a frozen dataclass,
+        # no assignment; a result holds its params dict, so it is unhashable.
+        check = CheckResult("a", {"n": 1}, True, "ok")
+        assert check == CheckResult(name="a", params={"n": 1}, passed=True, detail="ok")
+        assert check != CheckResult("a", {"n": 2}, True, "ok")
+        assert repr(check) == "CheckResult(name='a', params={'n': 1}, passed=True, detail='ok')"
+        report = VerificationReport((check,))
+        assert report == VerificationReport(checks=(check,))
+        assert repr(report) == f"VerificationReport(checks=({check!r},))"
+        for record in (check, report):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        assert hash(VerificationReport(())) == hash(VerificationReport(()))
+        for record, field in ((check, "passed"), (report, "checks")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, ())
+        assert check.passed and report.overall
+
     def test_run_verification_passes(self):
         report = run_verification(4, 2)
         assert report.overall

@@ -111,6 +111,79 @@ class TestGradedTable:
             GradedTable({(0, -1): Z_GROUP})
 
 
+class TestRecords:
+    # The records are immutable values: field equality and hashing, the
+    # repr a frozen dataclass prints, no assignment, validation on build.
+    def test_equal_records_hash_equal(self):
+        a, b = GroupDescriptor(torsion=(4, 2)), GroupDescriptor(0, (2, 4), ())
+        assert a == b and hash(a) == hash(b)
+        assert GroupDescriptor(1) != GroupDescriptor(2)
+        assert GroupDescriptor() != GradedTable({})
+
+    def test_records_holding_a_dict_are_unhashable(self):
+        table = GradedTable({(0, 0): Z_GROUP})
+        space = SpaceDescriptor("X", 1, "lawson", powers={1: table})
+        for record in (table, space, builtin_space("p1", "lawson")):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        rebuilt = {1: GradedTable({(0, 0): Z_GROUP})}
+        assert space == SpaceDescriptor("X", 1, "lawson", None, rebuilt)
+
+    def test_repr(self):
+        assert repr(GroupDescriptor(torsion=(4, 2), formal=("b", "a"))) == (
+            "GroupDescriptor(free_rank=0, torsion=(2, 4), formal=('a', 'b'))"
+        )
+        assert repr(GradedTable({(0, 0): Z_GROUP, (1, 2): ZERO_GROUP})) == (
+            "GradedTable(groups={(0, 0): GroupDescriptor(free_rank=1, torsion=(), formal=())})"
+        )
+        assert repr(builtin_space("p1", "betti")) == (
+            "SpaceDescriptor(name='projective-line', dim=1, kind='betti', "
+            "betti=IntPoly([1, 0, 1]), powers={})"
+        )
+        assert repr(fmc.theory.THEORIES["betti"]).startswith(
+            "Theory(name='betti', has_level=False, has_degree=True, negative_level='zero', "
+            "text='H_{k}({X})', latex='H_{{{k}}}({X})', index_rule='', index_ok=<function "
+        )
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (Z_GROUP, "free_rank"),
+            (Z_GROUP, "torsion"),
+            (POINT_TABLE, "groups"),
+            (SpaceDescriptor("X", 1, "lawson"), "powers"),
+            (fmc.theory.THEORIES["lawson"], "index_ok"),
+            (Z_GROUP, "extra"),
+        ],
+    )
+    def test_assignment_raises(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert Z_GROUP.free_rank == 1
+
+    def test_default_powers_are_not_shared(self):
+        a, b = SpaceDescriptor("a", 1, "lawson"), SpaceDescriptor("b", 1, "lawson")
+        assert a.powers == {} and a.powers is not b.powers
+        a.powers[1] = POINT_TABLE
+        assert b.powers == {}
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GroupDescriptor(free_rank=-1), "free rank must be nonnegative"),
+            (lambda: GroupDescriptor(torsion=(3, 1)), "torsion orders must be >= 2"),
+            (lambda: GradedTable({(0, -1): Z_GROUP}), "may not store entries with k < 0"),
+            (lambda: SpaceDescriptor("X", 1, "db", IntPoly([1])), "not a Poincare polynomial"),
+            (lambda: SpaceDescriptor("X", 1, "homology"), "unknown kind 'homology'"),
+        ],
+    )
+    def test_validation_errors(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 class TestDecomposeFormal:
     def test_n2_d3(self):
         assert multiplicity_table(2, 3).terms == ((2, 0, 1), (1, 1, 1), (1, 2, 1))
