@@ -53,21 +53,18 @@ def render_json(doc: dict) -> str:
     return json.dumps(_json_ready(doc), separators=(",", ":"))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def _any_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _any_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
 
 
 def _group_doc(group: GroupDescriptor) -> dict:
@@ -280,14 +277,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return 0
 
     doc: dict[str, object] = {"n": n, "d": d, "theory": theory, "mode": args.mode}
-    header = f"n={n} d={d} theory={theory} mode={args.mode}"
-    if has_index:
-        if p is not None:
-            doc["p"] = p
-            header += f" p={p}"
-        if k is not None:
-            doc["k"] = k
-            header += f" k={k}"
+    if p is not None:
+        doc["p"] = p
+    if k is not None:
+        doc["k"] = k
 
     term_docs = []
     if args.mode == "formal":
@@ -300,10 +293,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             value = formal_evaluation(dec, theory, p, k)
     else:  # ranks
         doc["space"] = space.name
-        header += f" space={space.name}"
         for m, shift, mult in dec.terms:
             term_docs.append({"m": m, "shift": shift, "mult": mult})
 
+    header = " ".join(f"{key}={val}" for key, val in doc.items())
     doc["terms"] = term_docs
     if value is not None:
         doc["value"] = _group_doc(value)

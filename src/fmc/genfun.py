@@ -21,16 +21,18 @@ The kernel fills one triangle per ``(n, d)`` with the division-free rule
 
 which needs only ``h_j`` with j < n for k >= 2; then ``B_{n,1} = h_n``.
 
-It runs that rule on plain integers, twice.  Every ``h_j``, ``sigma_k`` and
-binomial has nonnegative coefficients, so the pass at ``x = 1`` gives each
-entry's coefficient sum, which bounds each of its coefficients; the largest
-sum fixes a slot width of w bytes.  The pass at ``x = 2^(8w)`` packs every
-polynomial into one big integer (Kronecker substitution), so CPython's
-big-integer products do the polynomial products.  Only the column
-``h_1 .. h_n`` and row n are unpacked, byte slices of width w, and each
-unpacked entry must have the digit sum of its ``x = 1`` value: a carry out
-of a slot lowers the digit sum, so a width too narrow raises
-``ArithmeticError`` instead of giving a wrong polynomial.
+It runs that rule on plain integers, twice, and unpacks only the column
+``h_1 .. h_n`` and row n.  Every ``h_j``, ``sigma_k`` and binomial has
+nonnegative coefficients, so the pass at ``x = 1`` gives each entry's
+coefficient sum, which bounds each of its coefficients; the largest sum
+among the unpacked entries fixes a slot width of w bytes.  The pass at
+``x = 2^(8w)`` packs every polynomial into one big integer (Kronecker
+substitution), so CPython's big-integer products do the polynomial
+products.  The unpacked entries are byte slices of width w, and each must
+have the digit sum of its ``x = 1`` value: a carry out of a slot lowers the
+digit sum, so a width too narrow raises ``ArithmeticError`` instead of
+giving a wrong polynomial.  One routine, ``_packed``, runs the two integer
+passes of both the kernel and the solver.
 
 The exponential generating function ``N(x,t) = sum h_n t^n / n!`` is pinned
 down by the functional identity
@@ -39,7 +41,7 @@ down by the functional identity
 
 which an independent solver unwinds order by order in t: at order n the
 unknown ``h_n`` enters with the factor ``x^d (1-x)``, so one exact
-division isolates it.  It runs the kernel's two integer passes, the first
+division isolates it.  It runs through ``_packed`` too, the first pass
 at ``x = 2``: each ``h_n(2)`` bounds the nonnegative coefficients of ``h_n``,
 so it fixes the slot width and checks the unpacked ``h_n``.  The residual
 check uses no packing code: it evaluates the identity once, at a power of 2
@@ -59,6 +61,7 @@ itself (at n = 1 the degree d*(n-1) is 0); larger calls raise
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 
 from .polyseries import ZERO, IntPoly, binomial
@@ -89,8 +92,9 @@ def sigma(k: int, d: int) -> IntPoly:
     return IntPoly((0,) + (1,) * (d * k - 1))
 
 
-def _fill(n: int, d: int, x: int) -> list[list[int]]:
-    # The triangle at the point x: entry [m][k] is B_{m,k}(x), m = 0..n.
+def _fill(n: int, d: int, x: int) -> list[int]:
+    # The triangle at the point x, entry [m][k] = B_{m,k}(x) for m = 0..n;
+    # returns the entries the kernel unpacks: h_1 .. h_n, then row n.
     sigmas = [sigma(k, d)(x) for k in range(n)]
     rows = [[1]]
     for m in range(1, n + 1):
@@ -106,7 +110,7 @@ def _fill(n: int, d: int, x: int) -> list[list[int]]:
             h_m += sigmas[k - 1] * total
         row[1] = 1 if m == 1 else h_m
         rows.append(row)
-    return rows
+    return [rows[m][1] for m in range(1, n + 1)] + rows[n]
 
 
 def _check_size(n: int, d: int) -> None:
@@ -134,28 +138,32 @@ def _unpack(value: int, w: int, expected: int, at: int = 1) -> IntPoly:
     return poly
 
 
-@lru_cache(maxsize=None)
-def _triangle(n: int, d: int) -> tuple[int, tuple[IntPoly, ...], tuple[IntPoly, ...]]:
-    # Kernel entry: check the size of a call, then fill the triangle at
-    # x = 1 for the slot width w and at x = 2^(8w), and unpack only
-    # (w, (h_1, ..., h_n), (B_{n,0}, ..., B_{n,n})).
+def _packed(run: Callable[[int, int, int], list[int]], n: int, d: int, at: int) -> list[IntPoly]:
+    # The two integer passes of the kernel and the solver: run(n, d, at)
+    # bounds every coefficient by the value at the point at (1 or 2), the
+    # largest value fixes the slot width w, and run(n, d, 2^(8w)) packs each
+    # polynomial into one integer, which unpacks against its value at at.
     _check_size(n, d)
-    at_one = _fill(n, d, 1)
-    w = (max(max(row) for row in at_one).bit_length() + 7) // 8
-    packed = _fill(n, d, 1 << (8 * w))
-    hs = tuple(_unpack(packed[m][1], w, at_one[m][1]) for m in range(1, n + 1))
-    row = tuple(_unpack(v, w, c) for v, c in zip(packed[n], at_one[n]))
-    return w, hs, row
+    bounds = run(n, d, at)
+    w = (max(bounds).bit_length() + 7) // 8
+    return [_unpack(v, w, c, at) for v, c in zip(run(n, d, 1 << (8 * w)), bounds)]
+
+
+@lru_cache(maxsize=None)
+def _triangle(n: int, d: int) -> tuple[tuple[IntPoly, ...], tuple[IntPoly, ...]]:
+    # Kernel entry: ((h_1, ..., h_n), (B_{n,0}, ..., B_{n,n})).
+    entries = _packed(_fill, n, d, 1)
+    return tuple(entries[:n]), tuple(entries[n:])
 
 
 def h_recurrence(n: int, d: int) -> IntPoly:
     """The polynomial ``h_n = B_{n,1}`` from the partial-Bell triangle."""
-    return _triangle(n, d)[1][-1]
+    return _triangle(n, d)[0][-1]
 
 
 def recurrence_egf(n_max: int, d: int) -> tuple[IntPoly, ...]:
     """The series ``N`` as its coefficients ``(0, h_1, ..., h_n_max)``."""
-    return (ZERO,) + _triangle(n_max, d)[1]
+    return (ZERO,) + _triangle(n_max, d)[0]
 
 
 def _exp_at(a: list[int]) -> list[int]:
@@ -200,11 +208,7 @@ def egf_solve(n_max: int, d: int) -> tuple[IntPoly, ...]:
     triangle: the two constructions agree coefficientwise, which the
     verification suite asserts.
     """
-    _check_size(n_max, d)
-    at_two = _solve_at(n_max, d, 2)
-    w = (max(at_two).bit_length() + 7) // 8
-    packed = _solve_at(n_max, d, 1 << (8 * w))
-    return (ZERO,) + tuple(_unpack(v, w, c, 2) for v, c in zip(packed[1:], at_two[1:]))
+    return tuple(_packed(_solve_at, n_max, d, 2))
 
 
 def verify_identity(series: tuple[IntPoly, ...], d: int) -> bool:
@@ -264,4 +268,4 @@ class FormalDecomposition(Record):
 
 def multiplicity_table(n: int, d: int) -> FormalDecomposition:
     """All ``a_{m,i}``: row m of the table is the partial Bell polynomial ``B_{n,m}``."""
-    return FormalDecomposition(n=n, d=d, rows=_triangle(n, d)[2][1:])
+    return FormalDecomposition(n=n, d=d, rows=_triangle(n, d)[1][1:])

@@ -2,20 +2,24 @@
 
 Polynomials are dense, with arbitrary-precision integer coefficients stored
 low power first; the canonical form carries no trailing zero, and the zero
-polynomial is the empty coefficient tuple.  ``binomial`` reads binomial
-coefficients off a cached Pascal triangle, and ``format_poly`` writes a
-polynomial as the command line prints it.
+polynomial is the empty coefficient tuple.  ``binomial`` is
+``math.comb``, and 0 outside the triangle ``0 <= k <= n``.
+``format_poly`` writes a polynomial as the command line prints it.
 
-All values are immutable and all operations are pure functions, so they
-may be shared freely across threads.
+``IntPoly`` is a ``fmc.record.Record``, which enforces its immutability, and
+all operations are pure functions, so values may be shared freely across
+threads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from math import comb
+
+from .record import Record
 
 
-class IntPoly:
+class IntPoly(Record):
     """Dense integer polynomial; ``coeffs[i]`` multiplies ``x**i``."""
 
     __slots__ = ("coeffs",)
@@ -25,7 +29,7 @@ class IntPoly:
         end = len(cs)
         while end and cs[end - 1] == 0:
             end -= 1
-        self.coeffs: tuple[int, ...] = cs[:end]
+        self._set(coeffs=cs[:end])
 
     @property
     def degree(self) -> int:
@@ -43,14 +47,6 @@ class IntPoly:
 
     def __bool__(self) -> bool:
         return not self.is_zero
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPoly", self.coeffs))
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(-c for c in self.coeffs)
@@ -133,17 +129,6 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
     return " ".join(pieces)
 
 
-# Pascal-triangle cache for binomial coefficients; rows are appended once and
-# never mutated afterwards, so concurrent readers always see complete rows.
-_PASCAL: list[tuple[int, ...]] = [(1,)]
-
-
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient from a growing Pascal-triangle cache."""
-    if k < 0 or k > n:
-        return 0
-    while len(_PASCAL) <= n:
-        prev = _PASCAL[-1]
-        row = (1,) + tuple(prev[i] + prev[i + 1] for i in range(len(prev) - 1)) + (1,)
-        _PASCAL.append(row)
-    return _PASCAL[n][k]
+    """Binomial coefficient ``C(n, k)``; 0 unless ``0 <= k <= n``."""
+    return comb(n, k) if 0 <= k <= n else 0

@@ -407,16 +407,11 @@ POINT_TABLE = GradedTable({(0, 0): Z_GROUP})
 
 # Sample spaces of dimension >= 1 only: a decomposition's d is >= 1 and must
 # equal the space's dimension.  POINT_TABLE stays the base of the bundle oracle.
-_BUILTIN_DIMS = {
-    "projective-line": 1,
-    "p1": 1,
-    "projective-plane": 2,
-    "p2": 2,
-}
-
-_BUILTIN_CANONICAL = {
-    1: "projective-line",
-    2: "projective-plane",
+_BUILTIN_SPACES = {
+    "projective-line": ("projective-line", 1),
+    "p1": ("projective-line", 1),
+    "projective-plane": ("projective-plane", 2),
+    "p2": ("projective-plane", 2),
 }
 
 
@@ -445,17 +440,17 @@ def builtin_space(name: str, kind: str) -> SpaceDescriptor:
     descriptor file for that kind.
     """
     key = name.lower()
-    if key not in _BUILTIN_DIMS:
+    if key not in _BUILTIN_SPACES:
         raise ValueError(f"unknown built-in space {name!r}")
     if kind == "db":
         raise ValueError("no built-in Deligne-Beilinson tables; supply a descriptor file")
-    a = _BUILTIN_DIMS[key]
+    canonical, a = _BUILTIN_SPACES[key]
     poly = IntPoly([1 if i % 2 == 0 else 0 for i in range(2 * a + 1)])
-    return SpaceDescriptor(name=_BUILTIN_CANONICAL[a], dim=a, kind=kind, betti=poly)
+    return SpaceDescriptor(name=canonical, dim=a, kind=kind, betti=poly)
 
 
 def is_builtin_space(name: str) -> bool:
-    return name.lower() in _BUILTIN_DIMS
+    return name.lower() in _BUILTIN_SPACES
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -152,6 +155,25 @@ class TestIntPoly:
     def test_monomial_and_shift(self):
         assert 2 * monomial(3) == IntPoly([0, 0, 0, 2])
         assert IntPoly([1, 1]) * monomial(2) == IntPoly([0, 0, 1, 1])
+
+    def test_record_contract(self):
+        # An immutable value: the shared ONE survives a refused assignment,
+        # equal polynomials hash equal, and copies rebuild through __init__.
+        with pytest.raises(AttributeError):
+            ONE.coeffs = (5,)
+        assert ONE == IntPoly([1]) and ONE.coeffs == (1,)
+        p = IntPoly([1, 2])
+        for field in ("coeffs", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(p, field, (3,))
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        assert p.coeffs == (1, 2)
+        assert p == IntPoly((1, 2, 0)) and hash(p) == hash(IntPoly((1, 2, 0)))
+        assert p != (1, 2)
+        assert repr(p) == "IntPoly([1, 2])"
+        assert copy.deepcopy(p) == p == pickle.loads(pickle.dumps(p))
+        assert pickle.loads(pickle.dumps(ZERO)) == ZERO
 
     @given(a=small_polys, b=small_polys, c=small_polys)
     def test_ring_laws(self, a, b, c):

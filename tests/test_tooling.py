@@ -61,6 +61,26 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_slotted_classes_are_records():
+    # Every value type takes its equality, hashing and immutability from
+    # fmc.record.Record instead of hand-writing a mutable contract.
+    loose = []
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or node.name == "Record":
+                continue
+            slotted = any(
+                isinstance(target, ast.Name) and target.id == "__slots__"
+                for stmt in node.body
+                if isinstance(stmt, ast.Assign)
+                for target in stmt.targets
+            )
+            bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
+            if slotted and "Record" not in bases:
+                loose.append(f"{path.name}: {node.name}")
+    assert loose == []
+
+
 @pytest.mark.parametrize(
     "script, args",
     [("multiplicity_grid.py", ["4", "2"]), ("poincare_examples.py", ["3"])],
