@@ -9,11 +9,16 @@ JSON output is canonical: fixed key order, compact separators, no floats.
 Integers that fit a signed 64-bit word are emitted as JSON numbers; larger
 ones as decimal strings, so documents survive consumers that read numbers
 as doubles.  Re-serializing a parsed document reproduces it byte for byte.
+
+The command line is described once, in the table ``_COMMANDS``.  A plain
+well-formed command line is read straight off it, without importing
+argparse; ``build_parser`` builds the argparse parser from the same table,
+and only that parser renders --help, reports errors and sets their exit
+codes.  A lone --version is answered directly, in argparse's bytes.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
 
@@ -26,6 +31,8 @@ from . import __version__
 # handlers that use them.  The parser needs two facts of the library
 # without importing it, copied here and pinned by tests: the theory names
 # of ``fmc.theory.THEORIES``, in table order, and ``fmc.nests.NEST_BUDGET``.
+# Handlers read their options as attributes of a namespace, whichever
+# parser made it.
 _THEORY_NAMES = ("lawson", "chow", "db", "betti")
 _NEST_BUDGET = 7
 
@@ -53,16 +60,21 @@ def render_json(doc: dict) -> str:
     return json.dumps(_json_ready(doc), separators=(",", ":"))
 
 
+# The converters import argparse only to refuse a value.
 def _any_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
     value = _any_int(text)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
@@ -80,6 +92,17 @@ def _group_doc(group: GroupDescriptor) -> dict:
     return doc
 
 
+def _check_digits(numbers: tuple[int, ...]) -> None:
+    # Python refuses to write an integer of more decimal digits than its
+    # limit (0: none, as before Python 3.10.7); say which number is too long.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(map(abs, numbers), default=0) >= 10**limit:
+        raise ValueError(
+            f"a coefficient of the result has more than {limit} digits, "
+            "the most an integer may be written with"
+        )
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
@@ -89,7 +112,7 @@ def _emit(text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_nests(args: argparse.Namespace) -> int:
+def cmd_nests(args: SimpleNamespace) -> int:
     from .nests import _check_labels, _forests
 
     n = args.n
@@ -134,7 +157,7 @@ def cmd_nests(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_h_poly(args: argparse.Namespace) -> int:
+def cmd_h_poly(args: SimpleNamespace) -> int:
     from .genfun import h_recurrence
     from .polyseries import format_poly
 
@@ -147,7 +170,7 @@ def cmd_h_poly(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_egf(args: argparse.Namespace) -> int:
+def cmd_egf(args: SimpleNamespace) -> int:
     from .genfun import egf_solve, recurrence_egf, verify_identity
     from .polyseries import format_poly
 
@@ -180,7 +203,7 @@ def cmd_egf(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_mult(args: argparse.Namespace) -> int:
+def cmd_mult(args: SimpleNamespace) -> int:
     from .genfun import multiplicity_table
     from .polyseries import format_poly
 
@@ -204,7 +227,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_space(args: argparse.Namespace) -> SpaceDescriptor:
+def _resolve_space(args: SimpleNamespace) -> SpaceDescriptor:
     from .theory import builtin_space, is_builtin_space, load_space
 
     if args.space is None:
@@ -239,7 +262,7 @@ def _latex_term(theory: str, m: int, shift: int, mult: int) -> str:
     return body
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: SimpleNamespace) -> int:
     from .genfun import multiplicity_table
     from .polyseries import format_poly
     from .theory import (
@@ -275,6 +298,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         )
         _emit(f"$ {body} $")
         return 0
+    if args.mode == "ranks":
+        _check_digits(poincare.coeffs if poincare is not None else (value.free_rank,))
 
     doc: dict[str, object] = {"n": n, "d": d, "theory": theory, "mode": args.mode}
     if p is not None:
@@ -320,7 +345,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from .oracle import run_verification
 
     report = run_verification(args.max_n, args.max_d, allow_large=args.budget_override)
@@ -352,11 +377,88 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command line
 # ---------------------------------------------------------------------------
+
+# Each subcommand's help, handler and options; an option is its flag and
+# the keyword arguments argparse's ``add_argument`` takes for it.
+_COMMANDS = {
+    "nests": (
+        "enumerate nests (labeled forests) of {1..n}",
+        cmd_nests,
+        (
+            ("--n", dict(type=_positive_int, required=True, help="number of labels")),
+            ("--format", dict(choices=("json", "text"), default="text")),
+            ("--budget-override", dict(
+                action="store_true",
+                help=f"enumerate past the default budget of n <= {_NEST_BUDGET}",
+            )),
+        ),
+    ),
+    "h-poly": (
+        "connected multiplicity polynomial h_n",
+        cmd_h_poly,
+        (
+            ("--n", dict(type=_positive_int, required=True)),
+            ("--d", dict(type=_positive_int, required=True, help="dimension of the base")),
+            ("--format", dict(choices=("json", "text"), default="text")),
+        ),
+    ),
+    "egf": (
+        "generating function h_0..h_n of the multiplicities",
+        cmd_egf,
+        (
+            ("--n", dict(type=_positive_int, required=True)),
+            ("--d", dict(type=_positive_int, required=True)),
+            ("--verify", dict(
+                action="store_true",
+                help="also check the functional identity and the independent solver",
+            )),
+            ("--format", dict(choices=("json", "text"), default="text")),
+        ),
+    ),
+    "mult": (
+        "multiplicity table a_{m,i} for X[n]",
+        cmd_mult,
+        (
+            ("--n", dict(type=_positive_int, required=True)),
+            ("--d", dict(type=_positive_int, required=True)),
+            ("--format", dict(choices=("json", "text"), default="text")),
+        ),
+    ),
+    "decompose": (
+        "decomposition of X[n] for a chosen theory",
+        cmd_decompose,
+        (
+            ("--theory", dict(choices=_THEORY_NAMES, required=True)),
+            ("--n", dict(type=_positive_int, required=True)),
+            ("--d", dict(type=_positive_int, required=True)),
+            ("--p", dict(type=_any_int, default=None, help="level index")),
+            ("--k", dict(type=_any_int, default=None, help="degree index")),
+            ("--space", dict(default=None, help="descriptor file, or a built-in name (p1, p2)")),
+            ("--mode", dict(choices=("formal", "ranks"), default="formal")),
+            ("--format", dict(choices=("json", "text", "latex"), default="text")),
+        ),
+    ),
+    "verify": (
+        "run the oracle cross-check matrix",
+        cmd_verify,
+        (
+            ("--max-n", dict(type=_positive_int, default=4)),
+            ("--max-d", dict(type=_positive_int, default=3)),
+            ("--budget-override", dict(
+                action="store_true",
+                help=f"allow brute-force enumeration past n = {_NEST_BUDGET}",
+            )),
+            ("--format", dict(choices=("json", "text"), default="text")),
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fmc",
         description=(
@@ -367,78 +469,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_nests = sub.add_parser("nests", help="enumerate nests (labeled forests) of {1..n}")
-    p_nests.add_argument("--n", type=_positive_int, required=True, help="number of labels")
-    p_nests.add_argument("--format", choices=("json", "text"), default="text")
-    p_nests.add_argument(
-        "--budget-override",
-        action="store_true",
-        help=f"enumerate past the default budget of n <= {_NEST_BUDGET}",
-    )
-    p_nests.set_defaults(handler=cmd_nests)
-
-    p_h = sub.add_parser("h-poly", help="connected multiplicity polynomial h_n")
-    p_h.add_argument("--n", type=_positive_int, required=True)
-    p_h.add_argument("--d", type=_positive_int, required=True, help="dimension of the base")
-    p_h.add_argument("--format", choices=("json", "text"), default="text")
-    p_h.set_defaults(handler=cmd_h_poly)
-
-    p_egf = sub.add_parser("egf", help="generating function h_0..h_n of the multiplicities")
-    p_egf.add_argument("--n", type=_positive_int, required=True)
-    p_egf.add_argument("--d", type=_positive_int, required=True)
-    p_egf.add_argument(
-        "--verify",
-        action="store_true",
-        help="also check the functional identity and the independent solver",
-    )
-    p_egf.add_argument("--format", choices=("json", "text"), default="text")
-    p_egf.set_defaults(handler=cmd_egf)
-
-    p_mult = sub.add_parser("mult", help="multiplicity table a_{m,i} for X[n]")
-    p_mult.add_argument("--n", type=_positive_int, required=True)
-    p_mult.add_argument("--d", type=_positive_int, required=True)
-    p_mult.add_argument("--format", choices=("json", "text"), default="text")
-    p_mult.set_defaults(handler=cmd_mult)
-
-    p_dec = sub.add_parser("decompose", help="decomposition of X[n] for a chosen theory")
-    p_dec.add_argument("--theory", choices=_THEORY_NAMES, required=True)
-    p_dec.add_argument("--n", type=_positive_int, required=True)
-    p_dec.add_argument("--d", type=_positive_int, required=True)
-    p_dec.add_argument("--p", type=_any_int, default=None, help="level index")
-    p_dec.add_argument("--k", type=_any_int, default=None, help="degree index")
-    p_dec.add_argument(
-        "--space",
-        default=None,
-        help="descriptor file, or a built-in name (p1, p2)",
-    )
-    p_dec.add_argument("--mode", choices=("formal", "ranks"), default="formal")
-    p_dec.add_argument("--format", choices=("json", "text", "latex"), default="text")
-    p_dec.set_defaults(handler=cmd_decompose)
-
-    p_verify = sub.add_parser("verify", help="run the oracle cross-check matrix")
-    p_verify.add_argument("--max-n", type=_positive_int, default=4)
-    p_verify.add_argument("--max-d", type=_positive_int, default=3)
-    p_verify.add_argument(
-        "--budget-override",
-        action="store_true",
-        help=f"allow brute-force enumeration past n = {_NEST_BUDGET}",
-    )
-    p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.set_defaults(handler=cmd_verify)
-
+    for command, (summary, handler, options) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for flag, settings in options:
+            command_parser.add_argument(flag, **settings)
+        command_parser.set_defaults(handler=handler)
     return parser
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives, or None.
+
+    Reads only the plain form: the subcommand, then exact flags, each but a
+    store_true flag followed by a value that does not start with "-"; a
+    repeated flag keeps its last value.  Anything else is None, refused
+    values, --help and abbreviations included, and goes to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    values: dict[str, object] = {"command": argv[0], "handler": handler}
+    for flag, settings in options:
+        switch = settings.get("action") == "store_true"
+        values[_dest(flag)] = False if switch else settings.get("default")
+    settings_of = dict(options)
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        settings = settings_of.get(flag)
+        if settings is None:
+            return None
+        seen.add(flag)
+        if settings.get("action") == "store_true":
+            values[_dest(flag)] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = settings.get("type", str)(text)
+        except Exception:
+            # Whatever a converter raises, argparse's ArgumentTypeError
+            # included, argparse converts again and reports.
+            return None
+        if value not in settings.get("choices", (value,)):
+            return None
+        values[_dest(flag)] = value
+    if any(settings.get("required") and flag not in seen for flag, settings in options):
+        return None
+    # types.SimpleNamespace, without importing types.
+    return type(sys.implementation)(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv == ["--version"]:
+        sys.stdout.write(f"fmc {__version__}\n")
+        return 0
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            if code is None:
+                return 0
+            return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -461,7 +461,26 @@ _TOP_FIELDS = {"name", "dim", "kind", "betti", "table", "powers"}
 _RECORD_FIELDS = {"p", "k", "free_rank", "torsion"}
 
 
-def _parse_table(records: object, kind: str, where: str) -> GradedTable:
+def _table_range(kind: str, p: int, k: int, top: int) -> str | None:
+    """The range rule a ``(p, k)`` record breaks, or None; ``top`` is the complex dimension."""
+    if kind == "lawson" and not 0 <= 2 * p <= k <= 2 * top:
+        return f"0 <= 2p <= k <= {2 * top}"
+    if kind == "chow" and not 0 <= p <= top:
+        return f"0 <= p <= {top}"
+    if kind == "db" and k > 2 * top + 1:
+        return f"k <= {2 * top + 1}"
+    return None
+
+
+def _parse_table(records: object, kind: str, where: str, m: int, dim: int) -> GradedTable:
+    """The graded table of the power ``X^m`` of a space of dimension ``dim``.
+
+    A record must name a group the power can carry; with e = m * dim its
+    complex dimension, L_pH_k vanishes unless 0 <= 2p <= k <= 2e, Ch_p
+    unless 0 <= p <= e, and H^k_D(Y, Z(p)) unless k <= 2e + 1, at any level
+    p (H. Esnault, E. Viehweg, *Deligne-Beilinson cohomology*, in
+    *Beilinson's conjectures on special values of L-functions*, 1988).
+    """
     if not isinstance(records, list):
         raise ValueError(f"{where}: expected a list of records")
     groups: dict[tuple[int, int], GroupDescriptor] = {}
@@ -482,6 +501,9 @@ def _parse_table(records: object, kind: str, where: str) -> GradedTable:
             raise ValueError(f"{label}: k < 0 entries are zero and may not be stored")
         if k != 0 and not THEORIES[kind].has_degree:
             raise ValueError(f"{label}: {kind} tables use k = 0")
+        rule = _table_range(kind, p, k, m * dim)
+        if rule is not None:
+            raise ValueError(f"{label}: {kind} records of X^{m} need {rule}")
         if rank < 0:
             raise ValueError(f"{label}: free_rank must be nonnegative")
         torsion = record.get("torsion", [])
@@ -530,7 +552,7 @@ def parse_space(doc: object) -> SpaceDescriptor:
         raise ValueError(f"{kind} descriptors carry a 'table', not 'betti'")
     if "table" not in doc:
         raise ValueError("missing field 'table'")
-    powers = {1: _parse_table(doc["table"], kind, "table")}
+    powers = {1: _parse_table(doc["table"], kind, "table", 1, dim)}
     raw_powers = doc.get("powers", {})
     if not isinstance(raw_powers, dict):
         raise ValueError("field 'powers' must be an object")
@@ -543,7 +565,7 @@ def parse_space(doc: object) -> SpaceDescriptor:
         m = int(key)
         if m < 2:
             raise ValueError("powers keys must be >= 2 (power 1 is 'table')")
-        powers[m] = _parse_table(records, kind, f"powers[{key}]")
+        powers[m] = _parse_table(records, kind, f"powers[{key}]", m, dim)
     return SpaceDescriptor(name=name, dim=dim, kind=kind, powers=powers)
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import fmc
 import fmc.genfun
-from fmc.cli import build_parser, main, render_json
+from fmc.cli import _parse, build_parser, main, render_json
 from fmc.genfun import multiplicity_table
 from fmc.nests import NEST_BUDGET
 from fmc.polyseries import IntPoly
@@ -433,6 +433,41 @@ class TestInputGuards:
         assert out == ""
         assert "nested too deeply" in err
 
+    def test_group_past_the_power_dimension_exit_2(self, capsys, tmp_path):
+        # X^2 of a curve has real dimension 4, so L_0H_60 is 0; the record
+        # used to be read back as Z^4.
+        doc = json.loads(json.dumps(LINE_DOC))
+        doc["powers"]["2"] = [{"p": 0, "k": 60, "free_rank": 4}]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "lawson", "--n", "2", "--d", "1",
+            "--mode", "ranks", "--space", str(path), "--p", "0", "--k", "60",
+        )
+        assert (code, out) == (2, "")
+        assert "powers[2][0]: lawson records of X^2 need 0 <= 2p <= k <= 4" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_result_past_the_digit_limit_exit_2(self, capsys, tmp_path, fmt):
+        # The largest coefficient a descriptor can carry is written back at
+        # n = 1; at n = 2 its square is past the limit.
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "big.json"
+        path.write_text(
+            f'{{"name": "big", "dim": 1, "kind": "betti", "betti": [1, {"9" * limit}, 1]}}'
+        )
+        argv = ("decompose", "--theory", "betti", "--d", "1", "--mode", "ranks",
+                "--space", str(path), "--format", fmt)
+        code, out, _ = run_cli(capsys, *argv, "--n", "1")
+        assert code == 0 and "9" * limit in out
+        for index in ((), ("--k", "2")):
+            code, out, err = run_cli(capsys, *argv, "--n", "2", *index)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"fmc: error: a coefficient of the result has more than {limit} digits, "
+                "the most an integer may be written with\n"
+            )
+
 
 class TestPoincareProperty:
     @settings(max_examples=40, deadline=None)
@@ -598,20 +633,21 @@ class TestNestListingMemory:
         )
 
 
-# Runs one command in a fresh interpreter and prints every module loaded by
-# then.  The child runs with -S, so that ``site`` and its .pth files preload
-# nothing, and imports nothing itself that the interpreter had not loaded.
+# Runs one command in a fresh interpreter and prints its exit code and then
+# every module loaded by then.  The child runs with -S, so that ``site`` and
+# its .pth files preload nothing, and imports nothing itself that the
+# interpreter had not loaded.
 FOOTPRINT = """
 import io, sys
 from fmc.cli import main
 sys.stdout = io.StringIO()
-main(sys.argv[1:])
+code = main(sys.argv[1:])
 sys.stdout = sys.__stdout__
-print(" ".join(sorted(sys.modules)))
+print(code, " ".join(sorted(sys.modules)))
 """
 
 
-def import_footprint(*argv):
+def import_footprint(*argv, code=0):
     src = Path(fmc.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-S", "-c", FOOTPRINT, *argv],
@@ -619,7 +655,9 @@ def import_footprint(*argv):
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return set(result.stdout.split())
+    exit_code, *loaded = result.stdout.split()
+    assert int(exit_code) == code, result.stderr
+    return set(loaded)
 
 
 NOT_KERNEL = {"fmc.theory", "fmc.nests", "fmc.oracle"}
@@ -628,35 +666,42 @@ NOT_KERNEL = {"fmc.theory", "fmc.nests", "fmc.oracle"}
 NEVER_LOADED = {"dataclasses", "inspect", "typing"}
 # json loads only for JSON output or a descriptor file.
 JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
+# argparse, with gettext and locale, and shutil for its help width, loads
+# only to render --help or an error.
+ARGPARSE_MODULES = {"argparse", "gettext", "locale", "shutil"}
+# Every case writes text and reads no descriptor file.
+SUCCESS_CASES = [
+    (("h-poly", "--n", "4", "--d", "2"), NOT_KERNEL),
+    (("mult", "--n", "4", "--d", "2"), NOT_KERNEL),
+    (("egf", "--n", "4", "--d", "2"), NOT_KERNEL),
+    (
+        ("decompose", "--theory", "betti", "--n", "3", "--d", "2",
+         "--mode", "ranks", "--space", "p2"),
+        {"fmc.nests", "fmc.oracle"},
+    ),
+    (("nests", "--n", "3"), {"fmc.theory", "fmc.oracle"}),
+    (("egf", "--n", "4", "--d", "2", "--verify"), NOT_KERNEL),
+    (("verify", "--max-n", "3", "--max-d", "1"), set()),
+]
 
 
 class TestImports:
     def test_version_loads_only_the_cli(self):
         loaded = import_footprint("--version")
         assert {m for m in loaded if m.split(".")[0] == "fmc"} == {"fmc", "fmc.cli"}
-        assert not loaded & (NEVER_LOADED | JSON_MODULES)
+        assert not loaded & (NEVER_LOADED | JSON_MODULES | ARGPARSE_MODULES)
 
-    @pytest.mark.parametrize(
-        "argv, unused",
-        [
-            (("h-poly", "--n", "4", "--d", "2"), NOT_KERNEL),
-            (("mult", "--n", "4", "--d", "2"), NOT_KERNEL),
-            (("egf", "--n", "4", "--d", "2"), NOT_KERNEL),
-            (
-                ("decompose", "--theory", "betti", "--n", "3", "--d", "2",
-                 "--mode", "ranks", "--space", "p2"),
-                {"fmc.nests", "fmc.oracle"},
-            ),
-            (("nests", "--n", "3"), {"fmc.theory", "fmc.oracle"}),
-            (("egf", "--n", "4", "--d", "2", "--verify"), NOT_KERNEL),
-            (("verify", "--max-n", "3", "--max-d", "1"), set()),
-        ],
-    )
+    @pytest.mark.parametrize("argv, unused", SUCCESS_CASES)
     def test_command_loads_only_what_it_runs(self, argv, unused):
-        # Every case writes text and reads no descriptor file.
         loaded = import_footprint(*argv)
         assert "fmc.genfun" in loaded
-        assert not loaded & (unused | NEVER_LOADED | JSON_MODULES)
+        assert not loaded & (unused | NEVER_LOADED | JSON_MODULES | ARGPARSE_MODULES)
+
+    @pytest.mark.parametrize(
+        "argv, code", [(("h-poly", "--n", "0", "--d", "2"), 2), (("--help",), 0)]
+    )
+    def test_help_and_errors_go_through_argparse(self, argv, code):
+        assert "argparse" in import_footprint(*argv, code=code)
 
     def test_json_loads_for_json_output_or_a_descriptor_file(self, tmp_path):
         path = tmp_path / "line.json"
@@ -679,3 +724,99 @@ class TestImports:
         for sub, phrase in (("nests", "budget of n <="), ("verify", "past n =")):
             _, out, _ = run_cli(capsys, sub, "--help")
             assert f"{phrase} {NEST_BUDGET}" in " ".join(out.split())
+
+
+COMMANDS = ["nests", "h-poly", "egf", "mult", "decompose", "verify"]
+# The flags of every subcommand, abbreviations, the --flag=value form, help
+# flags and junk; the values of every option, junk, signs, spaces,
+# underscores and integers past 64 bits and past the digit limit.
+FLAGS = [
+    "--n", "--d", "--format", "--theory", "--p", "--k", "--space", "--mode",
+    "--max-n", "--max-d", "--verify", "--budget-override",
+    "--form", "--the", "--max", "--budget", "--ver", "--n=3", "--format=json",
+    "-h", "--help", "--version", "--wat", "-n", "--",
+]
+VALUES = [
+    "1", "2", "3", "0", "-1", "-7", " 4", "+5", "1_0", "3.0", "x", "", "a=b",
+    str(2**70), "9" * 5000, "json", "text", "latex", "lawson", "chow", "db",
+    "betti", "hodge", "formal", "ranks", "p2", "nests",
+]
+# The required options of each subcommand, with values; the rest take --n, --d.
+REQUIRED = {
+    "nests": ["--n", "3"],
+    "verify": [],
+    "decompose": ["--theory", "db", "--n", "2", "--d", "2"],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly well-formed command lines, each with one or two things changed."""
+    command = draw(st.sampled_from(COMMANDS))
+    base = REQUIRED.get(command, ["--n", "3", "--d", "2"])
+    items = [base[i:i + 2] for i in range(0, len(base), 2)]
+    items += draw(st.lists(
+        st.tuples(st.sampled_from(FLAGS), st.sampled_from([None, *VALUES])).map(
+            lambda pair: [token for token in pair if token is not None]
+        ),
+        max_size=4,
+    ))
+    argv = [command] + [token for item in draw(st.permutations(items)) for token in item]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FLAGS + VALUES)))
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+class TestParser:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=command_lines())
+    def test_plain_command_lines_parse_as_argparse_does(self, argv):
+        parsed = _parse(argv)
+        if parsed is not None:
+            expected = build_parser().parse_args(argv)
+            assert vars(expected) == vars(parsed)
+            assert expected.handler is parsed.handler
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in SUCCESS_CASES] + [
+        ("decompose", "--theory", "lawson", "--n", "2", "--d", "2", "--p", "1", "--k", "2",
+         "--mode", "ranks", "--space", "p2", "--format", "json", "--format", "text"),
+        ("nests", "--n", "3", "--budget-override", "--budget-override"),
+    ])
+    def test_plain_command_lines_are_read_off_the_table(self, argv):
+        parsed = _parse(list(argv))
+        assert parsed is not None
+        assert vars(parsed) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        (), ("--version",), ("--help",), ("-h",), ("nests", "--n", "3", "-h"),
+        ("nests", "--n", "3", "extra"), ("nests", "--n"), ("nests", "--n=3"),
+        ("nests", "--n", "3", "--form", "json"), ("decompose", "--theory", "db",
+         "--n", "2", "--d", "2", "--p", "-1", "--k", "2"),
+        ("nests", "--n", "0"), ("nests", "--n", "3", "--format", "latex"),
+        ("h-poly", "--n", "3"), ("--version", "nests", "--n", "3"), ("hpoly",),
+    ])
+    def test_everything_else_goes_to_argparse(self, argv):
+        assert _parse(list(argv)) is None
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(("--help",), "help-top.txt"), (("--version",), "version.txt")]
+    + [((sub, "--help"), f"help-{sub}.txt") for sub in COMMANDS],
+)
+def test_help_and_version_bytes(argv, golden):
+    # argparse's own bytes at 80 columns, as fmc wrote them when argparse
+    # parsed every command line.
+    src = Path(fmc.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "fmc.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
+        capture_output=True, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (GOLDEN / golden).read_bytes()

@@ -592,3 +592,42 @@ class TestDescriptorFiles:
         doc["powers"]["1"] = []
         with pytest.raises(ValueError, match="powers"):
             parse_space(doc)
+
+
+# Each bound on a descriptor record of a power of complex dimension e: the
+# index (p, k) refused at the bound's edge, and the one a step inside it.
+RECORD_EDGES = {
+    "lawson 0 <= 2p": ("lawson", lambda e: (-1, 0), lambda e: (0, 0)),
+    "lawson 2p <= k": ("lawson", lambda e: (1, 1), lambda e: (1, 2)),
+    "lawson k <= 2e": ("lawson", lambda e: (e, 2 * e + 1), lambda e: (e, 2 * e)),
+    "chow 0 <= p": ("chow", lambda e: (-1, 0), lambda e: (0, 0)),
+    "chow p <= e": ("chow", lambda e: (e + 1, 0), lambda e: (e, 0)),
+    "db k <= 2e + 1": ("db", lambda e: (0, 2 * e + 2), lambda e: (0, 2 * e + 1)),
+}
+
+
+def _one_record_space(kind, power, p, k):
+    record = [{"p": p, "k": k, "free_rank": 1}]
+    doc = {"name": "x", "dim": 2, "kind": kind, "table": record}
+    if power > 1:
+        doc.update(table=[], powers={str(power): record})
+    return parse_space(doc)
+
+
+class TestRecordRanges:
+    @pytest.mark.parametrize("power", [1, 3])
+    @pytest.mark.parametrize(
+        "kind, refused, accepted", RECORD_EDGES.values(), ids=list(RECORD_EDGES)
+    )
+    def test_bound_refused_at_its_edge(self, kind, refused, accepted, power):
+        e = 2 * power
+        inside = accepted(e)
+        space = _one_record_space(kind, power, *inside)
+        assert space.powers[power].lookup(*inside) == Z_GROUP
+        with pytest.raises(ValueError, match=rf"{kind} records of X\^{power} need"):
+            _one_record_space(kind, power, *refused(e))
+
+    @pytest.mark.parametrize("p", [-50, 0, 50])
+    def test_db_level_is_free(self, p):
+        space = _one_record_space("db", 2, p, 9)
+        assert space.powers[2].lookup(p, 9) == Z_GROUP

@@ -61,6 +61,27 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_argparse_is_imported_only_inside_functions():
+    # argparse costs every process milliseconds; fmc imports it only where
+    # it renders --help or an error, never when a module loads.
+    eager = []
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        pending = list(ast.parse(path.read_text(encoding="utf-8")).body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                pending.extend(ast.iter_child_nodes(node))
+                continue
+            eager += [f"{path.name}: {name}" for name in names if name == "argparse"]
+    assert eager == []
+
+
 def test_slotted_classes_are_records():
     # Every value type takes its equality, hashing and immutability from
     # fmc.record.Record instead of hand-writing a mutable contract.
