@@ -112,48 +112,90 @@ def _emit(text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _Fragments(dict):
+    # The text of each value of byte j of a nest's int, made on first use: a
+    # listing meets few of the 256 values at each position.
+    def __init__(self, text: Callable[[int, int], str], j: int) -> None:
+        super().__init__()
+        self.text, self.j = text, j
+
+    def __missing__(self, byte: int) -> str:
+        found = self[byte] = self.text(self.j, byte)
+        return found
+
+
 def cmd_nests(args: SimpleNamespace) -> int:
-    from .nests import _check_labels, _forests
+    from .nests import _check_labels, _walk
 
     n = args.n
     _check_labels(n, args.budget_override)
+    # Each nest is one int.  From the top: a bit per member, lex-smaller
+    # members higher; a son-count slot per member, in the same order; the
+    # component count in the low byte.  Every nest holds (n,), the lex-largest
+    # member, so none is a prefix of another, and nest A precedes nest B
+    # exactly when the smallest member in just one of them is in A: the
+    # canonical order is a descending sort.  Singletons are in every nest, so
+    # they get no bit; the text of each member byte names them.  A son count
+    # is at most n, so it fits a nibble below n = 16; a byte holds it, and the
+    # component count, to n = 255, far past any n whose walk can finish.
     labels = range(1, n + 1)
-    singletons = tuple((label,) for label in labels)
-    rows = sorted(
-        (tuple(sorted(singletons + tuple(sons))), m, sorted(sons.items()))
-        for m, sons in _forests(n)
-    )
-    # Each nest is written as soon as it is formatted.  Every value is a
-    # small integer, so the JSON fragments are built by hand, in the bytes
-    # render_json would give, without holding the whole document.  Every
-    # nonempty subset of the labels is a member of some nest, so each is
-    # formatted once, up front.
-    as_json = args.format == "json"
-    name = {
-        member: ("[{}]" if as_json else "{{{}}}").format(",".join(map(str, member)))
-        for size in labels
-        for member in itertools.combinations(labels, size)
-    }
+    members = sorted(m for size in labels for m in itertools.combinations(labels, size))
+    rank = {member: i for i, member in enumerate(members)}
+    bits = 4 if n < 16 else 8
+    per = 8 // bits
+    member_bytes = -(-len(members) // 8)
+    son_bytes = -(-len(members) // per)
+    top = 8 * (member_bytes + son_bytes + 1) - 1
+    slot_top = 8 * (son_bytes + 1) - bits
 
+    def node(member: tuple[int, ...], sons: int) -> int:
+        i = rank[member]
+        return (1 << (top - i)) + (sons << (slot_top - bits * i))
+
+    rows = [summary + m for m, summary in _walk(n, node)]
+    rows.sort(reverse=True)
+
+    # Each nest is written as soon as it is rendered, a byte at a time.  Every
+    # value is a small integer, so the JSON fragments are built by hand, in the
+    # bytes render_json would give, without holding the whole document.
+    as_json = args.format == "json"
+    name = ("[{}]" if as_json else "{{{}}}").format
+    sep = "," if as_json else " "
+
+    def member_text(j: int, byte: int) -> str:
+        return "".join(
+            (sep if i else "") + name(",".join(map(str, members[i])))
+            for i in range(8 * j, min(8 * j + 8, len(members)))
+            if len(members[i]) == 1 or byte & (0x80 >> (i - 8 * j))
+        )
+
+    def son_text(j: int, byte: int) -> str:
+        text = ""
+        for i in range(per * j, min(per * j + per, len(members))):
+            if count := byte >> (bits * (per * j + per - 1 - i)) & ((1 << bits) - 1):
+                member = name(",".join(map(str, members[i])))
+                text += (
+                    f',{{"member":{member},"count":{count}}}' if as_json else f" {member}={count}"
+                )
+        return text
+
+    member_tables = [_Fragments(member_text, j) for j in range(member_bytes)]
+    son_tables = [_Fragments(son_text, j) for j in range(son_bytes)]
+    get = dict.__getitem__
     write = sys.stdout.write
+    write(f'{{"n":{n},"count":{len(rows)},"nests":[' if as_json else f"n={n} count={len(rows)}\n")
+    between = ""
+    for value in rows:
+        data = value.to_bytes(member_bytes + son_bytes + 1, "big")
+        listed = "".join(map(get, member_tables, data))
+        sons = "".join(map(get, son_tables, data[member_bytes:]))
+        if as_json:
+            write(f'{between}{{"members":[{listed}],"components":{data[-1]},"sons":[{sons[1:]}]}}')
+            between = ","
+        else:
+            write(f"{listed}  components={data[-1]}{' sons:' if sons else ''}{sons}\n")
     if as_json:
-        write(f'{{"n":{n},"count":{len(rows)},"nests":[')
-        comma = ""
-        for members, m, sons in rows:
-            listed = ",".join(f'{{"member":{name[s]},"count":{c}}}' for s, c in sons)
-            write(
-                f'{comma}{{"members":[{",".join(map(name.__getitem__, members))}],'
-                f'"components":{m},"sons":[{listed}]}}'
-            )
-            comma = ","
         write("]}\n")
-    else:
-        write(f"n={n} count={len(rows)}\n")
-        for members, m, sons in rows:
-            line = f"{' '.join(map(name.__getitem__, members))}  components={m}"
-            if sons:
-                line += " sons: " + " ".join(f"{name[s]}={c}" for s, c in sons)
-            write(line + "\n")
     return 0
 
 

@@ -7,31 +7,36 @@ singletons, every internal node is the union of its sons, and every
 internal node has at least two sons.
 
 Each nest carries two statistics: the number of connected components
-(maximal members) and, for every internal node, its number of sons.  The
-enumeration builds every nest as a forest (partition {1..n} into
-components, then partition each root into sons), so it reads both
-statistics off the construction.  The trees on each block are built once
-per enumeration and shared by every forest that holds the block, so the
-cost is proportional to the number of nests rather than to the number of
-candidate subset families.  ``fmc nests`` sorts these forests into the
-canonical order (members are sorted label tuples, and nests are compared
-as sorted member sequences) and writes them as it goes.
+(maximal members) and, for every internal node, its number of sons.  One
+walk builds every nest as a forest (partition {1..n} into components, then
+partition each root into sons).  The caller gives each internal member with
+its son count an integer summary; a tree's summary is the sum over its
+internal members, made once per block and shared by every forest that holds
+the block, and a forest comes out as (component count, sum of its trees'
+summaries).  The trees of a forest have disjoint members, so the sum is
+exact, and the cost is proportional to the number of nests rather than to
+the number of candidate subset families.  ``fmc nests`` gives each member
+one bit, lex-smaller members higher, and a son-count slot below: the
+canonical order (members are sorted label tuples, and nests are compared as
+sorted member sequences) is then a descending sort of plain ints, and each
+nest is written from its int a byte at a time.
 
 The weight polynomial of a nest in ambient dimension ``d`` is the product
 over internal nodes I of ``x + x^2 + ... + x^(d*(sons(I)-1)-1)``; the empty
 product is 1.  It depends only on the nest's signature (component count,
-sorted son counts), so the brute-force side of the decomposition checks
-counts signatures once per n, straight off the construction, and sums
-their weights, grouped by component count, for each ``d``.  The count
-still visits every labelled forest, so it stays independent of the
-generating-function kernel.
+sorted son counts), so the brute-force side of the decomposition check
+counts signatures once per n and sums their weights, grouped by component
+count, for each ``d``.  There a node with k sons adds one to slot k of the
+summary, the walk's (component count, summary) pairs are counted, and each
+distinct signature is decoded once.  The count still visits every labelled
+forest, so it stays independent of the generating-function kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from math import prod
 
@@ -56,33 +61,30 @@ def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...
         yield ((first,),) + part
 
 
-def _trees(block: tuple[int, ...], memo: dict) -> tuple[tuple, ...]:
-    # Every tree rooted at `block` (len >= 2), each as its (internal member,
-    # son count) pairs, root first.  `memo` keeps the trees of every block
-    # met so far, so one enumeration builds each block's trees once.
-    found = memo.get(block)
-    if found is None:
-        found = memo[block] = tuple(
-            ((block, len(part)),) + tuple(itertools.chain.from_iterable(combo))
-            for part in _set_partitions(block)
-            if len(part) >= 2
-            for combo in _choices(part, memo)
-        )
-    return found
+def _walk(n: int, node: Callable[[tuple[int, ...], int], int]) -> Iterator[tuple[int, int]]:
+    # (component count, summary) of every nest on {1..n}, in construction
+    # order, where a nest's summary is the sum of node(member, son count)
+    # over its internal members.  `memo` keeps the summaries of every tree
+    # on each block met so far, so one walk makes them once per block.
+    memo: dict[tuple[int, ...], list[int]] = {}
 
+    def trees(block: tuple[int, ...]) -> list[int]:
+        found = memo.get(block)
+        if found is None:
+            found = memo[block] = []
+            for part in _set_partitions(block):
+                if len(part) >= 2:
+                    root = node(block, len(part))
+                    found.extend(sum(combo, root) for combo in choices(part))
+        return found
 
-def _choices(part: tuple[tuple[int, ...], ...], memo: dict) -> Iterator[tuple]:
-    # One tree for every block of `part` that is not a singleton, every way.
-    return itertools.product(*(_trees(block, memo) for block in part if len(block) >= 2))
+    def choices(part: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
+        # One tree for every block of `part` that is not a singleton, every way.
+        return itertools.product(*(trees(block) for block in part if len(block) >= 2))
 
-
-def _forests(n: int) -> Iterator[tuple[int, dict[tuple[int, ...], int]]]:
-    # (component count, {internal member: son count}) of every nest on
-    # {1..n}, in construction order: components first, then each root's tree.
-    memo: dict = {}
     for part in _set_partitions(tuple(range(1, n + 1))):
-        for combo in _choices(part, memo):
-            yield len(part), dict(itertools.chain.from_iterable(combo))
+        for combo in choices(part):
+            yield len(part), sum(combo)
 
 
 def _check_labels(n: int, allow_large: bool) -> None:
@@ -101,9 +103,17 @@ def _weight(son_counts: Iterable[int], d: int) -> IntPoly:
 @lru_cache(maxsize=None)
 def _signatures(n: int) -> tuple:
     # How many nests on n labels have each (component count, sorted son
-    # counts).  Callers check the budget first: a refused n is never cached.
-    counts = Counter((m, tuple(sorted(sons.values()))) for m, sons in _forests(n))
-    return tuple(sorted(counts.items()))
+    # counts).  A node with k sons adds one to slot k of its forest's
+    # summary; a forest has fewer than n nodes, so a slot of n's bit length
+    # never carries.  Callers check the budget first: a refused n is never cached.
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    counts = Counter(_walk(n, lambda member, sons: 1 << (width * sons)))
+    found = {}
+    for (m, slots), count in counts.items():
+        sons = (k for k in range(2, n + 1) for _ in range(slots >> (width * k) & mask))
+        found[m, tuple(sons)] = count
+    return tuple(sorted(found.items()))
 
 
 def brute_bivariate(n: int, d: int, allow_large: bool = False) -> dict[int, IntPoly]:

@@ -94,12 +94,31 @@ def nest_weight(members, d):
 
 
 def constructed(n):
-    """(members, stats) of every nest as ``fmc.nests._forests`` builds it, canonical order."""
-    singletons = tuple((label,) for label in range(1, n + 1))
-    return sorted(
-        (tuple(sorted(singletons + tuple(sons))), Stats(m, sons))
-        for m, sons in fmc.nests._forests(n)
-    )
+    """(members, stats) of every nest as ``fmc.nests._walk`` builds it, canonical order.
+
+    The walk sums one summary per internal member; here that summary is the
+    son count in a slot of its own for each larger subset, decoded back into
+    {member: son count}.  A son count is at most n, so no slot carries.
+    """
+    labels = range(1, n + 1)
+    larger = [m for size in range(2, n + 1) for m in itertools.combinations(labels, size)]
+    slot = {member: i for i, member in enumerate(larger)}
+    width = n.bit_length()
+    mask = (1 << width) - 1
+
+    def node(member, sons):
+        return sons << (width * slot[member])
+
+    singletons = tuple((label,) for label in labels)
+    found = []
+    for m, summary in fmc.nests._walk(n, node):
+        sons = {
+            member: count
+            for member in larger
+            if (count := summary >> (width * slot[member]) & mask)
+        }
+        found.append((tuple(sorted(singletons + tuple(sons))), Stats(m, sons)))
+    return sorted(found)
 
 
 def enumerate_nests(n):
@@ -393,15 +412,15 @@ class TestBruteBivariate:
             brute_bivariate(4, 2)
 
     def test_one_enumeration_per_n(self, monkeypatch, fresh_signatures):
-        # verify sweeps every d for every n; the forests are generated once per n.
+        # verify sweeps every d for every n; the forests are walked once per n.
         calls = []
-        forests = fmc.nests._forests
+        walk = fmc.nests._walk
 
-        def counted(n):
+        def counted(n, node):
             calls.append(n)
-            return forests(n)
+            return walk(n, node)
 
-        monkeypatch.setattr(fmc.nests, "_forests", counted)
+        monkeypatch.setattr(fmc.nests, "_walk", counted)
         assert run_verification(6, 3).overall
         assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
@@ -414,21 +433,24 @@ class TestBruteBivariate:
         assert fmc.nests._signatures(n) == tuple(sorted(walked.items()))
 
     def test_wrong_son_count_fails_verify(self, monkeypatch, fresh_signatures):
-        # The oracle reads son counts off the construction, so one count off
-        # by one in the generator must show up as a failing check.
-        forests = fmc.nests._forests
+        # The oracle reads son counts off the walk's summaries, so one count
+        # off by one in one forest's summary must show up as a failing check.
+        # The first forest with a single internal member has one pair with 2
+        # sons; its summary is swapped for the same pair with 3.
+        walk = fmc.nests._walk
 
-        def off_by_one(n):
-            rest = forests(n)
-            for m, sons in rest:
-                if sons:
-                    member = next(iter(sons))
-                    yield m, {**sons, member: sons[member] + 1}
+        def off_by_one(n, node):
+            rest = walk(n, node)
+            for m, summary in rest:
+                if m == n - 1:
+                    pairs = itertools.combinations(range(1, n + 1), 2)
+                    pair = next(p for p in pairs if node(p, 2) == summary)
+                    yield m, node(pair, 3)
                     break
-                yield m, sons
+                yield m, summary
             yield from rest
 
-        monkeypatch.setattr(fmc.nests, "_forests", off_by_one)
+        monkeypatch.setattr(fmc.nests, "_walk", off_by_one)
         report = run_verification(4, 2)
         failed = {check.name for check in report.checks if not check.passed}
         assert "brute-equiv" in failed
@@ -497,10 +519,10 @@ class TestListing:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_budget_checked_before_output(self, capsys, monkeypatch, fmt):
-        def refuse(n):
+        def refuse(n, node):
             raise AssertionError("enumerated past the budget")
 
-        monkeypatch.setattr(fmc.nests, "_forests", refuse)
+        monkeypatch.setattr(fmc.nests, "_walk", refuse)
         code, out, err = listing(capsys, 8, fmt)
         assert (code, out) == (2, "")
         assert "budget" in err

@@ -1,6 +1,7 @@
 import pytest
 
 import fmc.genfun
+import fmc.nests
 import fmc.oracle
 from fmc.genfun import BudgetError, multiplicity_table
 from fmc.oracle import (
@@ -34,6 +35,12 @@ class TestBruteEquiv:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_grid(self, n, d):
         assert brute_equiv(n, d).passed
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_budget_size(self, d):
+        # n = 7 is the largest size verify admits; all 78416 nests are counted.
+        assert brute_equiv(7, d).passed
+        assert sum(count for _, count in fmc.nests._signatures(7)) == 78416
 
     def test_n4_d2(self):
         result = brute_equiv(4, 2)
