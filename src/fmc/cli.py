@@ -304,6 +304,11 @@ def _latex_term(theory: str, m: int, shift: int, mult: int) -> str:
     return body
 
 
+def _fields(**fields: object) -> dict[str, object]:
+    # One decompose row: its fields but the absent ones (None).
+    return {key: val for key, val in fields.items() if val is not None}
+
+
 def cmd_decompose(args: SimpleNamespace) -> int:
     from .genfun import multiplicity_table
     from .polyseries import format_poly
@@ -325,9 +330,9 @@ def cmd_decompose(args: SimpleNamespace) -> int:
 
     # Ranks are evaluated in every format, so latex refuses what text and
     # JSON refuse.
-    value: GroupDescriptor | None = None
-    poincare: IntPoly | None = None
-    if args.mode == "ranks":
+    value = poincare = space = None
+    ranks = args.mode == "ranks"
+    if ranks:
         space = _resolve_space(args)
         if theory == "betti" and k is None:
             poincare = betti_of_fm(space.betti, d, n)
@@ -340,45 +345,28 @@ def cmd_decompose(args: SimpleNamespace) -> int:
         )
         _emit(f"$ {body} $")
         return 0
-    if args.mode == "ranks":
+    if ranks:
         _check_digits(poincare.coeffs if poincare is not None else (value.free_rank,))
+    elif has_index:
+        value = formal_evaluation(dec, theory, p, k)
 
-    doc: dict[str, object] = {"n": n, "d": d, "theory": theory, "mode": args.mode}
-    if p is not None:
-        doc["p"] = p
-    if k is not None:
-        doc["k"] = k
-
-    term_docs = []
-    if args.mode == "formal":
-        for m, shift, mult in dec.terms:
-            entry: dict[str, object] = {"m": m, "shift": shift, "mult": mult}
-            if has_index:
-                entry["group"] = term_group_name(theory, m, shift, p, k)
-            term_docs.append(entry)
-        if has_index:
-            value = formal_evaluation(dec, theory, p, k)
-    else:  # ranks
-        doc["space"] = space.name
-        for m, shift, mult in dec.terms:
-            term_docs.append({"m": m, "shift": shift, "mult": mult})
-
-    header = " ".join(f"{key}={val}" for key, val in doc.items())
-    doc["terms"] = term_docs
-    if value is not None:
-        doc["value"] = _group_doc(value)
-    if poincare is not None:
-        doc["poincare"] = {"coeffs": list(poincare.coeffs)}
+    # The header, then one row per term; the text lines and the JSON
+    # document are written from the same rows.
+    named = has_index and not ranks
+    rows = [_fields(n=n, d=d, theory=theory, mode=args.mode, p=p, k=k, space=space and space.name)]
+    for m, shift, mult in dec.terms:
+        group = term_group_name(theory, m, shift, p, k) if named else None
+        rows.append(_fields(m=m, shift=shift, mult=mult, group=group))
 
     if args.format == "json":
+        doc = dict(rows[0], terms=rows[1:])
+        if value is not None:
+            doc["value"] = _group_doc(value)
+        if poincare is not None:
+            doc["poincare"] = {"coeffs": list(poincare.coeffs)}
         _emit(render_json(doc))
     else:
-        lines = [header]
-        for entry in term_docs:
-            line = f"m={entry['m']} shift={entry['shift']} mult={entry['mult']}"
-            if "group" in entry:
-                line += f" group={entry['group']}"
-            lines.append(line)
+        lines = [" ".join(f"{key}={val}" for key, val in row.items()) for row in rows]
         if value is not None:
             lines.append(f"value: {value}")
         if poincare is not None:

@@ -111,12 +111,13 @@ def x3_oracle(d: int) -> FormalDecomposition:
 
     Stage one blows up the small diagonal (a copy of X, codimension 2d);
     stage two blows up three disjoint centers, each a copy of X[2] in
-    codimension d, expanded by the nest decomposition of X[2].
+    codimension d, expanded by the single-blowup rows of ``x2_oracle``, so
+    no route reads the kernel's table.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2 (diagonal blowups degenerate)")
     centers = 3 * _shifts(d - 1)
-    x2 = multiplicity_table(2, d)
+    x2 = x2_oracle(d)
     point = _shifts(2 * d - 1) + centers * x2.row_poly(1)
     return FormalDecomposition(3, d, (point, centers * x2.row_poly(2), ONE))
 

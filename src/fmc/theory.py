@@ -8,7 +8,10 @@ degree k), how an out-of-range index is read, and how a group is named.
 ``THEORIES`` holds exactly these conventions, one ``Theory`` record per
 kind: cycle-space homology ("lawson"), algebraic cycle classes ("chow"),
 Deligne-Beilinson cohomology ("db") and Betti data ("betti").  Naming,
-evaluation, the blowup and bundle reads and index validation all read it.
+evaluation, the blowup and bundle reads and index validation all read it:
+each theory's range is one predicate, ``index_ok(p, k, e)``, which with e
+omitted is the rule for an outer index and with e = m * dim the rule for a
+descriptor record of the m-th power.
 
 Groups are finitely generated abelian: a free rank plus cyclic torsion
 orders, with an escape hatch of unevaluated formal terms for data the
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import partial
+from math import inf
 
 from .genfun import BudgetError, FormalDecomposition, multiplicity_table
 from .polyseries import IntPoly, ZERO
@@ -55,13 +59,17 @@ class Theory(Record):
     by i and the degree by 2i, on the slots the theory has.  A negative
     degree reads the zero group and a negative level follows
     ``negative_level``.  ``text`` and ``latex`` name a group from the power
-    ``X``, the level ``p`` and the degree ``k``; ``index_ok`` is the range
-    condition written ``index_rule``.
+    ``X``, the level ``p`` and the degree ``k``.  ``index_ok(p, k, e)`` is
+    the range of a group on a variety of complex dimension e: with e
+    omitted (no top bound) it is the outer-index rule, written
+    ``index_rule``; with e = m * dim it is the rule for a descriptor record
+    of the m-th power, written ``record_rule`` with the fields ``e``,
+    ``two_e`` and ``two_e_1`` (2e and 2e + 1).
     """
 
     __slots__ = (
         "name", "has_level", "has_degree", "negative_level", "text", "latex",
-        "index_rule", "index_ok",
+        "index_rule", "index_ok", "record_rule",
     )
 
     def __init__(
@@ -73,12 +81,13 @@ class Theory(Record):
         text: str,
         latex: str,
         index_rule: str = "",
-        index_ok: Callable[[int, int], bool] = lambda p, k: True,
+        index_ok: Callable[..., bool] = lambda p, k, e=inf: True,
+        record_rule: str = "",
     ) -> None:
         self._set(
             name=name, has_level=has_level, has_degree=has_degree,
             negative_level=negative_level, text=text, latex=latex,
-            index_rule=index_rule, index_ok=index_ok,
+            index_rule=index_rule, index_ok=index_ok, record_rule=record_rule,
         )
 
     def read_index(self, p: int, k: int, shift: int) -> tuple[int, int] | None:
@@ -101,15 +110,17 @@ THEORIES = {
     for theory in (
         Theory(
             "lawson", True, True, CLAMP, "L_{p}H_{k}({X})", "L_{{{p}}}H_{{{k}}}({X})",
-            "k >= 2p >= 0", lambda p, k: k >= 2 * p >= 0,
+            "k >= 2p >= 0", lambda p, k, e=inf: 0 <= 2 * p <= k <= 2 * e,
+            "0 <= 2p <= k <= {two_e}",
         ),
         Theory(
             "chow", True, False, ZERO_READ, "Ch_{p}({X})", "\\mathrm{{Ch}}_{{{p}}}({X})",
-            "p >= 0", lambda p, k: p >= 0,
+            "p >= 0", lambda p, k, e=inf: 0 <= p <= e, "0 <= p <= {e}",
         ),
         Theory(
             "db", True, True, FORMAL, "H^{k}_D({X}, Z({p}))",
             "H^{{{k}}}_{{\\mathcal{{D}}}}({X},\\mathbb{{Z}}({p}))",
+            "", lambda p, k, e=inf: k <= 2 * e + 1, "k <= {two_e_1}",
         ),
         Theory("betti", False, True, ZERO_READ, "H_{k}({X})", "H_{{{k}}}({X})"),
     )
@@ -417,16 +428,15 @@ _BUILTIN_SPACES = {
 
 def proj_bundle_table(y: GradedTable, r: int, total_dim: int, kind: str) -> GradedTable:
     """Full graded table of a projective bundle over a tabulated base."""
+    # Checked here too: with total_dim < 0 no formula is evaluated.
     if r < 1:
         raise ValueError("rank parameter must be >= 1")
-    groups: dict[tuple[int, int], GroupDescriptor] = {}
     degrees = range(2 * total_dim + 1) if theory_of(kind).has_degree else (0,)
-    for p in range(0, total_dim + 1):
-        for k in degrees:
-            g = proj_bundle_formula(y, r, p, k, kind)
-            if not g.is_zero:
-                groups[(p, k)] = g
-    return GradedTable(groups)
+    return GradedTable({
+        (p, k): proj_bundle_formula(y, r, p, k, kind)
+        for p in range(total_dim + 1)
+        for k in degrees
+    })
 
 
 def builtin_space(name: str, kind: str) -> SpaceDescriptor:
@@ -461,26 +471,17 @@ _TOP_FIELDS = {"name", "dim", "kind", "betti", "table", "powers"}
 _RECORD_FIELDS = {"p", "k", "free_rank", "torsion"}
 
 
-def _table_range(kind: str, p: int, k: int, top: int) -> str | None:
-    """The range rule a ``(p, k)`` record breaks, or None; ``top`` is the complex dimension."""
-    if kind == "lawson" and not 0 <= 2 * p <= k <= 2 * top:
-        return f"0 <= 2p <= k <= {2 * top}"
-    if kind == "chow" and not 0 <= p <= top:
-        return f"0 <= p <= {top}"
-    if kind == "db" and k > 2 * top + 1:
-        return f"k <= {2 * top + 1}"
-    return None
-
-
 def _parse_table(records: object, kind: str, where: str, m: int, dim: int) -> GradedTable:
     """The graded table of the power ``X^m`` of a space of dimension ``dim``.
 
-    A record must name a group the power can carry; with e = m * dim its
-    complex dimension, L_pH_k vanishes unless 0 <= 2p <= k <= 2e, Ch_p
-    unless 0 <= p <= e, and H^k_D(Y, Z(p)) unless k <= 2e + 1, at any level
-    p (H. Esnault, E. Viehweg, *Deligne-Beilinson cohomology*, in
-    *Beilinson's conjectures on special values of L-functions*, 1988).
+    A record must name a group the power can carry: ``index_ok`` of the
+    kind's theory at e = m * dim, its complex dimension.  L_pH_k vanishes
+    unless 0 <= 2p <= k <= 2e, Ch_p unless 0 <= p <= e, and H^k_D(Y, Z(p))
+    unless k <= 2e + 1, at any level p (H. Esnault, E. Viehweg,
+    *Deligne-Beilinson cohomology*, in *Beilinson's conjectures on special
+    values of L-functions*, 1988).
     """
+    theory, e = THEORIES[kind], m * dim
     if not isinstance(records, list):
         raise ValueError(f"{where}: expected a list of records")
     groups: dict[tuple[int, int], GroupDescriptor] = {}
@@ -499,10 +500,10 @@ def _parse_table(records: object, kind: str, where: str, m: int, dim: int) -> Gr
         p, k, rank = record["p"], record["k"], record["free_rank"]
         if k < 0:
             raise ValueError(f"{label}: k < 0 entries are zero and may not be stored")
-        if k != 0 and not THEORIES[kind].has_degree:
+        if k != 0 and not theory.has_degree:
             raise ValueError(f"{label}: {kind} tables use k = 0")
-        rule = _table_range(kind, p, k, m * dim)
-        if rule is not None:
+        if not theory.index_ok(p, k, e):
+            rule = theory.record_rule.format(e=e, two_e=2 * e, two_e_1=2 * e + 1)
             raise ValueError(f"{label}: {kind} records of X^{m} need {rule}")
         if rank < 0:
             raise ValueError(f"{label}: free_rank must be nonnegative")

@@ -590,6 +590,26 @@ class TestLargeMultiplicities:
         assert "summand budget exceeded" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("theory", ["lawson", "db"])
+    def test_formal_n12_latex_lists_no_copies(self, theory):
+        # LaTeX names each term once, not once per copy, so the same formal
+        # op is printed: the formal value is evaluated only past the latex
+        # return.
+        limit = 512 * 1024 * 1024
+        src = Path(fmc.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "fmc.cli", "decompose", "--theory", theory,
+                "--n", "12", "--d", "2", "--p", "5", "--k", "14", "--format", "latex",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert result.stdout.startswith("$ ")
+
     @pytest.mark.parametrize("n", [21, 24])
     def test_lawson_ranks_past_int64_exit_0(self, capsys, n):
         # Some multiplicities pass sys.maxsize from n = 21 on; summing them

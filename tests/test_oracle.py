@@ -62,6 +62,24 @@ class TestBlowupOracles:
         assert x3_oracle(d) == multiplicity_table(3, d)
         assert x3_check(d).passed
 
+    def test_x3_reads_no_kernel_table(self, monkeypatch):
+        # The X[2] centers are expanded by the single-blowup rows, so a wrong
+        # kernel row of X[2] cannot leak into the X[3] oracle it checks.
+        truth = {d: multiplicity_table(3, d) for d in (2, 3, 4)}
+        kernel = fmc.oracle.multiplicity_table
+
+        def wrong(n, d):
+            table = kernel(n, d)
+            if n != 2:
+                return table
+            return fmc.genfun.FormalDecomposition(
+                n, d, (table.rows[0] + IntPoly([0, 1]), *table.rows[1:])
+            )
+
+        monkeypatch.setattr(fmc.oracle, "multiplicity_table", wrong)
+        for d, rows in truth.items():
+            assert x3_oracle(d) == rows, d
+
     def test_x3_rejects_d1(self):
         with pytest.raises(ValueError):
             x3_oracle(1)

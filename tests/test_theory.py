@@ -627,6 +627,26 @@ class TestRecordRanges:
         with pytest.raises(ValueError, match=rf"{kind} records of X\^{power} need"):
             _one_record_space(kind, power, *refused(e))
 
+    @pytest.mark.parametrize("kind", ["lawson", "chow", "db"])
+    def test_outer_rule_is_the_record_rule_without_top(self, kind):
+        # At dim 7 no top bound binds on this grid, so an outer index is
+        # accepted exactly when a one-record table at it is.  Chow takes no
+        # outer degree and stores its records at k = 0.
+        def accepts(check, *args):
+            try:
+                check(*args)
+            except ValueError:
+                return False
+            return True
+
+        chow = kind == "chow"
+        for p in range(-2, 7):
+            for k in range(13):
+                record = {"p": p, "k": 0 if chow else k, "free_rank": 1}
+                doc = {"name": "x", "dim": 7, "kind": kind, "table": [record]}
+                outer = accepts(fmc.theory.check_index, kind, p, None if chow else k)
+                assert outer == accepts(parse_space, doc), (p, k)
+
     @pytest.mark.parametrize("p", [-50, 0, 50])
     def test_db_level_is_free(self, p):
         space = _one_record_space("db", 2, p, 9)

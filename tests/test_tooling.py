@@ -82,6 +82,27 @@ def test_argparse_is_imported_only_inside_functions():
     assert eager == []
 
 
+def test_no_module_compares_with_a_ranged_theory_name():
+    # The Lawson and Chow index ranges live only in fmc.theory.THEORIES, so
+    # no code branches on those two names.  Comparisons with "db" and
+    # "betti" decide which data a kind carries, not a range, and stay.
+    ranged = {"lawson", "chow"}
+    found = []
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            for operand in (node.left, *node.comparators):
+                listed = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                items = operand.elts if listed else [operand]
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for item in items
+                    if isinstance(item, ast.Constant) and item.value in ranged
+                ]
+    assert found == []
+
+
 def test_slotted_classes_are_records():
     # Every value type takes its equality, hashing and immutability from
     # fmc.record.Record instead of hand-writing a mutable contract.
