@@ -269,27 +269,6 @@ def cmd_mult(args: SimpleNamespace) -> int:
     return 0
 
 
-def _resolve_space(args: SimpleNamespace) -> SpaceDescriptor:
-    from .theory import builtin_space, is_builtin_space, load_space
-
-    if args.space is None:
-        raise ValueError("--space is required in ranks mode")
-    if is_builtin_space(args.space):
-        space = builtin_space(args.space, args.theory)
-    else:
-        space = load_space(args.space)
-        if space.kind != args.theory:
-            raise ValueError(
-                f"space kind {space.kind!r} does not match --theory {args.theory!r}"
-            )
-    # Checked here for every ranks route, the Poincare polynomial included.
-    if space.dim != args.d:
-        raise ValueError(
-            f"space dimension {space.dim} does not match decomposition d={args.d}"
-        )
-    return space
-
-
 def _latex_term(theory: str, m: int, shift: int, mult: int) -> str:
     from .theory import THEORIES
 
@@ -317,6 +296,7 @@ def cmd_decompose(args: SimpleNamespace) -> int:
         check_index,
         evaluate_decomposition,
         formal_evaluation,
+        resolve_space,
         term_group_name,
     )
 
@@ -328,12 +308,15 @@ def cmd_decompose(args: SimpleNamespace) -> int:
 
     dec = multiplicity_table(n, d)
 
-    # Ranks are evaluated in every format, so latex refuses what text and
-    # JSON refuse.
+    # A space is read in every mode and ranks are evaluated in every format,
+    # so latex and formal mode refuse what text and JSON ranks refuse.
     value = poincare = space = None
     ranks = args.mode == "ranks"
+    if args.space is not None:
+        space = resolve_space(args.space, theory, d)
+    elif ranks:
+        raise ValueError("--space is required in ranks mode")
     if ranks:
-        space = _resolve_space(args)
         if theory == "betti" and k is None:
             poincare = betti_of_fm(space.betti, d, n)
         else:

@@ -39,6 +39,7 @@ from .theory import (
     betti_of_fm,
     evaluate_decomposition,
     proj_bundle_table,
+    projective_betti,
 )
 
 #: Largest ``max_d`` of a verification sweep.  The table-blowup check runs
@@ -231,7 +232,7 @@ def run_verification(
             checks.append(x3_check(d))
         checks.append(min_formula_check(d))
         checks.append(table_blowup_check(d))
-        betti = IntPoly([1 if i % 2 == 0 else 0 for i in range(2 * d + 1)])
+        betti = projective_betti(d)
         for n in range(1, max_n + 1):
             checks.append(palindrome_check(betti, d, n))
         for n in range(1, max_n + 1):

@@ -11,7 +11,8 @@ Deligne-Beilinson cohomology ("db") and Betti data ("betti").  Naming,
 evaluation, the blowup and bundle reads and index validation all read it:
 each theory's range is one predicate, ``index_ok(p, k, e)``, which with e
 omitted is the rule for an outer index and with e = m * dim the rule for a
-descriptor record of the m-th power.
+descriptor record of the m-th power.  One reader, ``resolve_space``, turns
+``--space`` into a space, and one accumulator adds up every direct sum.
 
 Groups are finitely generated abelian: a free rank plus cyclic torsion
 orders, with an escape hatch of unevaluated formal terms for data the
@@ -35,7 +36,7 @@ themselves.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import partial
 from math import inf
 
@@ -47,7 +48,7 @@ from .record import Record
 # evaluable (a formal summand in a decomposition, an error in a table read).
 CLAMP, ZERO_READ, FORMAL = "clamp", "zero", "formal"
 
-#: Most torsion orders and formal names one evaluation lists (once per copy).
+#: Most torsion orders and formal names one direct sum lists (once per copy).
 SUMMAND_BUDGET = 10**6
 
 
@@ -188,16 +189,27 @@ ZERO_GROUP = GroupDescriptor()
 Z_GROUP = GroupDescriptor(free_rank=1)
 
 
+def _total(parts: Iterable[tuple[GroupDescriptor, int]]) -> GroupDescriptor:
+    # The direct sum of ``copies`` copies of each group.  A group is scaled
+    # rather than copied: ranks are summed, torsion orders and formal names
+    # repeat, within the summand budget.
+    rank, torsion, formal = 0, [], []
+    for group, copies in parts:
+        listed = len(torsion) + len(formal) + copies * (len(group.torsion) + len(group.formal))
+        if listed > SUMMAND_BUDGET:
+            raise BudgetError(f"summand budget exceeded: {listed} > {SUMMAND_BUDGET}")
+        rank += copies * group.free_rank
+        # An empty part is skipped: () * copies overflows once copies > sys.maxsize.
+        if group.torsion:
+            torsion.extend(group.torsion * copies)
+        if group.formal:
+            formal.extend(group.formal * copies)
+    return GroupDescriptor(free_rank=rank, torsion=tuple(torsion), formal=tuple(formal))
+
+
 def direct_sum(*groups: GroupDescriptor) -> GroupDescriptor:
     """Direct sum of descriptors (order-independent canonical form)."""
-    rank = 0
-    torsion: list[int] = []
-    formal: list[str] = []
-    for g in groups:
-        rank += g.free_rank
-        torsion.extend(g.torsion)
-        formal.extend(g.formal)
-    return GroupDescriptor(free_rank=rank, torsion=tuple(torsion), formal=tuple(formal))
+    return _total((g, 1) for g in groups)
 
 
 class GradedTable(Record):
@@ -220,8 +232,6 @@ class GradedTable(Record):
         self._set(groups=cleaned)
 
     def lookup(self, p: int, k: int) -> GroupDescriptor:
-        if k < 0:
-            return ZERO_GROUP
         return self.groups.get((p, k), ZERO_GROUP)
 
 
@@ -283,27 +293,15 @@ def _sum_terms(
     k: int | None,
     read: Callable[[int, int, int], GroupDescriptor],
 ) -> GroupDescriptor:
-    # Each term's group read(m, p', k') is scaled by its multiplicity rather
-    # than copied: ranks are summed, torsion orders and formal names repeat.
-    # An index with no evaluable level stays a named formal summand.  A slot
-    # the theory lacks is None here and reads as 0.
+    # Each term counts its group read(m, p', k') mult times.  An index with
+    # no evaluable level stays a named formal summand.  A slot the theory
+    # lacks is None here and reads as 0.
     p, k = p or 0, k or 0
-    rank, torsion, formal = 0, [], []
-    for m, shift, mult in dec.terms:
-        at = theory.read_index(p, k, shift)
-        if at is None:
-            continue
-        group = _formal_term(theory.name, m, *at) if at[0] < 0 else read(m, *at)
-        listed = len(torsion) + len(formal) + mult * (len(group.torsion) + len(group.formal))
-        if listed > SUMMAND_BUDGET:
-            raise BudgetError(f"summand budget exceeded: {listed} > {SUMMAND_BUDGET}")
-        rank += mult * group.free_rank
-        # An empty part is skipped: () * mult overflows once mult > sys.maxsize.
-        if group.torsion:
-            torsion.extend(group.torsion * mult)
-        if group.formal:
-            formal.extend(group.formal * mult)
-    return GroupDescriptor(free_rank=rank, torsion=tuple(torsion), formal=tuple(formal))
+    return _total(
+        (_formal_term(theory.name, m, *at) if at[0] < 0 else read(m, *at), mult)
+        for m, shift, mult in dec.terms
+        if (at := theory.read_index(p, k, shift)) is not None
+    )
 
 
 def formal_evaluation(
@@ -455,12 +453,12 @@ def builtin_space(name: str, kind: str) -> SpaceDescriptor:
     if kind == "db":
         raise ValueError("no built-in Deligne-Beilinson tables; supply a descriptor file")
     canonical, a = _BUILTIN_SPACES[key]
-    poly = IntPoly([1 if i % 2 == 0 else 0 for i in range(2 * a + 1)])
-    return SpaceDescriptor(name=canonical, dim=a, kind=kind, betti=poly)
+    return SpaceDescriptor(name=canonical, dim=a, kind=kind, betti=projective_betti(a))
 
 
-def is_builtin_space(name: str) -> bool:
-    return name.lower() in _BUILTIN_SPACES
+def projective_betti(a: int) -> IntPoly:
+    """The Poincare polynomial ``1 + q^2 + ... + q^(2a)`` of P^a."""
+    return IntPoly([1, 0] * a + [1])
 
 
 # ---------------------------------------------------------------------------
@@ -589,3 +587,16 @@ def load_space(path: str) -> SpaceDescriptor:
         except RecursionError:
             raise ValueError(f"descriptor file {path!r} is nested too deeply") from None
     return parse_space(doc)
+
+
+def resolve_space(spec: str, kind: str, d: int) -> SpaceDescriptor:
+    """The built-in space or descriptor file ``spec``, checked for ``kind`` and dimension d."""
+    if spec.lower() in _BUILTIN_SPACES:
+        space = builtin_space(spec, kind)
+    else:
+        space = load_space(spec)
+        if space.kind != kind:
+            raise ValueError(f"space kind {space.kind!r} does not match --theory {kind!r}")
+    if space.dim != d:
+        raise ValueError(f"space dimension {space.dim} does not match decomposition d={d}")
+    return space

@@ -193,6 +193,20 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["value"] == {"free_rank": 3, "torsion": []}
 
+    def test_decompose_formal_shows_the_space(self, capsys):
+        # Formal mode reads --space too: the header names it, the terms stay.
+        argv = ("decompose", "--theory", "lawson", "--n", "2", "--d", "2",
+                "--mode", "formal", "--p", "1", "--k", "2")
+        for fmt, plain, named in (
+            ("text", "k=2", "k=2 space=projective-plane"),
+            ("json", '"k":2', '"k":2,"space":"projective-plane"'),
+        ):
+            _, expected, _ = run_cli(capsys, *argv, "--format", fmt)
+            code, out, _ = run_cli(capsys, *argv, "--space", "p2", "--format", fmt)
+            assert code == 0
+            assert plain in expected
+            assert out == expected.replace(plain, named, 1)
+
     def test_decompose_betti_poincare(self, capsys):
         code, out, _ = run_cli(
             capsys, "decompose", "--theory", "betti", "--n", "2", "--d", "2",
@@ -507,6 +521,14 @@ class TestPoincareProperty:
 INDEX_VALUES = [None, *range(-2, 9)]
 
 
+# Spaces that decompose refuses in every mode and format.
+BAD_SPACES = {
+    "missing-file": ("--theory", "lawson", "--d", "2", "--space", "/nonexistent.json"),
+    "dimension": ("--theory", "lawson", "--d", "3", "--space", "p2", "--p", "0", "--k", "0"),
+    "db-builtin": ("--theory", "db", "--d", "2", "--space", "p2"),
+}
+
+
 class TestIndexAgreement:
     @pytest.mark.parametrize("kind", ["lawson", "chow", "db", "betti"])
     def test_cli_refuses_what_the_library_refuses(self, kind):
@@ -531,18 +553,23 @@ class TestIndexAgreement:
                 assert code == expected, (p, k)
 
     @pytest.mark.parametrize(
-        "argv",
+        "mode, argv",
         [
-            ("--theory", "lawson", "--d", "2", "--space", "/nonexistent.json"),
-            ("--theory", "lawson", "--d", "3", "--space", "p2", "--p", "0", "--k", "0"),
-            ("--theory", "db", "--d", "2", "--space", "p2"),
-            ("--theory", "lawson", "--d", "2"),
-            ("--theory", "lawson", "--d", "2", "--space", "p2"),
+            *[
+                pytest.param(mode, argv, id=name + suffix)
+                for mode, suffix in (("ranks", ""), ("formal", "-formal"))
+                for name, argv in BAD_SPACES.items()
+            ],
+            pytest.param("ranks", ("--theory", "lawson", "--d", "2"), id="no-space"),
+            pytest.param(
+                "ranks", ("--theory", "lawson", "--d", "2", "--space", "p2"), id="no-index"
+            ),
         ],
-        ids=["missing-file", "dimension", "db-builtin", "no-space", "no-index"],
     )
-    def test_latex_ranks_refuses_what_text_refuses(self, capsys, argv):
-        argv = ("decompose", "--n", "2", "--mode", "ranks", *argv)
+    def test_latex_ranks_refuses_what_text_refuses(self, capsys, mode, argv):
+        # A bad --space is refused in both modes; ranks mode also needs a
+        # space and an index.
+        argv = ("decompose", "--n", "2", "--mode", mode, *argv)
         results = [
             run_cli(capsys, *argv, "--format", fmt) for fmt in ("text", "json", "latex")
         ]

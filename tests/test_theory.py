@@ -5,7 +5,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmc.genfun import multiplicity_table
+from fmc.genfun import BudgetError, multiplicity_table
 import fmc.theory
 from fmc.polyseries import IntPoly, ONE
 from fmc.theory import (
@@ -93,6 +93,13 @@ class TestGroupDescriptor:
         assert direct_sum(a, b) == direct_sum(b, a)
         assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
         assert direct_sum(a, ZERO_GROUP) == a
+
+    def test_direct_sum_keeps_the_summand_budget(self):
+        # Every group sum lists at most SUMMAND_BUDGET torsion orders and
+        # formal names; two halves of 600 000 each are too many.
+        half = GroupDescriptor(torsion=(2,) * 600_000)
+        with pytest.raises(BudgetError, match="summand budget exceeded"):
+            direct_sum(half, half)
 
 
 class TestGradedTable:

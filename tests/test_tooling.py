@@ -103,6 +103,23 @@ def test_no_module_compares_with_a_ranged_theory_name():
     assert found == []
 
 
+def test_only_the_theory_module_reads_a_space():
+    # --space has one reader, fmc.theory.resolve_space: no other module
+    # builds a built-in space or loads a descriptor file itself.
+    readers = {"builtin_space", "load_space"}
+    found = []
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        if path.name == "theory.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in readers:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
 def test_slotted_classes_are_records():
     # Every value type takes its equality, hashing and immutability from
     # fmc.record.Record instead of hand-writing a mutable contract.
