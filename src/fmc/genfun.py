@@ -56,7 +56,8 @@ the ``FormalDecomposition`` as it stands.
 
 Kernel and solver calls are bounded by ``KERNEL_BUDGET``, which also caps d
 itself (at n = 1 the degree d*(n-1) is 0); larger calls raise
-``BudgetError`` instead of running for minutes.
+``BudgetError`` instead of running for minutes.  Only ``_check_dim`` refuses
+d < 1 and only ``_check_size`` n < 1; other functions call them or the kernel.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ class BudgetError(ValueError):
     """Raised when a computation would exceed its configured budget."""
 
 
+def _check_dim(d: int) -> None:
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+
+
 def sigma(k: int, d: int) -> IntPoly:
     """Weight polynomial of one internal node with ``k+1`` sons.
 
@@ -85,8 +91,7 @@ def sigma(k: int, d: int) -> IntPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     if k == 0 or d * k - 1 < 1:
         return ZERO
     return IntPoly((0,) + (1,) * (d * k - 1))
@@ -117,8 +122,7 @@ def _check_size(n: int, d: int) -> None:
     # The one size check of the kernel and the solver.
     if n < 1:
         raise ValueError("n must be >= 1")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     max_n, max_degree = KERNEL_BUDGET
     if n > max_n or d * max(n - 1, 1) > max_degree:
         raise BudgetError(
@@ -218,8 +222,7 @@ def verify_identity(series: tuple[IntPoly, ...], d: int) -> bool:
     holds to the order of ``series``.  The candidate's coefficients may have
     any sign.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     if series[0]:
         raise ValueError("series must have zero constant term")
     # No residual coefficient exceeds 2 e_n + 1 < 2^(s-1), e the exponential

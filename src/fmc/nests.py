@@ -40,7 +40,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from math import prod
 
-from .genfun import BudgetError, sigma
+from .genfun import BudgetError, _check_dim, sigma
 from .polyseries import ONE, IntPoly
 
 #: Hard cap on the label count for exhaustive enumeration; the number of
@@ -122,8 +122,7 @@ def brute_bivariate(n: int, d: int, allow_large: bool = False) -> dict[int, IntP
     The result maps each occurring component count m to
     ``sum(weight(S) for nests S with c(S) = m)``; zero sums are dropped.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     _check_labels(n, allow_large)
     totals: dict[int, IntPoly] = {}
     for (m, sons), count in _signatures(n):

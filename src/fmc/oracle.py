@@ -23,6 +23,7 @@ from collections.abc import Callable
 from .genfun import (
     BudgetError,
     FormalDecomposition,
+    _check_dim,
     egf_solve,
     h_recurrence,
     multiplicity_table,
@@ -102,8 +103,7 @@ def _shifts(top: int) -> IntPoly:
 
 def x2_oracle(d: int) -> FormalDecomposition:
     """X[2] rows from the single blowup of the square along the diagonal."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     return FormalDecomposition(2, d, (_shifts(d - 1), ONE))
 
 
@@ -145,8 +145,6 @@ def x3_check(d: int) -> CheckResult:
 
 def min_formula_check(d: int) -> CheckResult:
     """The X-multiplicities of X[3], ``h_3``, against their closed form in two shapes."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     h = h_recurrence(3, d).coeffs
     passed = len(h) == 2 * d and h[0] == 0 and all(
         h[j] == 1 + 3 * min(j - 1, 2 * d - 1 - j) == min(3 * j - 2, 6 * d - 3 * j - 2)
@@ -163,12 +161,10 @@ def table_blowup_check(d: int) -> CheckResult:
     from the projective-bundle formula over a point, the blowup has
     codimension d, and the two sides must agree at every valid index.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    dec = multiplicity_table(2, d)  # first: the kernel refuses d < 1
     base = proj_bundle_table(POINT_TABLE, d + 1, d, "lawson")
     square = proj_bundle_table(base, d + 1, 2 * d, "lawson")
     space = SpaceDescriptor(name=f"P{d}", dim=d, kind="lawson", powers={1: base, 2: square})
-    dec = multiplicity_table(2, d)
     for p in range(0, 2 * d + 1):
         for k in range(2 * p, 4 * d + 1):
             lhs = blowup_formula(square, base, d, p, k, kind="lawson")
@@ -181,10 +177,7 @@ def table_blowup_check(d: int) -> CheckResult:
 
 def palindrome_check(betti_x: IntPoly, d: int, n: int) -> CheckResult:
     """Poincare polynomial of X[n] stays palindromic of degree 2dn."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_dim(d)
     if not betti_x.is_palindromic(2 * d):
         raise ValueError("input Poincare polynomial must be palindromic of degree 2d")
     result = betti_of_fm(betti_x, d, n)

@@ -13,6 +13,7 @@ each theory's range is one predicate, ``index_ok(p, k, e)``, which with e
 omitted is the rule for an outer index and with e = m * dim the rule for a
 descriptor record of the m-th power.  One reader, ``resolve_space``, turns
 ``--space`` into a space, and one accumulator adds up every direct sum.
+``SpaceDescriptor`` checks every space's kind and Betti data, however built.
 
 Groups are finitely generated abelian: a free rank plus cyclic torsion
 orders, with an escape hatch of unevaluated formal terms for data the
@@ -40,7 +41,7 @@ from collections.abc import Callable, Iterable
 from functools import partial
 from math import inf
 
-from .genfun import BudgetError, FormalDecomposition, multiplicity_table
+from .genfun import BudgetError, FormalDecomposition, _check_dim, multiplicity_table
 from .polyseries import IntPoly, ZERO
 from .record import Record
 
@@ -235,16 +236,22 @@ class GradedTable(Record):
         return self.groups.get((p, k), ZERO_GROUP)
 
 
+def _check_betti_degree(betti: IntPoly, dim: int) -> None:
+    if betti.degree > 2 * dim:
+        raise ValueError("Betti polynomial degree exceeds 2*dim")
+
+
 class SpaceDescriptor(Record):
     """A named space with dimension, theory kind, and graded data.
 
-    ``betti`` holds a Poincare polynomial: the data of kind "betti", and of
-    any Lawson or Chow space whose groups are its Betti numbers,
-    ``L_pH_k = H_k`` and ``Ch_p = H_{2p}`` (the built-in projective spaces
-    and their powers).  Evaluation reads such a space as one coefficient of
-    the Poincare polynomial of X[n].  Other spaces store graded tables for
-    the cartesian powers in ``powers`` (the space itself is power 1).
-    Deligne-Beilinson data has no Poincare-polynomial form.
+    ``betti`` holds a Poincare polynomial, nonnegative and of degree at most
+    2 * dim: the data of kind "betti", and of any Lawson or Chow space whose
+    groups are its Betti numbers, ``L_pH_k = H_k`` and ``Ch_p = H_{2p}``
+    (the built-in projective spaces and their powers).  Evaluation reads
+    such a space as one coefficient of the Poincare polynomial of X[n].
+    Other spaces store graded tables for the cartesian powers in ``powers``
+    (the space itself is power 1).  Deligne-Beilinson data has no
+    Poincare-polynomial form.
     """
 
     __slots__ = ("name", "dim", "kind", "betti", "powers")
@@ -260,10 +267,13 @@ class SpaceDescriptor(Record):
         # No powers given means a fresh empty dict for this space alone.
         powers = {} if powers is None else powers
         self._set(name=name, dim=dim, kind=kind, betti=betti, powers=powers)
-        if kind not in THEORIES:
-            raise ValueError(f"unknown kind {kind!r}")
-        if kind == "db" and betti is not None:
-            raise ValueError("Deligne-Beilinson data is a table, not a Poincare polynomial")
+        theory_of(kind)  # refuses an unknown kind
+        if betti is not None:
+            if kind == "db":
+                raise ValueError("Deligne-Beilinson data is a table, not a Poincare polynomial")
+            if any(c < 0 for c in betti.coeffs):
+                raise ValueError("Betti coefficients must be nonnegative")
+            _check_betti_degree(betti, dim)
 
 
 def format_group_term(kind: str, m: int, p: int | None = None, k: int | None = None) -> str:
@@ -312,6 +322,11 @@ def formal_evaluation(
     return _sum_terms(dec, theory, p, k, partial(_formal_term, kind))
 
 
+def _check_space_dim(space: SpaceDescriptor, d: int) -> None:
+    if space.dim != d:
+        raise ValueError(f"space dimension {space.dim} does not match decomposition d={d}")
+
+
 def evaluate_decomposition(
     dec: FormalDecomposition,
     space: SpaceDescriptor,
@@ -325,10 +340,7 @@ def evaluate_decomposition(
     Lawson data, ``H_{2p}`` for Chow.  Otherwise it needs a table for every
     power appearing in the terms.
     """
-    if space.dim != dec.d:
-        raise ValueError(
-            f"space dimension {space.dim} does not match decomposition d={dec.d}"
-        )
+    _check_space_dim(space, dec.d)
     theory = check_index(space.kind, p, k)
     if space.betti is not None:
         # A term (m, i) reads [q^(k-2i)] P^m, or [q^(2p-2i)] P^m for Chow, so
@@ -372,6 +384,11 @@ def blowup_formula(
     return direct_sum(*parts)
 
 
+def _check_rank(r: int) -> None:
+    if r < 1:
+        raise ValueError("rank parameter must be >= 1")
+
+
 def proj_bundle_formula(
     y: GradedTable, r: int, p: int, k: int = 0, kind: str = "lawson"
 ) -> GroupDescriptor:
@@ -379,8 +396,7 @@ def proj_bundle_formula(
 
     The result is ``sum_{j=0..r-1} y(p-j, k-2j)``.
     """
-    if r < 1:
-        raise ValueError("rank parameter must be >= 1")
+    _check_rank(r)
     return direct_sum(*(_table_read(y, kind, p, k, j) for j in range(r)))
 
 
@@ -390,12 +406,8 @@ def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
     It is ``sum_m B_{n,m}(q^2) * P_X^m``, with ``B_{n,m}`` the rows of the
     multiplicity table: a shift i multiplies by ``q^(2i)``.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if betti_x.degree > 2 * d:
-        raise ValueError("Betti polynomial degree exceeds 2*dim")
+    _check_dim(d)
+    _check_betti_degree(betti_x, d)
     return _poincare(multiplicity_table(n, d).rows, betti_x)
 
 
@@ -427,8 +439,7 @@ _BUILTIN_SPACES = {
 def proj_bundle_table(y: GradedTable, r: int, total_dim: int, kind: str) -> GradedTable:
     """Full graded table of a projective bundle over a tabulated base."""
     # Checked here too: with total_dim < 0 no formula is evaluated.
-    if r < 1:
-        raise ValueError("rank parameter must be >= 1")
+    _check_rank(r)
     degrees = range(2 * total_dim + 1) if theory_of(kind).has_degree else (0,)
     return GradedTable({
         (p, k): proj_bundle_formula(y, r, p, k, kind)
@@ -541,12 +552,7 @@ def parse_space(doc: object) -> SpaceDescriptor:
             isinstance(c, int) and not isinstance(c, bool) for c in coeffs
         ):
             raise ValueError("field 'betti' must be a list of integers")
-        if any(c < 0 for c in coeffs):
-            raise ValueError("Betti coefficients must be nonnegative")
-        poly = IntPoly(coeffs)
-        if poly.degree > 2 * dim:
-            raise ValueError("Betti polynomial degree exceeds 2*dim")
-        return SpaceDescriptor(name=name, dim=dim, kind="betti", betti=poly)
+        return SpaceDescriptor(name=name, dim=dim, kind="betti", betti=IntPoly(coeffs))
     if "betti" in doc:
         raise ValueError(f"{kind} descriptors carry a 'table', not 'betti'")
     if "table" not in doc:
@@ -597,6 +603,5 @@ def resolve_space(spec: str, kind: str, d: int) -> SpaceDescriptor:
         space = load_space(spec)
         if space.kind != kind:
             raise ValueError(f"space kind {space.kind!r} does not match --theory {kind!r}")
-    if space.dim != d:
-        raise ValueError(f"space dimension {space.dim} does not match decomposition d={d}")
+    _check_space_dim(space, d)
     return space

@@ -321,6 +321,64 @@ LINE_DOC = {
 }
 
 
+def without_none(doc):
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def line_doc(**fields):
+    """LINE_DOC with top-level fields replaced; a field set to None is dropped."""
+    return without_none({**LINE_DOC, **fields})
+
+
+def line_record(**fields):
+    """LINE_DOC whose table is one record, p = k = 0 and free_rank = 1, with fields replaced."""
+    return line_doc(table=[without_none({"p": 0, "k": 0, "free_rank": 1, **fields})])
+
+
+BETTI_LINE = {"name": "L", "dim": 1, "kind": "betti", "betti": [1, 0, 1]}
+
+# Every descriptor a lawson decompose refuses, with its message.
+BAD_DESCRIPTORS = {
+    "table-not-list": (line_doc(table={}), "table: expected a list of records"),
+    "record-not-object": (line_doc(table=[1]), "table[0]: expected an object"),
+    "record-missing-field": (
+        line_record(free_rank=None), "table[0]: missing field 'free_rank'"
+    ),
+    "record-string-field": (line_record(k="0"), "table[0]: field 'k' must be an integer"),
+    "record-bool-field": (line_record(p=False), "table[0]: field 'p' must be an integer"),
+    "record-negative-k": (
+        line_record(k=-2), "table[0]: k < 0 entries are zero and may not be stored"
+    ),
+    "record-negative-rank": (
+        line_record(free_rank=-1), "table[0]: free_rank must be nonnegative"
+    ),
+    "not-object": ([LINE_DOC], "space descriptor must be a JSON object"),
+    "missing-dim": (line_doc(dim=None), "missing field 'dim'"),
+    "name-not-string": (line_doc(name=5), "field 'name' must be a string"),
+    "dim-zero": (line_doc(dim=0), "field 'dim' must be an integer >= 1"),
+    "dim-bool": (line_doc(dim=True), "field 'dim' must be an integer >= 1"),
+    "unknown-kind": (
+        line_doc(kind="hodge"), "field 'kind' must be one of ['lawson', 'chow', 'db', 'betti']"
+    ),
+    "betti-with-table": ({**BETTI_LINE, "table": []}, "betti descriptors carry no tables"),
+    "betti-not-integers": (
+        {**BETTI_LINE, "betti": [1, "0", 1]}, "field 'betti' must be a list of integers"
+    ),
+    "betti-negative": (
+        {**BETTI_LINE, "betti": [1, -1, 1]}, "Betti coefficients must be nonnegative"
+    ),
+    "betti-degree": (
+        {**BETTI_LINE, "betti": [1, 0, 0, 0, 1]}, "Betti polynomial degree exceeds 2*dim"
+    ),
+    "table-with-betti": (
+        line_doc(betti=[1, 0, 1]), "lawson descriptors carry a 'table', not 'betti'"
+    ),
+    "missing-table": (line_doc(table=None), "missing field 'table'"),
+    "powers-not-object": (line_doc(powers=[]), "field 'powers' must be an object"),
+    "kind-mismatch": (BETTI_LINE, "space kind 'betti' does not match --theory 'lawson'"),
+}
+
+
 class TestInputGuards:
     @pytest.mark.parametrize(
         "argv",
@@ -358,6 +416,18 @@ class TestInputGuards:
         assert result.returncode == 2, result.stderr
         assert message in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "doc, message", list(BAD_DESCRIPTORS.values()), ids=list(BAD_DESCRIPTORS)
+    )
+    def test_bad_descriptor_exit_2(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "lawson", "--n", "2", "--d", "1",
+            "--mode", "ranks", "--space", str(path), "--p", "0", "--k", "0",
+        )
+        assert (code, out, err) == (2, "", f"fmc: error: {message}\n")
 
     def test_zero_padded_betti_file_reads_in_linear_time(self, tmp_path):
         # Trailing zeros reach the polynomial constructor before the degree

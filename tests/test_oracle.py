@@ -3,7 +3,7 @@ import pytest
 import fmc.genfun
 import fmc.nests
 import fmc.oracle
-from fmc.genfun import BudgetError, multiplicity_table
+from fmc.genfun import BudgetError, FormalDecomposition, multiplicity_table
 from fmc.oracle import (
     VERIFY_MAX_D,
     CheckResult,
@@ -21,7 +21,7 @@ from fmc.oracle import (
     x3_check,
     x3_oracle,
 )
-from fmc.polyseries import IntPoly
+from fmc.polyseries import ONE, IntPoly
 
 P2_BETTI = IntPoly([1, 0, 1, 0, 1])
 P1_BETTI = IntPoly([1, 0, 1])
@@ -172,6 +172,59 @@ class TestOtherChecks:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_structure(self, n, d):
         assert structure_check(n, d).passed
+
+
+# The rows of the true X[3] table at d = 2, whose shifts stop at d(n-1)-1 = 3.
+X3_D2_ROWS = (IntPoly([0, 1, 4, 1]), IntPoly([0, 3]), ONE)
+
+
+def wrong_table(monkeypatch, *rows):
+    # Every check reads the kernel through fmc.oracle.multiplicity_table.
+    monkeypatch.setattr(
+        fmc.oracle, "multiplicity_table", lambda n, d: FormalDecomposition(n, d, rows)
+    )
+
+
+class TestChecksCanFail:
+    @pytest.mark.parametrize(
+        "rows, h3, detail",
+        [
+            ((X3_D2_ROWS[0], X3_D2_ROWS[1], IntPoly([2])), None, "a_{n,0} != 1"),
+            ((X3_D2_ROWS[0], IntPoly([1, 3]), ONE), None, "a_{m,0} != 0 for some m < n"),
+            ((X3_D2_ROWS[0], IntPoly([0, -3]), ONE), None, "nonpositive multiplicity"),
+            ((IntPoly([0, 1, 4, 1, 1]), X3_D2_ROWS[1], ONE), None, "shift beyond d(n-1)-1"),
+            (X3_D2_ROWS, IntPoly([0, 1, 4]), "deg h_n != d(n-1)-1"),
+            (
+                (IntPoly([1, -1, 0, 0, 1]), X3_D2_ROWS[1], IntPoly([2])),
+                IntPoly([0, 1, 4]),
+                "a_{n,0} != 1; a_{m,0} != 0 for some m < n; nonpositive multiplicity; "
+                "shift beyond d(n-1)-1; deg h_n != d(n-1)-1",
+            ),
+        ],
+        ids=["a_n0", "a_m0", "nonpositive", "shift", "degree", "all"],
+    )
+    def test_structure(self, monkeypatch, rows, h3, detail):
+        wrong_table(monkeypatch, *rows)
+        if h3 is not None:
+            monkeypatch.setattr(fmc.oracle, "h_recurrence", lambda n, d: h3)
+        result = structure_check(3, 2)
+        assert result.passed is False
+        assert result.detail == detail
+
+    @pytest.mark.parametrize(
+        "check, detail",
+        [
+            (table_blowup_check, "disagreement at (p=0, k=0): Z != Z^2"),
+            (x2_check, "blowup terms ((2, 0, 1),) != nest terms ((2, 0, 1), (1, 0, 1))"),
+        ],
+        ids=["table-blowup", "blowup-x2"],
+    )
+    def test_blowup(self, monkeypatch, check, detail):
+        # X[2] at d = 1 is the bare square: an extra copy of X is wrong.
+        wrong_table(monkeypatch, ONE, ONE)
+        result = check(1)
+        assert result.passed is False
+        assert result.detail == detail
 
 
 class TestReport:

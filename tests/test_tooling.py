@@ -120,6 +120,27 @@ def test_only_the_theory_module_reads_a_space():
     assert found == []
 
 
+def test_each_refusal_is_raised_at_one_site():
+    # A rule has one owner: functions that share a rule call it instead of
+    # writing out its check and message again.  An f-string's formatted
+    # values read as {}, so a rule copied with other variables still matches.
+    sites = {}
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            first = node.exc.args[0] if node.exc.args else None
+            if isinstance(first, ast.JoinedStr):
+                parts = first.values
+            elif isinstance(first, ast.Constant) and isinstance(first.value, str):
+                parts = [first]
+            else:
+                continue
+            text = "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
+            sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    assert {text: where for text, where in sites.items() if len(where) > 1} == {}
+
+
 def test_slotted_classes_are_records():
     # Every value type takes its equality, hashing and immutability from
     # fmc.record.Record instead of hand-writing a mutable contract.
