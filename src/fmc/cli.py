@@ -20,6 +20,7 @@ codes.  A lone --version is answered directly, in argparse's bytes.
 from __future__ import annotations
 
 import itertools
+import os
 import sys
 
 from . import __version__
@@ -560,5 +561,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Entry point of the ``fmc`` process: ``main()``, then exit at once.
+
+    Once stdout and stderr are flushed nothing observable is left (fmc
+    registers no atexit handler, starts no thread and writes no file), so
+    the process ends with ``os._exit`` and skips interpreter teardown.  A
+    flush that fails, or a missing stream, falls back to ``sys.exit``, whose
+    teardown reports the failure as it always has (exit 120 on a full disk).
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

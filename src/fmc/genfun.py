@@ -42,11 +42,15 @@ down by the functional identity
 which an independent solver unwinds order by order in t: at order n the
 unknown ``h_n`` enters with the factor ``x^d (1-x)``, so one exact
 division isolates it.  It runs through ``_packed`` too, the first pass
-at ``x = 2``: each ``h_n(2)`` bounds the nonnegative coefficients of ``h_n``,
-so it fixes the slot width and checks the unpacked ``h_n``.  The residual
-check uses no packing code: it evaluates the identity once, at a power of 2
-above twice a bound on every residual coefficient, where it vanishes iff
-the residual does.
+at ``x = 2``.  Each ``h_n`` is x times a palindromic polynomial of degree
+``d(n-1) - 2`` (checked over the whole kernel budget), so each coefficient's
+value also stands at some ``x^j`` with ``j >= ceil(d(n-1)/2)`` and is at most
+``h_n(2) >> ceil(d(n-1)/2)``.  The largest such bound fixes the slot width
+without reading the kernel.  Each unpacked ``h_n`` must still have the value
+``h_n(2)``, so a bound too tight raises ``ArithmeticError`` instead of giving
+a wrong polynomial.  The residual check uses no packing code: it evaluates
+the identity once, at a power of 2 above twice a bound on every residual
+coefficient, where it vanishes iff the residual does.
 
 Finally, the multiplicity table ``a_{m,i}`` reads off how many i-shifted
 copies of the m-th cartesian power occur in the decomposition.  It equals
@@ -142,14 +146,21 @@ def _unpack(value: int, w: int, expected: int, at: int = 1) -> IntPoly:
     return poly
 
 
-def _packed(run: Callable[[int, int, int], list[int]], n: int, d: int, at: int) -> list[IntPoly]:
+def _packed(
+    run: Callable[[int, int, int], list[int]],
+    n: int,
+    d: int,
+    at: int,
+    top: Callable[[list[int]], int] = max,
+) -> list[IntPoly]:
     # The two integer passes of the kernel and the solver: run(n, d, at)
-    # bounds every coefficient by the value at the point at (1 or 2), the
-    # largest value fixes the slot width w, and run(n, d, 2^(8w)) packs each
-    # polynomial into one integer, which unpacks against its value at at.
+    # gives each polynomial's value at the point at (1 or 2), top(values)
+    # bounds every coefficient and fixes the slot width w, and
+    # run(n, d, 2^(8w)) packs each polynomial into one integer, which
+    # unpacks against its value at at.
     _check_size(n, d)
     bounds = run(n, d, at)
-    w = (max(bounds).bit_length() + 7) // 8
+    w = (top(bounds).bit_length() + 7) // 8
     return [_unpack(v, w, c, at) for v, c in zip(run(n, d, 1 << (8 * w)), bounds)]
 
 
@@ -212,7 +223,12 @@ def egf_solve(n_max: int, d: int) -> tuple[IntPoly, ...]:
     triangle: the two constructions agree coefficientwise, which the
     verification suite asserts.
     """
-    return tuple(_packed(_solve_at, n_max, d, 2))
+    def top(values: list[int]) -> int:
+        # values[m] = h_m(2); h_m = x P with P palindromic of degree
+        # d(m-1) - 2, so each coefficient is at most h_m(2) >> ceil(d(m-1)/2).
+        return max(h >> (d * m + 1) // 2 for m, h in enumerate(values[1:]))
+
+    return tuple(_packed(_solve_at, n_max, d, 2, top))
 
 
 def verify_identity(series: tuple[IntPoly, ...], d: int) -> bool:

@@ -241,6 +241,15 @@ def _check_betti_degree(betti: IntPoly, dim: int) -> None:
         raise ValueError("Betti polynomial degree exceeds 2*dim")
 
 
+def _check_record(theory: Theory, label: str, p: int, k: int, m: int, dim: int) -> None:
+    # A stored group (p, k) of the m-th power must lie in its theory's range
+    # on a variety of complex dimension m * dim.
+    e = m * dim
+    if not theory.index_ok(p, k, e):
+        rule = theory.record_rule.format(e=e, two_e=2 * e, two_e_1=2 * e + 1)
+        raise ValueError(f"{label}: {theory.name} records of X^{m} need {rule}")
+
+
 class SpaceDescriptor(Record):
     """A named space with dimension, theory kind, and graded data.
 
@@ -250,8 +259,9 @@ class SpaceDescriptor(Record):
     (the built-in projective spaces and their powers).  Evaluation reads
     such a space as one coefficient of the Poincare polynomial of X[n].
     Other spaces store graded tables for the cartesian powers in ``powers``
-    (the space itself is power 1).  Deligne-Beilinson data has no
-    Poincare-polynomial form.
+    (the space itself is power 1); every stored group of the m-th power lies
+    in its theory's range at e = m * dim (``Theory.index_ok``), however the
+    space is built.  Deligne-Beilinson data has no Poincare-polynomial form.
     """
 
     __slots__ = ("name", "dim", "kind", "betti", "powers")
@@ -267,7 +277,10 @@ class SpaceDescriptor(Record):
         # No powers given means a fresh empty dict for this space alone.
         powers = {} if powers is None else powers
         self._set(name=name, dim=dim, kind=kind, betti=betti, powers=powers)
-        theory_of(kind)  # refuses an unknown kind
+        theory = theory_of(kind)  # refuses an unknown kind
+        for m, table in powers.items():
+            for p, k in table.groups:
+                _check_record(theory, f"power {m} index ({p}, {k})", p, k, m, dim)
         if betti is not None:
             if kind == "db":
                 raise ValueError("Deligne-Beilinson data is a table, not a Poincare polynomial")
@@ -490,7 +503,7 @@ def _parse_table(records: object, kind: str, where: str, m: int, dim: int) -> Gr
     *Deligne-Beilinson cohomology*, in *Beilinson's conjectures on special
     values of L-functions*, 1988).
     """
-    theory, e = THEORIES[kind], m * dim
+    theory = THEORIES[kind]
     if not isinstance(records, list):
         raise ValueError(f"{where}: expected a list of records")
     groups: dict[tuple[int, int], GroupDescriptor] = {}
@@ -511,9 +524,7 @@ def _parse_table(records: object, kind: str, where: str, m: int, dim: int) -> Gr
             raise ValueError(f"{label}: k < 0 entries are zero and may not be stored")
         if k != 0 and not theory.has_degree:
             raise ValueError(f"{label}: {kind} tables use k = 0")
-        if not theory.index_ok(p, k, e):
-            rule = theory.record_rule.format(e=e, two_e=2 * e, two_e_1=2 * e + 1)
-            raise ValueError(f"{label}: {kind} records of X^{m} need {rule}")
+        _check_record(theory, label, p, k, m, dim)
         if rank < 0:
             raise ValueError(f"{label}: free_rank must be nonnegative")
         torsion = record.get("torsion", [])

@@ -944,3 +944,103 @@ def test_help_and_version_bytes(argv, golden):
     )
     assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout == (GOLDEN / golden).read_bytes()
+
+
+FMC = [sys.executable, "-m", "fmc.cli"]
+
+
+def child_env(unbuffered=True):
+    """The environment of a child fmc process, at 80 columns.
+
+    With ``unbuffered`` false the child runs without PYTHONUNBUFFERED, so
+    stdout is block-buffered and its last flush carries data.
+    """
+    src = Path(fmc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    if not unbuffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def fmc_child(*argv, unbuffered=True, **kwargs):
+    """``python -m fmc.cli ARGV`` in a fresh interpreter, output as bytes."""
+    return subprocess.run([*FMC, *argv], env=child_env(unbuffered), timeout=60, **kwargs)
+
+
+# Registers an atexit hook, then runs fmc.cli as ``python -m`` would.
+ATEXIT_CHILD = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("atexit hook ran\\n"))
+sys.argv = ["fmc", *sys.argv[1:]]
+runpy.run_module("fmc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessExit:
+    def test_process_ends_without_interpreter_teardown(self, capsys):
+        # After its last byte the process flushes and exits at once, so no
+        # atexit hook runs, and stdout and the exit code are main()'s.
+        argv = ("mult", "--n", "3", "--d", "2")
+        result = subprocess.run(
+            [sys.executable, "-c", ATEXIT_CHILD, *argv],
+            env=child_env(), capture_output=True, timeout=60,
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (result.returncode, result.stdout, result.stderr) == (0, out.encode(), b"")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mult", "--n", "3", "--d", "2"),
+            ("h-poly", "--n", "3", "--d", "2", "--format", "json"),
+            ("--help",),
+            ("h-poly", "--n", "0", "--d", "2"),
+            ("decompose", "--theory", "lawson", "--n", "2", "--d", "1", "--mode", "ranks",
+             "--space", "@curve", "--p", "0", "--k", "60"),
+            ("nests", "--n", "6", "--format", "json"),
+        ],
+        ids=["text", "json", "help", "argparse-error", "descriptor-refusal", "nests-json"],
+    )
+    def test_process_matches_main(self, argv, capsys, monkeypatch, tmp_path):
+        # Exit code, stdout and stderr of the process are main()'s, byte for
+        # byte, a streamed 1.1 MB listing included.
+        doc = json.loads(json.dumps(LINE_DOC))
+        doc["powers"]["2"] = [{"p": 0, "k": 60, "free_rank": 4}]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if arg == "@curve" else arg for arg in argv]
+        result = fmc_child(*argv, capture_output=True)
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, *argv)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            code, out.encode(), err.encode()
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_exits_120(self):
+        # The last flush fails, so the process falls back to the
+        # interpreter's teardown, which reports the failure and exits 120.
+        with open("/dev/full", "wb") as full:
+            result = fmc_child(
+                "mult", "--n", "3", "--d", "2", unbuffered=False,
+                stdout=full, stderr=subprocess.PIPE,
+            )
+        assert result.returncode == 120
+        assert result.stderr.startswith(b"Exception ignored")
+        assert b"[Errno 28] No space left on device" in result.stderr
+
+    def test_closed_pipe_exits_2(self):
+        # The reader goes away mid-listing.  The write fails inside the
+        # command, which reports the OSError as one line and exits 2.
+        child = subprocess.Popen(
+            [*FMC, "nests", "--n", "7"], env=child_env(unbuffered=False),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert len(child.stdout.read(20)) == 20
+            child.stdout.close()
+            err = child.stderr.read()
+        finally:
+            code = child.wait(timeout=60)
+        assert (code, err) == (2, b"fmc: error: [Errno 32] Broken pipe\n")

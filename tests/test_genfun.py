@@ -275,6 +275,31 @@ class TestSolver:
     def test_matches_reference_solve(self, n, d):
         assert egf_solve(n, d) == reference_solve(n, d)
 
+    @pytest.mark.parametrize("n, d", [(40, 4), (2, 160), (9, 20), (24, 6)])
+    def test_matches_recurrence_at_the_budget_corners(self, n, d):
+        # The slot width comes from the palindromic bound h_m(2) >> ceil(d(m-1)/2),
+        # which reads no kernel output; a bound too tight would raise.
+        assert egf_solve(n, d) == recurrence_egf(n, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_matches_recurrence_for_every_small_n(self, d):
+        for n in range(1, 13):
+            assert egf_solve(n, d) == recurrence_egf(n, d), n
+
+    def test_slot_width_from_the_palindromic_bound(self, monkeypatch):
+        # At (20, 3) the largest h_m(2) takes 17 bytes, the largest
+        # coefficient 13, and the shifted bound 13 too.
+        widths = set()
+        unpack = fmc.genfun._unpack
+
+        def spy(value, w, expected, at=1):
+            widths.add(w)
+            return unpack(value, w, expected, at)
+
+        monkeypatch.setattr(fmc.genfun, "_unpack", spy)
+        egf_solve(20, 3)
+        assert widths == {13}
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             egf_solve(0, 2)

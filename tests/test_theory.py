@@ -394,6 +394,29 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="power"):
             evaluate_decomposition(multiplicity_table(2, 2), space, 1, 2)
 
+    @pytest.mark.parametrize(
+        "kind, power, index, message",
+        [
+            (
+                "lawson", 2, (0, 60),
+                "power 2 index (0, 60): lawson records of X^2 need 0 <= 2p <= k <= 4",
+            ),
+            ("chow", 1, (2, 0), "power 1 index (2, 0): chow records of X^1 need 0 <= p <= 1"),
+            ("db", 2, (1, 6), "power 2 index (1, 6): db records of X^2 need k <= 5"),
+        ],
+    )
+    def test_table_record_out_of_range_refused(self, kind, power, index, message):
+        # A space built by the library keeps the record ranges a descriptor
+        # file keeps; the Lawson group L_0H_60 of the square of a curve used
+        # to evaluate as Z^4.
+        powers = {1: GradedTable({}), 2: GradedTable({})}
+        powers[power] = GradedTable({index: GroupDescriptor(4)})
+        with pytest.raises(ValueError) as caught:
+            evaluate_decomposition(
+                multiplicity_table(2, 1), SpaceDescriptor("X", 1, kind, powers=powers), *index
+            )
+        assert str(caught.value) == message
+
     def test_invalid_outer_index(self):
         space = builtin_space("p2", "lawson")
         with pytest.raises(ValueError):

@@ -141,6 +141,34 @@ def test_each_refusal_is_raised_at_one_site():
     assert {text: where for text, where in sites.items() if len(where) > 1} == {}
 
 
+def test_only_the_entry_routine_ends_the_process():
+    # Library code never ends the process: os._exit has one call site, in
+    # the entry routine of fmc.cli, and both launchers call that routine.
+    sites = []
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): top.name
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef)
+            for node in ast.walk(top)
+        }
+        sites += [
+            (path.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_exit"
+            or isinstance(node, ast.Name) and node.id == "_exit"
+            or isinstance(node, ast.alias) and node.name == "_exit"
+        ]
+    assert sites == [("cli.py", "run")]
+    cli = ast.parse((ROOT / "src" / "fmc" / "cli.py").read_text(encoding="utf-8"))
+    (guard,) = [node for node in cli.body if isinstance(node, ast.If)]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts.splitlines() == ['fmc = "fmc.cli:run"']
+
+
 def test_slotted_classes_are_records():
     # Every value type takes its equality, hashing and immutability from
     # fmc.record.Record instead of hand-writing a mutable contract.
