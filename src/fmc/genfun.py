@@ -224,8 +224,8 @@ def egf_solve(n_max: int, d: int) -> tuple[IntPoly, ...]:
     verification suite asserts.
     """
     def top(values: list[int]) -> int:
-        # values[m] = h_m(2); h_m = x P with P palindromic of degree
-        # d(m-1) - 2, so each coefficient is at most h_m(2) >> ceil(d(m-1)/2).
+        # values[m] = h_m(2), and h_m(2) >> ceil(d(m-1)/2) bounds the
+        # coefficients of h_m (see the module docstring).
         return max(h >> (d * m + 1) // 2 for m, h in enumerate(values[1:]))
 
     return tuple(_packed(_solve_at, n_max, d, 2, top))
