@@ -11,9 +11,10 @@ Deligne-Beilinson cohomology ("db") and Betti data ("betti").  Naming,
 evaluation, the blowup and bundle reads and index validation all read it:
 each theory's range is one predicate, ``index_ok(p, k, e)``, which with e
 omitted is the rule for an outer index and with e = m * dim the rule for a
-descriptor record of the m-th power.  One reader, ``resolve_space``, turns
-``--space`` into a space, and one accumulator adds up every direct sum.
-``SpaceDescriptor`` checks every space's kind and Betti data, however built.
+descriptor record of the m-th power.  ``resolve_space`` alone turns
+``--space`` into a space, ``_sum_terms`` alone reads shifted data, and one
+accumulator adds up every direct sum.  ``SpaceDescriptor`` checks every
+space's kind, Betti data and records, however built.
 
 Groups are finitely generated abelian: a free rank plus cyclic torsion
 orders, with an escape hatch of unevaluated formal terms for data the
@@ -242,8 +243,10 @@ def _check_betti_degree(betti: IntPoly, dim: int) -> None:
 
 
 def _check_record(theory: Theory, label: str, p: int, k: int, m: int, dim: int) -> None:
-    # A stored group (p, k) of the m-th power must lie in its theory's range
-    # on a variety of complex dimension m * dim.
+    # A stored group (p, k) of the m-th power keeps k = 0 if its theory takes
+    # no degree, and lies in its range at complex dimension m * dim.
+    if k != 0 and not theory.has_degree:
+        raise ValueError(f"{label}: {theory.name} tables use k = 0")
     e = m * dim
     if not theory.index_ok(p, k, e):
         rule = theory.record_rule.format(e=e, two_e=2 * e, two_e_1=2 * e + 1)
@@ -259,9 +262,9 @@ class SpaceDescriptor(Record):
     (the built-in projective spaces and their powers).  Evaluation reads
     such a space as one coefficient of the Poincare polynomial of X[n].
     Other spaces store graded tables for the cartesian powers in ``powers``
-    (the space itself is power 1); every stored group of the m-th power lies
-    in its theory's range at e = m * dim (``Theory.index_ok``), however the
-    space is built.  Deligne-Beilinson data has no Poincare-polynomial form.
+    (the space itself is power 1); every stored group of the m-th power
+    passes ``_check_record`` at e = m * dim, however the space is built.
+    Deligne-Beilinson data has no Poincare-polynomial form.
     """
 
     __slots__ = ("name", "dim", "kind", "betti", "powers")
@@ -310,19 +313,19 @@ def _formal_term(kind: str, m: int, p: int, k: int) -> GroupDescriptor:
 
 
 def _sum_terms(
-    dec: FormalDecomposition,
+    terms: Iterable[tuple[object, int, int]],
     theory: Theory,
     p: int | None,
     k: int | None,
-    read: Callable[[int, int, int], GroupDescriptor],
+    read: Callable[[object, int, int], GroupDescriptor],
 ) -> GroupDescriptor:
-    # Each term counts its group read(m, p', k') mult times.  An index with
-    # no evaluable level stays a named formal summand.  A slot the theory
-    # lacks is None here and reads as 0.
+    # The one reader of shifted data: a term (source, shift, copies) counts
+    # read(source, p', k') copies times, and read decides what a negative
+    # level p' gives.  A slot the theory lacks is None here and reads as 0.
     p, k = p or 0, k or 0
     return _total(
-        (_formal_term(theory.name, m, *at) if at[0] < 0 else read(m, *at), mult)
-        for m, shift, mult in dec.terms
+        (read(source, *at), copies)
+        for source, shift, copies in terms
         if (at := theory.read_index(p, k, shift)) is not None
     )
 
@@ -332,7 +335,7 @@ def formal_evaluation(
 ) -> GroupDescriptor:
     """Evaluate a decomposition into named formal summands only."""
     theory = check_index(kind, p, k)
-    return _sum_terms(dec, theory, p, k, partial(_formal_term, kind))
+    return _sum_terms(dec.terms, theory, p, k, partial(_formal_term, kind))
 
 
 def _check_space_dim(space: SpaceDescriptor, d: int) -> None:
@@ -364,17 +367,18 @@ def evaluate_decomposition(
     for m, _, _ in dec.terms:
         if m not in space.powers:
             raise ValueError(f"space {space.name!r} has no table for power X^{m}")
-    return _sum_terms(dec, theory, p, k, lambda m, pp, kk: space.powers[m].lookup(pp, kk))
+    return _sum_terms(dec.terms, theory, p, k, lambda m, pp, kk: (
+        _formal_term(space.kind, m, pp, kk) if pp < 0 else space.powers[m].lookup(pp, kk)
+    ))
 
 
-def _table_read(table: GradedTable, kind: str, p: int, k: int, shift: int) -> GroupDescriptor:
-    # The blowup and bundle formulas read a table at a shifted index.
-    at = theory_of(kind).read_index(p, k, shift)
-    if at is None:
-        return ZERO_GROUP
-    if at[0] < 0:
-        raise ValueError(f"negative level read on {kind} data")
-    return table.lookup(*at)
+def _formula(terms: list, kind: str, p: int, k: int) -> GroupDescriptor:
+    # The formulas read stored tables: no formal summand names a negative level.
+    def read(table: GradedTable, pp: int, kk: int) -> GroupDescriptor:
+        if pp < 0:
+            raise ValueError(f"negative level read on {kind} data")
+        return table.lookup(pp, kk)
+    return _sum_terms(terms, theory_of(kind), p, k, read)
 
 
 def blowup_formula(
@@ -392,14 +396,13 @@ def blowup_formula(
     """
     if r < 1:
         raise ValueError("codimension must be >= 1")
-    parts = [_table_read(x, kind, p, k, 0)]
-    parts.extend(_table_read(y, kind, p, k, j) for j in range(1, r))
-    return direct_sum(*parts)
+    return _formula([(x, 0, 1)] + [(y, j, 1) for j in range(1, r)], kind, p, k)
 
 
-def _check_rank(r: int) -> None:
+def _bundle_terms(y: GradedTable, r: int) -> list[tuple[GradedTable, int, int]]:
     if r < 1:
         raise ValueError("rank parameter must be >= 1")
+    return [(y, j, 1) for j in range(r)]
 
 
 def proj_bundle_formula(
@@ -409,8 +412,7 @@ def proj_bundle_formula(
 
     The result is ``sum_{j=0..r-1} y(p-j, k-2j)``.
     """
-    _check_rank(r)
-    return direct_sum(*(_table_read(y, kind, p, k, j) for j in range(r)))
+    return _formula(_bundle_terms(y, r), kind, p, k)
 
 
 def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
@@ -451,11 +453,10 @@ _BUILTIN_SPACES = {
 
 def proj_bundle_table(y: GradedTable, r: int, total_dim: int, kind: str) -> GradedTable:
     """Full graded table of a projective bundle over a tabulated base."""
-    # Checked here too: with total_dim < 0 no formula is evaluated.
-    _check_rank(r)
+    terms = _bundle_terms(y, r)
     degrees = range(2 * total_dim + 1) if theory_of(kind).has_degree else (0,)
     return GradedTable({
-        (p, k): proj_bundle_formula(y, r, p, k, kind)
+        (p, k): _formula(terms, kind, p, k)
         for p in range(total_dim + 1)
         for k in degrees
     })
@@ -522,8 +523,6 @@ def _parse_table(records: object, kind: str, where: str, m: int, dim: int) -> Gr
         p, k, rank = record["p"], record["k"], record["free_rank"]
         if k < 0:
             raise ValueError(f"{label}: k < 0 entries are zero and may not be stored")
-        if k != 0 and not theory.has_degree:
-            raise ValueError(f"{label}: {kind} tables use k = 0")
         _check_record(theory, label, p, k, m, dim)
         if rank < 0:
             raise ValueError(f"{label}: free_rank must be nonnegative")

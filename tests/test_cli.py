@@ -429,6 +429,17 @@ class TestInputGuards:
         )
         assert (code, out, err) == (2, "", f"fmc: error: {message}\n")
 
+    def test_chow_degree_is_the_first_fault_of_a_file(self, capsys, tmp_path):
+        # The Chow rule k = 0 runs ahead of the range check, record by record.
+        records = [{"p": 0, "k": 5, "free_rank": 3}, {"p": 9, "k": 0, "free_rank": 1}]
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"name": "C", "dim": 1, "kind": "chow", "table": records}))
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "chow", "--n", "2", "--d", "1",
+            "--mode", "ranks", "--space", str(path), "--p", "0",
+        )
+        assert (code, out, err) == (2, "", "fmc: error: table[0]: chow tables use k = 0\n")
+
     def test_zero_padded_betti_file_reads_in_linear_time(self, tmp_path):
         # Trailing zeros reach the polynomial constructor before the degree
         # check, so it must strip them in linear time: stripping one slice

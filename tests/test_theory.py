@@ -1,6 +1,6 @@
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +23,7 @@ from fmc.theory import (
     formal_evaluation,
     parse_space,
     proj_bundle_formula,
+    proj_bundle_table,
 )
 
 P1_BETTI = IntPoly([1, 0, 1])
@@ -46,7 +47,7 @@ def reference_evaluate(dec, space, p=None, k=None):
     theory = fmc.theory.check_index(space.kind, p, k)
     power_of = cache(lambda m: power(space.betti, m))
     return fmc.theory._sum_terms(
-        dec, theory, p, k,
+        dec.terms, theory, p, k,
         lambda m, pp, kk: GroupDescriptor(
             free_rank=power_of(m).coefficient(kk if theory.has_degree else 2 * pp)
         ),
@@ -331,11 +332,11 @@ class TestEvaluate:
     def test_ranks_compute_each_power_once(self, monkeypatch, kind, p, k):
         # Built-in ranks are one coefficient of the Poincare polynomial of
         # X[n], built by Horner's rule in P: at most n + 1 products, and no
-        # bundle table on the way.  Power by power it takes 285 at n = 40.
+        # shifted table read on the way.  Power by power it takes 285 at n = 40.
         def unreachable(*args):
-            raise AssertionError("projective-bundle formula reached")
+            raise AssertionError("shifted table read reached")
 
-        monkeypatch.setattr(fmc.theory, "proj_bundle_formula", unreachable)
+        monkeypatch.setattr(fmc.theory, "_sum_terms", unreachable)
         dec = multiplicity_table(40, 2)
         space = builtin_space("p2", kind)
         calls = []
@@ -681,3 +682,190 @@ class TestRecordRanges:
     def test_db_level_is_free(self, p):
         space = _one_record_space("db", 2, p, 9)
         assert space.powers[2].lookup(p, 9) == Z_GROUP
+
+    def test_library_chow_record_takes_no_degree(self):
+        # A space built by the library keeps the Chow rule of a descriptor
+        # file: no evaluation reads a Chow record at k != 0.
+        with pytest.raises(ValueError) as caught:
+            evaluate_decomposition(
+                multiplicity_table(2, 1),
+                SpaceDescriptor("X", 1, "chow", powers={
+                    1: GradedTable({(0, 5): GroupDescriptor(3)}), 2: GradedTable({}),
+                }),
+                0,
+            )
+        assert str(caught.value) == "power 1 index (0, 5): chow tables use k = 0"
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [{"p": 0, "k": 5, "free_rank": 3}, {"p": 9, "k": 0, "free_rank": 1}],
+            [{"p": 9, "k": 5, "free_rank": 3}],
+        ],
+        ids=["later-record-out-of-range", "same-record-out-of-range"],
+    )
+    def test_chow_degree_is_the_first_fault_of_a_file(self, records):
+        doc = {"name": "x", "dim": 1, "kind": "chow", "table": records}
+        with pytest.raises(ValueError) as caught:
+            parse_space(doc)
+        assert str(caught.value) == "table[0]: chow tables use k = 0"
+
+
+# ---------------------------------------------------------------------------
+# Shifted reads of tables with torsion, against the conventions written out
+# ---------------------------------------------------------------------------
+
+KINDS = ["lawson", "chow", "db", "betti"]
+
+
+def record_indices(kind, e):
+    """Indices a record of a power of complex dimension e may hold.
+
+    Deligne-Beilinson levels are free; a few around 0..e are drawn.  Betti
+    records at level 1 are never read at an outer level 0.
+    """
+    if kind == "lawson":
+        return [(p, k) for k in range(2 * e + 1) for p in range(k // 2 + 1)]
+    if kind == "chow":
+        return [(p, 0) for p in range(e + 1)]
+    if kind == "db":
+        return [(p, k) for p in range(-1, e + 2) for k in range(2 * e + 2)]
+    return [(p, k) for p in (0, 1) for k in range(2 * e + 1)]
+
+
+torsion_groups = st.builds(
+    GroupDescriptor,
+    free_rank=st.integers(0, 3),
+    torsion=st.lists(st.integers(2, 12), max_size=2).map(tuple),
+)
+
+
+def tables(kind, e):
+    """Random in-range tables of a power of complex dimension e, with torsion."""
+    return st.dictionaries(
+        st.sampled_from(record_indices(kind, e)), torsion_groups, max_size=8
+    ).map(GradedTable)
+
+
+def shifted_index(kind, p, k, i):
+    """The index a term shifted by i reads at outer (p, k), or None for zero.
+
+    A shift lowers the level by i (not for Betti data, which has none) and
+    the degree by 2i (not for Chow data, which has none).  A negative degree
+    reads zero in every theory; a negative level reads level 0 for Lawson
+    and zero for Chow, and a Deligne-Beilinson one is returned as it is.
+    """
+    level = p if kind == "betti" else p - i
+    degree = k if kind == "chow" else k - 2 * i
+    if degree < 0 or (level < 0 and kind == "chow"):
+        return None
+    if level < 0 and kind == "lawson":
+        level = 0
+    return level, degree
+
+
+def reference_sum(reads):
+    """The direct sum of ``copies`` copies of each group, by plain arithmetic."""
+    rank, torsion, formal = 0, [], []
+    for group, copies in reads:
+        rank += copies * group.free_rank
+        torsion += list(group.torsion) * copies
+        formal += list(group.formal) * copies
+    return GroupDescriptor(rank, tuple(torsion), tuple(formal))
+
+
+def reference_formula(kind, terms, p, k):
+    """A formula's value over (table, shift, copies) terms; None where it must refuse.
+
+    The formulas read stored tables only, so a negative Deligne-Beilinson
+    level is refused.
+    """
+    reads = []
+    for table, i, copies in terms:
+        at = shifted_index(kind, p, k, i)
+        if at is None:
+            continue
+        if at[0] < 0:
+            return None
+        reads.append((table.groups.get(at, ZERO_GROUP), copies))
+    return reference_sum(reads)
+
+
+def formula_window(kind, top):
+    """Outer indices 0 <= p <= top, 0 <= k <= 2 top + 1 (k = 0 for Chow)."""
+    degrees = (0,) if kind == "chow" else range(2 * top + 2)
+    return [(p, k) for p in range(top + 1) for k in degrees]
+
+
+def decomposition_window(kind, top):
+    """Valid outer indices up to top, with negative Deligne-Beilinson levels."""
+    if kind == "db":
+        return [(p, k) for p in range(-1, top + 1) for k in range(2 * top + 2)]
+    return valid_indices(kind, top)
+
+
+class TestShiftedReads:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(), kind=st.sampled_from(KINDS), d=st.integers(1, 3), r=st.integers(1, 4)
+    )
+    def test_formulas_match_reference(self, data, kind, d, r):
+        x, y = data.draw(tables(kind, 2 * d)), data.draw(tables(kind, d))
+        blowup_terms = [(x, 0, 1)] + [(y, j, 1) for j in range(1, r)]
+        bundle_terms = [(y, j, 1) for j in range(r)]
+        for p, k in formula_window(kind, 2 * d):
+            for formula, terms in (
+                (partial(blowup_formula, x, y), blowup_terms),
+                (partial(proj_bundle_formula, y), bundle_terms),
+            ):
+                expected = reference_formula(kind, terms, p, k)
+                if expected is None:
+                    with pytest.raises(ValueError, match=f"negative level read on {kind} data"):
+                        formula(r, p, k, kind)
+                else:
+                    assert formula(r, p, k, kind) == expected, (formula.func.__name__, p, k)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(), kind=st.sampled_from(KINDS), d=st.integers(1, 3), r=st.integers(1, 4)
+    )
+    def test_bundle_table_matches_reference(self, data, kind, d, r):
+        y = data.draw(tables(kind, d))
+        total_dim = d + r - 1
+        degrees = (0,) if kind == "chow" else range(2 * total_dim + 1)
+        terms = [(y, j, 1) for j in range(r)]
+        expected = {
+            (p, k): reference_formula(kind, terms, p, k)
+            for p in range(total_dim + 1)
+            for k in degrees
+        }
+        if None in expected.values():
+            with pytest.raises(ValueError, match=f"negative level read on {kind} data"):
+                proj_bundle_table(y, r, total_dim, kind)
+        else:
+            table = proj_bundle_table(y, r, total_dim, kind)
+            assert table.groups == {at: g for at, g in expected.items() if not g.is_zero}
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(), kind=st.sampled_from(KINDS), n=st.integers(1, 3), d=st.integers(1, 2)
+    )
+    def test_decomposition_matches_reference(self, data, kind, n, d):
+        # A negative Deligne-Beilinson level is named as a formal summand.
+        powers = {m: data.draw(tables(kind, m * d)) for m in range(1, n + 1)}
+        space = SpaceDescriptor("X", d, kind, powers=powers)
+        dec = multiplicity_table(n, d)
+        for p, k in decomposition_window(kind, n * d + 1):
+            reads = []
+            for m, i, mult in dec.terms:
+                at = shifted_index(kind, p or 0, k or 0, i)
+                if at is None:
+                    continue
+                level, degree = at
+                if level < 0:
+                    power_name = "X" if m == 1 else f"X^{m}"
+                    group = GroupDescriptor(formal=(f"H^{degree}_D({power_name}, Z({level}))",))
+                else:
+                    group = powers[m].groups.get(at, ZERO_GROUP)
+                reads.append((group, mult))
+            assert evaluate_decomposition(dec, space, p, k) == reference_sum(reads), (p, k)

@@ -169,6 +169,27 @@ def test_only_the_entry_routine_ends_the_process():
     assert scripts.splitlines() == ['fmc = "fmc.cli:run"']
 
 
+def test_shifted_indices_have_one_reader():
+    # A term's shift is applied in one routine, fmc.theory._sum_terms, which
+    # every evaluation and both formulas call; term_group_name only names a
+    # term's group.  Outside a function a reference has no owner (None).
+    readers = []
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): top.name
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef)
+            for node in ast.walk(top)
+        }
+        readers += [
+            owner.get(id(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "read_index"
+        ]
+    assert sorted(readers) == ["_sum_terms", "term_group_name"]
+
+
 def test_slotted_classes_are_records():
     # Every value type takes its equality, hashing and immutability from
     # fmc.record.Record instead of hand-writing a mutable contract.
