@@ -13,10 +13,18 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+
+class BudgetError(ValueError):
+    """Raised when a computation would exceed its configured budget."""
+
+
 # Each public name and the submodule that defines it.  A name is imported
 # on first access (PEP 562) and then cached here, so ``import fmc`` loads
-# no submodule and a command pays only for the modules it runs.
+# no submodule and a command pays only for the modules it runs.  The empty
+# name is the package itself: ``BudgetError``, above, is shared by the
+# kernel and the nest walk, so a nest listing need not load the kernel.
 _HOMES = {
+    "BudgetError": "",
     "IntPoly": "polyseries",
     "ONE": "polyseries",
     "ZERO": "polyseries",
@@ -24,7 +32,6 @@ _HOMES = {
     "format_poly": "polyseries",
     "NEST_BUDGET": "nests",
     "brute_bivariate": "nests",
-    "BudgetError": "genfun",
     "FormalDecomposition": "genfun",
     "KERNEL_BUDGET": "genfun",
     "egf_solve": "genfun",

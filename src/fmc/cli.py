@@ -36,6 +36,8 @@ from . import __version__
 # parser made it.
 _THEORY_NAMES = ("lawson", "chow", "db", "betti")
 _NEST_BUDGET = 7
+# Rows of a nest listing rendered and written together.
+_NEST_CHUNK = 1024
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -156,9 +158,13 @@ def cmd_nests(args: SimpleNamespace) -> int:
     rows = [summary + m for m, summary in _walk(n, node)]
     rows.sort(reverse=True)
 
-    # Each nest is written as soon as it is rendered, a byte at a time.  Every
-    # value is a small integer, so the JSON fragments are built by hand, in the
-    # bytes render_json would give, without holding the whole document.
+    # The sorted rows are written a chunk at a time, and each chunk is
+    # rendered a byte column at a time: the rows' bytes go into one blob,
+    # byte j of every row is blob[j::width] and maps through the fragment
+    # table of byte j, and each row joins its member and son fragments.
+    # Every value is a small integer, so the JSON fragments are built by
+    # hand, in the bytes render_json would give, without holding the whole
+    # document.
     as_json = args.format == "json"
     name = ("[{}]" if as_json else "{{{}}}").format
     sep = "," if as_json else " "
@@ -180,21 +186,30 @@ def cmd_nests(args: SimpleNamespace) -> int:
                 )
         return text
 
-    member_tables = [_Fragments(member_text, j) for j in range(member_bytes)]
-    son_tables = [_Fragments(son_text, j) for j in range(son_bytes)]
-    get = dict.__getitem__
+    width = member_bytes + son_bytes + 1
+    member_columns = [(j, _Fragments(member_text, j)) for j in range(member_bytes)]
+    son_columns = [(member_bytes + j, _Fragments(son_text, j)) for j in range(son_bytes)]
+
+    def joined(blob: bytes, tables: list[tuple[int, _Fragments]]) -> Iterator[str]:
+        # Each row's fragments of the given byte columns, joined.
+        return map("".join, zip(*[map(table.__getitem__, blob[j::width]) for j, table in tables]))
+
     write = sys.stdout.write
     write(f'{{"n":{n},"count":{len(rows)},"nests":[' if as_json else f"n={n} count={len(rows)}\n")
-    between = ""
-    for value in rows:
-        data = value.to_bytes(member_bytes + son_bytes + 1, "big")
-        listed = "".join(map(get, member_tables, data))
-        sons = "".join(map(get, son_tables, data[member_bytes:]))
+    for start in range(0, len(rows), _NEST_CHUNK):
+        blob = b"".join([value.to_bytes(width, "big") for value in rows[start:start + _NEST_CHUNK]])
+        chunk = zip(joined(blob, member_columns), blob[width - 1::width], joined(blob, son_columns))
         if as_json:
-            write(f'{between}{{"members":[{listed}],"components":{data[-1]},"sons":[{sons[1:]}]}}')
-            between = ","
+            text = ",".join([
+                f'{{"members":[{listed}],"components":{m},"sons":[{sons[1:]}]}}'
+                for listed, m, sons in chunk
+            ])
+            write(f",{text}" if start else text)
         else:
-            write(f"{listed}  components={data[-1]}{' sons:' if sons else ''}{sons}\n")
+            write("".join([
+                f"{listed}  components={m}{' sons:' if sons else ''}{sons}\n"
+                for listed, m, sons in chunk
+            ]))
     if as_json:
         write("]}\n")
     return 0

@@ -32,7 +32,10 @@ products.  The unpacked entries are byte slices of width w, and each must
 have the digit sum of its ``x = 1`` value: a carry out of a slot lowers the
 digit sum, so a width too narrow raises ``ArithmeticError`` instead of
 giving a wrong polynomial.  One routine, ``_packed``, runs the two integer
-passes of both the kernel and the solver.
+passes of the kernel and the solver, and also of the brute-force nest sums
+(``fmc.nests``) and the Poincare polynomial of X[n] (``fmc.theory``): each
+has nonnegative coefficients, so its value at 1 bounds them.  The kernel
+and the solver check their budget before packing; the other two have none.
 
 The exponential generating function ``N(x,t) = sum h_n t^n / n!`` is pinned
 down by the functional identity
@@ -69,6 +72,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 
+from . import BudgetError
 from .polyseries import ZERO, IntPoly, binomial
 from .record import Record
 
@@ -76,10 +80,6 @@ from .record import Record
 #: to the second limit too.  The packed triangle at n = 40, d = 4 takes
 #: about 1 s.
 KERNEL_BUDGET = (40, 160)
-
-
-class BudgetError(ValueError):
-    """Raised when a computation would exceed its configured budget."""
 
 
 def _check_dim(d: int) -> None:
@@ -147,27 +147,24 @@ def _unpack(value: int, w: int, expected: int, at: int = 1) -> IntPoly:
 
 
 def _packed(
-    run: Callable[[int, int, int], list[int]],
-    n: int,
-    d: int,
-    at: int,
-    top: Callable[[list[int]], int] = max,
+    run: Callable[[int], list[int]], at: int, top: Callable[[list[int]], int] = max
 ) -> list[IntPoly]:
-    # The two integer passes of the kernel and the solver: run(n, d, at)
-    # gives each polynomial's value at the point at (1 or 2), top(values)
-    # bounds every coefficient and fixes the slot width w, and
-    # run(n, d, 2^(8w)) packs each polynomial into one integer, which
-    # unpacks against its value at at.
-    _check_size(n, d)
-    bounds = run(n, d, at)
-    w = (top(bounds).bit_length() + 7) // 8
-    return [_unpack(v, w, c, at) for v, c in zip(run(n, d, 1 << (8 * w)), bounds)]
+    # The two integer passes of the kernel, the solver, the brute nest sums
+    # and the Poincare polynomial: run(at) gives each polynomial's value at
+    # the point at (1 or 2), top(values) bounds every coefficient and fixes
+    # the slot width w (one byte at least, for polynomials that are all
+    # zero), and run(2^(8w)) packs each polynomial into one integer, which
+    # unpacks against its value at at.  Callers check their own budgets.
+    bounds = run(at)
+    w = max((top(bounds).bit_length() + 7) // 8, 1)
+    return [_unpack(v, w, c, at) for v, c in zip(run(1 << (8 * w)), bounds)]
 
 
 @lru_cache(maxsize=None)
 def _triangle(n: int, d: int) -> tuple[tuple[IntPoly, ...], tuple[IntPoly, ...]]:
     # Kernel entry: ((h_1, ..., h_n), (B_{n,0}, ..., B_{n,n})).
-    entries = _packed(_fill, n, d, 1)
+    _check_size(n, d)
+    entries = _packed(lambda x: _fill(n, d, x), 1)
     return tuple(entries[:n]), tuple(entries[n:])
 
 
@@ -228,7 +225,8 @@ def egf_solve(n_max: int, d: int) -> tuple[IntPoly, ...]:
         # coefficients of h_m (see the module docstring).
         return max(h >> (d * m + 1) // 2 for m, h in enumerate(values[1:]))
 
-    return tuple(_packed(_solve_at, n_max, d, 2, top))
+    _check_size(n_max, d)
+    return tuple(_packed(lambda x: _solve_at(n_max, d, x), 2, top))
 
 
 def verify_identity(series: tuple[IntPoly, ...], d: int) -> bool:

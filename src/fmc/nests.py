@@ -9,7 +9,10 @@ internal node has at least two sons.
 Each nest carries two statistics: the number of connected components
 (maximal members) and, for every internal node, its number of sons.  One
 walk builds every nest as a forest (partition {1..n} into components, then
-partition each root into sons).  The caller gives each internal member with
+partition each root into sons), in one pass per nest: {1..n} is partitioned
+once, and the forests on each partition into k >= 2 blocks are yielded as
+they stand and again under the root {1..n} with k sons, as the
+one-component nests.  The caller gives each internal member with
 its son count an integer summary; a tree's summary is the sum over its
 internal members, made once per block and shared by every forest that holds
 the block, and a forest comes out as (component count, sum of its trees'
@@ -18,8 +21,8 @@ exact, and the cost is proportional to the number of nests rather than to
 the number of candidate subset families.  ``fmc nests`` gives each member
 one bit, lex-smaller members higher, and a son-count slot below: the
 canonical order (members are sorted label tuples, and nests are compared as
-sorted member sequences) is then a descending sort of plain ints, and each
-nest is written from its int a byte at a time.
+sorted member sequences) is then a descending sort of plain ints, and the
+listing is rendered from the ints' bytes a column at a time.
 
 The weight polynomial of a nest in ambient dimension ``d`` is the product
 over internal nodes I of ``x + x^2 + ... + x^(d*(sons(I)-1)-1)``; the empty
@@ -28,20 +31,23 @@ sorted son counts), so the brute-force side of the decomposition check
 counts signatures once per n and sums their weights, grouped by component
 count, for each ``d``.  There a node with k sons adds one to slot k of the
 summary, the walk's (component count, summary) pairs are counted, and each
-distinct signature is decoded once.  The count still visits every labelled
-forest, so it stays independent of the generating-function kernel.
+distinct signature is decoded once.  The sums run on integers at a point
+and are unpacked by ``fmc.genfun._packed``, the kernel's packing: every
+weight is nonnegative, so the sums at 1 bound the coefficients.  That and
+the node weight ``sigma`` are all the nest route takes from the kernel
+module, which it imports only when it sums, so a listing never loads it.
+The count still visits every labelled forest, so it stays independent of
+the generating-function kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from math import prod
 
-from .genfun import BudgetError, _check_dim, sigma
-from .polyseries import ONE, IntPoly
+from . import BudgetError
 
 #: Hard cap on the label count for exhaustive enumeration; the number of
 #: nests grows super-exponentially (n=7 already has 78416).
@@ -62,10 +68,13 @@ def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...
 
 
 def _walk(n: int, node: Callable[[tuple[int, ...], int], int]) -> Iterator[tuple[int, int]]:
-    # (component count, summary) of every nest on {1..n}, in construction
-    # order, where a nest's summary is the sum of node(member, son count)
-    # over its internal members.  `memo` keeps the summaries of every tree
-    # on each block met so far, so one walk makes them once per block.
+    # (component count, summary) of every nest on {1..n}, where a nest's
+    # summary is the sum of node(member, son count) over its internal
+    # members.  `memo` keeps the summaries of every tree on each block met
+    # so far, so one walk makes them once per block.  The full label set is
+    # partitioned once: the forests on a partition into k >= 2 blocks are
+    # yielded as they stand, and again under the root node(full, k) as the
+    # one-component nests.
     memo: dict[tuple[int, ...], list[int]] = {}
 
     def trees(block: tuple[int, ...]) -> list[int]:
@@ -74,17 +83,33 @@ def _walk(n: int, node: Callable[[tuple[int, ...], int], int]) -> Iterator[tuple
             found = memo[block] = []
             for part in _set_partitions(block):
                 if len(part) >= 2:
-                    root = node(block, len(part))
-                    found.extend(sum(combo, root) for combo in choices(part))
+                    found += forests(part, node(block, len(part)))
         return found
 
-    def choices(part: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
-        # One tree for every block of `part` that is not a singleton, every way.
-        return itertools.product(*(trees(block) for block in part if len(block) >= 2))
+    def forests(part: tuple[tuple[int, ...], ...], base: int) -> list[int]:
+        # base plus one tree for every block of `part` that is not a
+        # singleton, every way.
+        sums = [base]
+        for block in part:
+            if len(block) >= 2:
+                sums = [s + t for t in trees(block) for s in sums]
+        return sums
 
-    for part in _set_partitions(tuple(range(1, n + 1))):
-        for combo in choices(part):
-            yield len(part), sum(combo)
+    full = tuple(range(1, n + 1))
+    for part in _set_partitions(full):
+        k = len(part)
+        if k == 1:
+            # {1..n} as one block: its trees are the one-component nests the
+            # other partitions give, and for n = 1 it is the lone singleton.
+            if n == 1:
+                yield 1, 0
+            continue
+        sums = forests(part, 0)
+        for s in sums:
+            yield k, s
+        root = node(full, k)
+        for s in sums:
+            yield 1, s + root
 
 
 def _check_labels(n: int, allow_large: bool) -> None:
@@ -94,10 +119,6 @@ def _check_labels(n: int, allow_large: bool) -> None:
         raise BudgetError(
             f"enumeration budget exceeded: n={n} > {NEST_BUDGET} (override to proceed)"
         )
-
-
-def _weight(son_counts: Iterable[int], d: int) -> IntPoly:
-    return prod((sigma(count - 1, d) for count in son_counts), start=ONE)
 
 
 @lru_cache(maxsize=None)
@@ -122,9 +143,22 @@ def brute_bivariate(n: int, d: int, allow_large: bool = False) -> dict[int, IntP
     The result maps each occurring component count m to
     ``sum(weight(S) for nests S with c(S) = m)``; zero sums are dropped.
     """
+    # Only the cross-check reads the kernel module, for its packing and its
+    # node weights; a nest listing never loads it.
+    from .genfun import _check_dim, _packed, sigma
+
     _check_dim(d)
     _check_labels(n, allow_large)
-    totals: dict[int, IntPoly] = {}
-    for (m, sons), count in _signatures(n):
-        totals[m] = totals.get(m, IntPoly()) + _weight(sons, d) * count
-    return {m: p for m, p in sorted(totals.items()) if not p.is_zero}
+    signatures = _signatures(n)
+    components = sorted({m for (m, _), _ in signatures})
+
+    def sums(x: int) -> list[int]:
+        # Each component count's weight sum at the point x; weights[k] is
+        # that of a node with k sons.
+        weights = [0] + [sigma(k, d)(x) for k in range(n)]
+        totals = dict.fromkeys(components, 0)
+        for (m, sons), count in signatures:
+            totals[m] += count * prod(weights[k] for k in sons)
+        return list(totals.values())
+
+    return {m: p for m, p in zip(components, _packed(sums, 1)) if p}

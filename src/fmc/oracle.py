@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from . import BudgetError
 from .genfun import (
-    BudgetError,
     FormalDecomposition,
     _check_dim,
     egf_solve,

@@ -24,7 +24,11 @@ for cartesian powers must be supplied).  Betti data is a Poincare
 polynomial P instead of tables, and so is the Lawson and Chow data of the
 built-in projective spaces, whose groups are Betti numbers of their powers.
 Such a space is read as one coefficient of the Poincare polynomial
-``P_{X[n]} = sum_m B_{n,m}(q^2) P^m`` of X[n], in integers.
+``P_{X[n]} = sum_m B_{n,m}(q^2) P^m`` of X[n], in integers.  That
+polynomial is built by Horner's rule in P on plain integers at a point and
+unpacked by ``fmc.genfun._packed``, the kernel's packing: Betti numbers and
+multiplicities are nonnegative, so its value at q = 1 bounds its
+coefficients, and a Betti polynomial with a negative coefficient is refused.
 
 The single blowup formula reads: the value on the blowup of X along a
 center Y of codimension r is the value on X plus the values on Y at the
@@ -42,8 +46,9 @@ from collections.abc import Callable, Iterable
 from functools import partial
 from math import inf
 
-from .genfun import BudgetError, FormalDecomposition, _check_dim, multiplicity_table
-from .polyseries import IntPoly, ZERO
+from . import BudgetError
+from .genfun import FormalDecomposition, _check_dim, _packed, multiplicity_table
+from .polyseries import IntPoly
 from .record import Record
 
 # What a negative shifted level reads: level 0, the zero group, or nothing
@@ -237,7 +242,11 @@ class GradedTable(Record):
         return self.groups.get((p, k), ZERO_GROUP)
 
 
-def _check_betti_degree(betti: IntPoly, dim: int) -> None:
+def _check_betti(betti: IntPoly, dim: int) -> None:
+    # Betti numbers: nonnegative, which the packed Poincare pass relies on,
+    # and none past the real dimension 2 * dim.
+    if any(c < 0 for c in betti.coeffs):
+        raise ValueError("Betti coefficients must be nonnegative")
     if betti.degree > 2 * dim:
         raise ValueError("Betti polynomial degree exceeds 2*dim")
 
@@ -287,9 +296,7 @@ class SpaceDescriptor(Record):
         if betti is not None:
             if kind == "db":
                 raise ValueError("Deligne-Beilinson data is a table, not a Poincare polynomial")
-            if any(c < 0 for c in betti.coeffs):
-                raise ValueError("Betti coefficients must be nonnegative")
-            _check_betti_degree(betti, dim)
+            _check_betti(betti, dim)
 
 
 def format_group_term(kind: str, m: int, p: int | None = None, k: int | None = None) -> str:
@@ -422,17 +429,28 @@ def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
     multiplicity table: a shift i multiplies by ``q^(2i)``.
     """
     _check_dim(d)
-    _check_betti_degree(betti_x, d)
+    _check_betti(betti_x, d)
     return _poincare(multiplicity_table(n, d).rows, betti_x)
 
 
 def _poincare(rows: tuple[IntPoly, ...], betti_x: IntPoly) -> IntPoly:
-    # sum_m B_{n,m}(q^2) P^m by Horner's rule in P, from m = n down to 1:
-    # n + 1 products, each by P alone.
-    total = ZERO
-    for row in reversed(rows):
-        total = total * betti_x + IntPoly(c for a in row.coeffs for c in (a, 0))
-    return total * betti_x
+    # sum_m B_{n,m}(q^2) P^m by Horner's rule in P, from m = n down to 1, on
+    # integers at the points q = 2^s that _packed asks for (1, then a power
+    # of 2 past every coefficient): n + 1 products, each by P(q) alone, and
+    # each row read at q^2 by shifts.  Every coefficient is nonnegative, so
+    # the value at q = 1 bounds them.
+    def at(q: int) -> list[int]:
+        shift = 2 * (q.bit_length() - 1)
+        p = betti_x(q)
+        total = 0
+        for row in reversed(rows):
+            value = 0
+            for a in reversed(row.coeffs):
+                value = (value << shift) + a
+            total = total * p + value
+        return [total * p]
+
+    return _packed(at, 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,32 @@ class TestBruteBivariate:
         assert run_verification(6, 3).overall
         assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_full_label_set_partitioned_once(self, monkeypatch, n):
+        # The forests on each partition of {1..n} into k >= 2 blocks serve
+        # as they stand and, under one more root, as the one-component nests,
+        # so a walk partitions the full label set once, not again for its trees.
+        full = tuple(range(1, n + 1))
+        calls = []
+        partitions = fmc.nests._set_partitions
+
+        def counted(items):
+            calls.append(tuple(items))
+            return partitions(items)
+
+        monkeypatch.setattr(fmc.nests, "_set_partitions", counted)
+        walked = list(fmc.nests._walk(n, lambda member, sons: 0))
+        assert calls.count(full) == 1
+        assert len(walked) == len(reference_nests(n))
+
+    def test_large_dimension_has_no_kernel_budget(self):
+        # The brute sums share the kernel's packing but not its budget: at
+        # d = 100 the top degree d*(n-1) - 1 = 199 is past the kernel's 160.
+        sums = brute_bivariate(3, 100)
+        pair, triple = sigma(1, 100), sigma(2, 100)
+        assert sums == {3: ONE, 2: pair * 3, 1: triple + pair * pair * 3}
+        assert sums[1].degree == 199
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_signatures_match_walk(self, n):
         walked = Counter(

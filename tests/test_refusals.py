@@ -50,6 +50,9 @@ REFUSALS = {
     "betti_of_fm-d": (lambda: betti_of_fm(P1, 0, 1), DIMENSION),
     "betti_of_fm-n": (lambda: betti_of_fm(P1, 1, 0), SIZE),
     "betti_of_fm-degree": (lambda: betti_of_fm(IntPoly([1, 0, 0, 0, 1]), 1, 1), DEGREE),
+    "betti_of_fm-negative": (
+        lambda: betti_of_fm(IntPoly([1, -1, 1]), 1, 2), "Betti coefficients must be nonnegative",
+    ),
     "proj_bundle_formula-r": (lambda: proj_bundle_formula(POINT_TABLE, 0, 0), RANK),
     "proj_bundle_table-r": (lambda: proj_bundle_table(POINT_TABLE, 0, 2, "lawson"), RANK),
     "proj_bundle_table-r-empty": (

@@ -331,24 +331,31 @@ class TestEvaluate:
     )
     def test_ranks_compute_each_power_once(self, monkeypatch, kind, p, k):
         # Built-in ranks are one coefficient of the Poincare polynomial of
-        # X[n], built by Horner's rule in P: at most n + 1 products, and no
-        # shifted table read on the way.  Power by power it takes 285 at n = 40.
+        # X[n], built by Horner's rule in P on integers at a point: one
+        # packed pass, no polynomial product, and no shifted table read on
+        # the way.  Power by power it takes 285 products at n = 40.
         def unreachable(*args):
             raise AssertionError("shifted table read reached")
 
         monkeypatch.setattr(fmc.theory, "_sum_terms", unreachable)
         dec = multiplicity_table(40, 2)
         space = builtin_space("p2", kind)
-        calls = []
-        plain_mul = IntPoly.__mul__
+        products, packs = [], []
+        plain_mul, plain_packed = IntPoly.__mul__, fmc.theory._packed
 
-        def counted(self, other):
-            calls.append(other)
+        def counted_mul(self, other):
+            products.append(other)
             return plain_mul(self, other)
 
-        monkeypatch.setattr(IntPoly, "__mul__", counted)
-        evaluate_decomposition(dec, space, p, k)
-        assert 0 < len(calls) <= dec.n + 1
+        def counted_packed(*args, **kwargs):
+            packs.append(args)
+            return plain_packed(*args, **kwargs)
+
+        monkeypatch.setattr(IntPoly, "__mul__", counted_mul)
+        monkeypatch.setattr(fmc.theory, "_packed", counted_packed)
+        value = evaluate_decomposition(dec, space, p, k)
+        assert (len(products), len(packs)) == (0, 1)
+        assert value.free_rank > 0
 
     @settings(deadline=None)
     @given(

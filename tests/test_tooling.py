@@ -190,6 +190,23 @@ def test_shifted_indices_have_one_reader():
     assert sorted(readers) == ["_sum_terms", "term_group_name"]
 
 
+def test_nest_route_reads_no_kernel_table():
+    # The brute-force sums stay independent of the generating-function
+    # kernel: fmc.nests may share its packing, its node weight and its
+    # dimension check, but names none of the routines that build or read
+    # the kernel's tables, nor the identity solver.
+    kernel = {
+        "_fill", "_triangle", "multiplicity_table", "h_recurrence",
+        "recurrence_egf", "egf_solve", "_solve_at",
+    }
+    tree = ast.parse((ROOT / "src" / "fmc" / "nests.py").read_text(encoding="utf-8"))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert named & kernel == set()
+    assert {"_packed", "sigma"} <= named
+
+
 def test_slotted_classes_are_records():
     # Every value type takes its equality, hashing and immutability from
     # fmc.record.Record instead of hand-writing a mutable contract.
