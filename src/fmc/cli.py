@@ -26,9 +26,9 @@ import sys
 from . import __version__
 
 # Each handler imports the modules it runs, so a command loads only what it
-# needs; ``json`` too loads only where it runs, in ``render_json`` and the
-# descriptor-file reader, so text output reads no JSON code.  Annotations
-# are not evaluated (PEP 563); the fmc types they name are imported by the
+# needs.  ``render_json`` writes JSON itself, so ``json`` loads only to read
+# a descriptor file, in ``fmc.theory.load_space``.  Annotations are not
+# evaluated (PEP 563); the fmc types they name are imported by the
 # handlers that use them.  The parser needs two facts of the library
 # without importing it, copied here and pinned by tests: the theory names
 # of ``fmc.theory.THEORIES``, in table order, and ``fmc.nests.NEST_BUDGET``.
@@ -43,24 +43,71 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def _json_ready(value: object) -> object:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return value if _INT64_MIN <= value <= _INT64_MAX else str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, dict):
-        return {key: _json_ready(v) for key, v in value.items()}
-    raise TypeError(f"unexpected value in JSON document: {type(value).__name__}")
+# The escape of each character json.dumps (ensure_ascii) escapes below
+# U+0080: the quote, the backslash, the control characters and DEL.
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in [*range(0x20), 0x7F]} | {
+    ord('"'): '\\"', ord("\\"): "\\\\", ord("\b"): "\\b", ord("\f"): "\\f",
+    ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t",
+}
+
+
+def _json_escape(char: str) -> str:
+    # A character of a string the table has escaped, as json.dumps writes
+    # it: ASCII as it stands, \uXXXX past it, a surrogate pair past U+FFFF.
+    code = ord(char)
+    if code < 0x80:
+        return char
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def _json_string(text: str) -> str:
+    # The string as json.dumps writes it with ensure_ascii.
+    text = text.translate(_JSON_ESCAPES)
+    if not text.isascii():
+        text = "".join(map(_json_escape, text))
+    return f'"{text}"'
 
 
 def render_json(doc: dict) -> str:
-    import json
+    """The canonical JSON text of ``doc``, as ``json.dumps`` gives it compactly.
 
-    return json.dumps(_json_ready(doc), separators=(",", ":"))
+    Bools, integers (as decimal strings outside a signed 64-bit word),
+    strings, lists or tuples, and dicts with string keys, in insertion
+    order; anything else raises ``TypeError``.
+    """
+    parts: list[str] = []
+    add = parts.append
+
+    def write(value: object) -> None:
+        if value is True or value is False:
+            add("true" if value else "false")
+        elif isinstance(value, int):
+            add(str(value) if _INT64_MIN <= value <= _INT64_MAX else f'"{value}"')
+        elif isinstance(value, str):
+            add(_json_string(value))
+        elif isinstance(value, (list, tuple)):
+            add("[")
+            for i, item in enumerate(value):
+                if i:
+                    add(",")
+                write(item)
+            add("]")
+        elif isinstance(value, dict):
+            add("{")
+            for i, (key, item) in enumerate(value.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"unexpected key in JSON document: {type(key).__name__}")
+                add(f"{',' if i else ''}{_json_string(key)}:")
+                write(item)
+            add("}")
+        else:
+            raise TypeError(f"unexpected value in JSON document: {type(value).__name__}")
+
+    write(doc)
+    return "".join(parts)
 
 
 # The converters import argparse only to refuse a value.

@@ -21,21 +21,32 @@ The kernel fills one triangle per ``(n, d)`` with the division-free rule
 
 which needs only ``h_j`` with j < n for k >= 2; then ``B_{n,1} = h_n``.
 
-It runs that rule on plain integers, twice, and unpacks only the column
-``h_1 .. h_n`` and row n.  Every ``h_j``, ``sigma_k`` and binomial has
-nonnegative coefficients, so the pass at ``x = 1`` gives each entry's
-coefficient sum, which bounds each of its coefficients; the largest sum
-among the unpacked entries fixes a slot width of w bytes.  The pass at
-``x = 2^(8w)`` packs every polynomial into one big integer (Kronecker
-substitution), so CPython's big-integer products do the polynomial
-products.  The unpacked entries are byte slices of width w, and each must
-have the digit sum of its ``x = 1`` value: a carry out of a slot lowers the
-digit sum, so a width too narrow raises ``ArithmeticError`` instead of
-giving a wrong polynomial.  One routine, ``_packed``, runs the two integer
-passes of the kernel and the solver, and also of the brute-force nest sums
-(``fmc.nests``) and the Poincare polynomial of X[n] (``fmc.theory``): each
-has nonnegative coefficients, so its value at 1 bounds them.  The kernel
-and the solver check their budget before packing; the other two have none.
+It runs that rule on plain integers.  Every ``h_j``, ``sigma_k`` and
+binomial has nonnegative coefficients, so the pass at ``x = 1`` gives each
+entry's coefficient sum, which bounds each of its coefficients; the largest
+sum among the kept entries (the column ``h_1 .. h_n`` and row n) fixes a
+slot width of w bytes.  The next passes pack every polynomial P into big
+integers (Kronecker substitution), so CPython's big-integer products do the
+polynomial products.  From w = 11 bytes on they run at ``x = X`` and
+``x = -X``, ``X = 2^(4w)``, on integers half the size of one pass at
+``2^(8w)`` (Kronecker substitution at two points, after D. Harvey, *Faster
+polynomial multiplication via multipoint Kronecker substitution*, 2009).
+Evaluation at -X is a ring map from Z[x] to Z, so both passes are exact:
+the even coefficients of P are the w-byte digits of ``(P(X) + P(-X)) / 2``,
+and the odd ones those of ``(P(X) - P(-X)) / 2^(4w+1)``.  Below 11 bytes
+the integers are too small for the halving to pay for a third pass, and
+one pass at ``x = 2^(8w)`` packs P as its w-byte digits.  The digits of
+every part together must have the sum of the entry's ``x = 1`` value: a
+carry out of a slot of any part lowers the digit sum, so a width too narrow
+raises ``ArithmeticError`` instead of giving a wrong polynomial.  The
+kernel keeps the packed passes of each ``(n, d)`` and unpacks an entry the
+first time it is read, so ``h_recurrence`` unpacks h_n alone,
+``multiplicity_table`` row n and ``recurrence_egf`` the column.  One
+routine, ``_packed``, runs the integer passes of the kernel and the solver,
+and also of the brute-force nest sums (``fmc.nests``) and the Poincare
+polynomial of X[n] (``fmc.theory``): each has nonnegative coefficients, so
+its value at 1 bounds them.  The kernel and the solver check their budget
+before packing; the other two have none.
 
 The exponential generating function ``N(x,t) = sum h_n t^n / n!`` is pinned
 down by the functional identity
@@ -44,16 +55,18 @@ down by the functional identity
 
 which an independent solver unwinds order by order in t: at order n the
 unknown ``h_n`` enters with the factor ``x^d (1-x)``, so one exact
-division isolates it.  It runs through ``_packed`` too, the first pass
-at ``x = 2``.  Each ``h_n`` is x times a palindromic polynomial of degree
-``d(n-1) - 2`` (checked over the whole kernel budget), so each coefficient's
-value also stands at some ``x^j`` with ``j >= ceil(d(n-1)/2)`` and is at most
+division isolates it.  It runs through ``_packed`` too, the first pass at
+``x = 2``; the division stays exact, and checked, at ``x = -X`` too.  Each
+``h_n`` is x times a palindromic polynomial of degree ``d(n-1) - 2``
+(checked over the whole kernel budget), so each coefficient's value also
+stands at some ``x^j`` with ``j >= ceil(d(n-1)/2)`` and is at most
 ``h_n(2) >> ceil(d(n-1)/2)``.  The largest such bound fixes the slot width
-without reading the kernel.  Each unpacked ``h_n`` must still have the value
-``h_n(2)``, so a bound too tight raises ``ArithmeticError`` instead of giving
-a wrong polynomial.  The residual check uses no packing code: it evaluates
-the identity once, at a power of 2 above twice a bound on every residual
-coefficient, where it vanishes iff the residual does.
+without reading the kernel.  The digits of each unpacked ``h_n`` must still
+have the value ``h_n(2)``, which a carry out of a slot of any part
+lowers too, so a bound too tight raises ``ArithmeticError`` instead of
+giving a wrong polynomial.  The residual check uses no packing code: it
+evaluates the identity once, at a power of 2 above twice a bound on every
+residual coefficient, where it vanishes iff the residual does.
 
 Finally, the multiplicity table ``a_{m,i}`` reads off how many i-shifted
 copies of the m-th cartesian power occur in the decomposition.  It equals
@@ -69,7 +82,7 @@ d < 1 and only ``_check_size`` n < 1; other functions call them or the kernel.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 
 from . import BudgetError
@@ -78,8 +91,18 @@ from .record import Record
 
 #: Largest kernel call, as (labels n, top degree d*(n-1)); d alone is held
 #: to the second limit too.  The packed triangle at n = 40, d = 4 takes
-#: about 1 s.
+#: about 0.4 s.
 KERNEL_BUDGET = (40, 160)
+
+# The narrowest slot width, in bytes, at which _packed splits its packing
+# into two half-width passes.  Below it the integers are too small for the
+# halving to pay for a third pass.  In process, on the kernel ops of the
+# benchmark, the split slowed those of 8 to 10 bytes (the Betti Poincare
+# ops by 13-19 %, mult (16, 3) by 18 %, egf --verify (18, 2) by 3 %), was
+# about even at 11 (mult (16, 4) 8 % faster, egf --verify (19, 2) 4 %
+# slower) and won from 12 on (h-poly (24, 3) by 33 %).  Every table of
+# verify --max-n 6 --max-d 3 packs at 1 to 3 bytes.
+_SPLIT_WIDTH = 11
 
 
 def _check_dim(d: int) -> None:
@@ -103,21 +126,29 @@ def sigma(k: int, d: int) -> IntPoly:
 
 def _fill(n: int, d: int, x: int) -> list[int]:
     # The triangle at the point x, entry [m][k] = B_{m,k}(x) for m = 0..n;
-    # returns the entries the kernel unpacks: h_1 .. h_n, then row n.
-    sigmas = [sigma(k, d)(x) for k in range(n)]
+    # returns the entries the kernel keeps: h_1 .. h_n, then row n.  Each
+    # h_m = sum_k sigma_{k-1} B_{m,k} is summed by Horner's rule in y = x^d
+    # over the tails t_k = B_{m,k} + ... + B_{m,m}:
+    # h_m = (1 + x + ... + x^(d-1)) (t_2 + y t_3 + y^2 t_4 + ...) - t_2,
+    # since sigma_{k-1} = (1 + x + ... + x^(d-1)) (1 + y + ... + y^(k-2)) - 1,
+    # so each step multiplies by the short y instead of by a sigma.
+    y = x**d
+    span = sum(x**i for i in range(d))
     rows = [[1]]
     for m in range(1, n + 1):
         hs = [0] + [rows[j][1] * binomial(m - 1, j - 1) for j in range(1, m)]
         row = [0, 0]
-        h_m = 0
         for k in range(2, m + 1):
             total = 0
             for j in range(1, m - k + 2):
                 if hs[j]:
                     total += hs[j] * rows[m - j][k - 1]
             row.append(total)
-            h_m += sigmas[k - 1] * total
-        row[1] = 1 if m == 1 else h_m
+        horner = tail = 0
+        for total in reversed(row[2:]):
+            tail += total
+            horner = horner * y + tail
+        row[1] = 1 if m == 1 else span * horner - tail
         rows.append(row)
     return [rows[m][1] for m in range(1, n + 1)] + rows[n]
 
@@ -135,47 +166,91 @@ def _check_size(n: int, d: int) -> None:
         )
 
 
-def _unpack(value: int, w: int, expected: int, at: int = 1) -> IntPoly:
-    # Digits of value in base 2^(8w), low first.  A carry out of a slot
-    # lowers their value at the point at (1 or 2) below the expected one,
-    # so the check refuses every width too narrow for the coefficients.
+def _digits(value: int, w: int) -> list[int]:
+    # The digits of value >= 0 in base 2^(8w), low first.
     raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
-    poly = IntPoly(int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w))
-    if poly(at) != expected:
+    return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+
+
+def _unpack(parts: tuple[int, ...], w: int, expected: int, at: int = 1) -> IntPoly:
+    # The polynomial whose coefficients are the digits of its parts,
+    # interleaved: coefficient i is a digit of parts[i % len(parts)].  A
+    # carry out of a slot of any part lowers the digits' value at the point
+    # at (1 or 2) below the expected one, so the check refuses every width
+    # too narrow for the coefficients.
+    digits = [_digits(part, w) for part in parts]
+    stride = len(parts)
+    coeffs = [0] * (stride * max(map(len, digits)))
+    for i, row in enumerate(digits):
+        coeffs[i:stride * len(row):stride] = row
+    poly = IntPoly(coeffs)
+    if (sum(map(sum, digits)) if at == 1 else poly(at)) != expected:
         raise ArithmeticError(f"packed entry overflows its {w}-byte slots")
     return poly
 
 
+class _Entries:
+    # The polynomials of _packed's passes, each unpacked on its first read
+    # and then kept; an int index gives one polynomial, a slice a tuple.
+    def __init__(self, w: int, at: int, bounds: list[int], parts: list[tuple[int, ...]]):
+        self.packed = w, at, bounds, parts
+        self.polys: list[IntPoly | None] = [None] * len(bounds)
+
+    def __len__(self) -> int:
+        return len(self.polys)
+
+    def __iter__(self) -> Iterator[IntPoly]:
+        return map(self.__getitem__, range(len(self.polys)))
+
+    def __getitem__(self, i: int | slice) -> IntPoly | tuple[IntPoly, ...]:
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self.polys))[i]))
+        poly = self.polys[i]
+        if poly is None:
+            w, at, bounds, parts = self.packed
+            poly = self.polys[i] = _unpack(parts[i], w, bounds[i], at)
+        return poly
+
+
 def _packed(
     run: Callable[[int], list[int]], at: int, top: Callable[[list[int]], int] = max
-) -> list[IntPoly]:
-    # The two integer passes of the kernel, the solver, the brute nest sums
-    # and the Poincare polynomial: run(at) gives each polynomial's value at
-    # the point at (1 or 2), top(values) bounds every coefficient and fixes
+) -> _Entries:
+    # The integer passes of the kernel, the solver, the brute nest sums and
+    # the Poincare polynomial: run(at) gives each polynomial's value at the
+    # point at (1 or 2), and top(values) bounds every coefficient and fixes
     # the slot width w (one byte at least, for polynomials that are all
-    # zero), and run(2^(8w)) packs each polynomial into one integer, which
-    # unpacks against its value at at.  Callers check their own budgets.
+    # zero).  From _SPLIT_WIDTH bytes on, run(X) and run(-X), X = 2^(4w),
+    # pack each polynomial P into two integers of half the width of one pass
+    # at 2^(8w): (P(X) + P(-X)) / 2 holds its even coefficients and
+    # (P(X) - P(-X)) / 2^(4w+1) its odd ones.  Below it, run(2^(8w)) packs P
+    # into one integer.  Each polynomial unpacks on first read against its
+    # value at at.  Callers check their own budgets.
     bounds = run(at)
     w = max((top(bounds).bit_length() + 7) // 8, 1)
-    return [_unpack(v, w, c, at) for v, c in zip(run(1 << (8 * w)), bounds)]
+    if w < _SPLIT_WIDTH:
+        parts = [(value,) for value in run(1 << (8 * w))]
+    else:
+        x = 1 << (4 * w)
+        parts = [((p + m) >> 1, (p - m) >> (4 * w + 1)) for p, m in zip(run(x), run(-x))]
+    return _Entries(w, at, bounds, parts)
 
 
 @lru_cache(maxsize=None)
-def _triangle(n: int, d: int) -> tuple[tuple[IntPoly, ...], tuple[IntPoly, ...]]:
-    # Kernel entry: ((h_1, ..., h_n), (B_{n,0}, ..., B_{n,n})).
+def _triangle(n: int, d: int) -> _Entries:
+    # Kernel entries h_1, ..., h_n, then B_{n,0}, ..., B_{n,n}: the packed
+    # passes of each (n, d), kept, and each entry unpacked on first read.
     _check_size(n, d)
-    entries = _packed(lambda x: _fill(n, d, x), 1)
-    return tuple(entries[:n]), tuple(entries[n:])
+    return _packed(lambda x: _fill(n, d, x), 1)
 
 
 def h_recurrence(n: int, d: int) -> IntPoly:
     """The polynomial ``h_n = B_{n,1}`` from the partial-Bell triangle."""
-    return _triangle(n, d)[0][-1]
+    return _triangle(n, d)[n - 1]
 
 
 def recurrence_egf(n_max: int, d: int) -> tuple[IntPoly, ...]:
     """The series ``N`` as its coefficients ``(0, h_1, ..., h_n_max)``."""
-    return (ZERO,) + _triangle(n_max, d)[0]
+    return (ZERO,) + _triangle(n_max, d)[:n_max]
 
 
 def _exp_at(a: list[int]) -> list[int]:
@@ -285,4 +360,4 @@ class FormalDecomposition(Record):
 
 def multiplicity_table(n: int, d: int) -> FormalDecomposition:
     """All ``a_{m,i}``: row m of the table is the partial Bell polynomial ``B_{n,m}``."""
-    return FormalDecomposition(n=n, d=d, rows=_triangle(n, d)[1][1:])
+    return FormalDecomposition(n=n, d=d, rows=_triangle(n, d)[n + 1:])

@@ -435,10 +435,10 @@ def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
 
 def _poincare(rows: tuple[IntPoly, ...], betti_x: IntPoly) -> IntPoly:
     # sum_m B_{n,m}(q^2) P^m by Horner's rule in P, from m = n down to 1, on
-    # integers at the points q = 2^s that _packed asks for (1, then a power
-    # of 2 past every coefficient): n + 1 products, each by P(q) alone, and
-    # each row read at q^2 by shifts.  Every coefficient is nonnegative, so
-    # the value at q = 1 bounds them.
+    # integers at the points q = 1 and q = +-2^s that _packed asks for: n + 1
+    # products, each by P(q) alone, and each row read at q^2 = 4^s by
+    # shifts.  Every coefficient is nonnegative, so the value at q = 1
+    # bounds them.
     def at(q: int) -> list[int]:
         shift = 2 * (q.bit_length() - 1)
         p = betti_x(q)

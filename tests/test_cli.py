@@ -32,6 +32,51 @@ def assert_roundtrip(document):
     assert render_json(parsed) == document.rstrip("\n")
 
 
+def reference_json(doc):
+    """The canonical JSON of doc by json.dumps: integers outside int64 as strings."""
+    def ready(value):
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, int):
+            return value if -(2**63) <= value < 2**63 else str(value)
+        if isinstance(value, (list, tuple)):
+            return [ready(item) for item in value]
+        if isinstance(value, dict):
+            return {key: ready(item) for key, item in value.items()}
+        return value
+
+    return json.dumps(ready(doc), separators=(",", ":"))
+
+
+# Strings of quotes, backslashes, control characters, DEL, other ASCII,
+# characters past U+007F and past U+FFFF, and lone surrogates.
+json_strings = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\b\f\n\r\t a/'),
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0x80, exclude_categories=()),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+    ),
+    max_size=8,
+)
+# Integers on both sides of -2^63 and 2^63 - 1, and far past them.
+json_integers = st.one_of(
+    st.integers(-(2**63) - 2, -(2**63) + 2),
+    st.integers(2**63 - 3, 2**63 + 1),
+    st.integers(-(2**200), 2**200),
+    st.integers(-5, 5),
+)
+json_values = st.recursive(
+    st.one_of(st.booleans(), json_integers, json_strings),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
 class TestContractExamples:
     def test_h_poly_bytes(self, capsys):
         code, out, err = run_cli(
@@ -105,6 +150,42 @@ class TestJsonStability:
         assert render_json({"v": 2**63 - 1}) == '{"v":9223372036854775807}'
         assert render_json({"v": 2**63}) == '{"v":"9223372036854775808"}'
         assert_roundtrip(render_json({"v": 2**100}))
+
+    @given(doc=st.dictionaries(json_strings, json_values, max_size=4))
+    def test_writer_matches_json_dumps(self, doc):
+        assert render_json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, None, {1: 2}, {"a": {None: 1}}, [set()], b"bytes"],
+        ids=["float", "none", "int-key", "nested-none-key", "set", "bytes"],
+    )
+    def test_writer_refuses_other_values(self, value):
+        with pytest.raises(TypeError):
+            render_json({"v": value})
+
+    def test_non_ascii_space_name(self, capsys, tmp_path):
+        # A descriptor names its space with non-ASCII characters, one past
+        # U+FFFF, a quote and a backslash; the bytes are those json.dumps gave.
+        path = tmp_path / "plane.json"
+        path.write_text(
+            json.dumps({**BETTI_LINE, "name": 'Fl\u00e4che "\u03a9" \U0001d54f\\'},
+                       ensure_ascii=False),
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(
+            capsys, "decompose", "--theory", "betti", "--n", "3", "--d", "1",
+            "--mode", "ranks", "--space", str(path), "--format", "json",
+        )
+        assert code == 0
+        assert out == (
+            '{"n":3,"d":1,"theory":"betti","mode":"ranks",'
+            '"space":"Fl\\u00e4che \\"\\u03a9\\" \\ud835\\udd4f\\\\",'
+            '"terms":[{"m":3,"shift":0,"mult":1},{"m":1,"shift":1,"mult":1}],'
+            '"poincare":{"coeffs":[1,0,4,0,4,0,1]}}\n'
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4ca4c33dccfa8cbe0cdf1b6bc332a5827e809e15bb2688a803c452a1d9f2aca5"
+        )
 
 
 class TestSubcommands:
@@ -799,7 +880,7 @@ NOT_KERNEL = {"fmc.theory", "fmc.nests", "fmc.oracle"}
 # Standard-library modules no command loads: dataclasses alone pulls in
 # inspect, ast and dis, about 20 ms per process with its generated methods.
 NEVER_LOADED = {"dataclasses", "inspect", "typing"}
-# json loads only for JSON output or a descriptor file.
+# json loads only to read a descriptor file.
 JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
 # argparse, with gettext and locale, and shutil for its help width, loads
 # only to render --help or an error.
@@ -842,16 +923,18 @@ class TestImports:
     def test_help_and_errors_go_through_argparse(self, argv, code):
         assert "argparse" in import_footprint(*argv, code=code)
 
-    def test_json_loads_for_json_output_or_a_descriptor_file(self, tmp_path):
+    def test_json_loads_only_for_a_descriptor_file(self, tmp_path):
+        # render_json writes JSON itself: JSON output loads no json module,
+        # and reading a descriptor file does.
+        loaded = import_footprint("h-poly", "--n", "4", "--d", "2", "--format", "json")
+        assert not loaded & (NEVER_LOADED | JSON_MODULES)
         path = tmp_path / "line.json"
         path.write_text('{"name": "L", "dim": 1, "kind": "betti", "betti": [1, 0, 1]}')
-        for argv in (
-            ("h-poly", "--n", "4", "--d", "2", "--format", "json"),
-            ("decompose", "--theory", "betti", "--n", "3", "--d", "1",
-             "--mode", "ranks", "--space", str(path)),
-        ):
-            loaded = import_footprint(*argv)
-            assert "json" in loaded and not loaded & NEVER_LOADED, argv
+        loaded = import_footprint(
+            "decompose", "--theory", "betti", "--n", "3", "--d", "1",
+            "--mode", "ranks", "--space", str(path), "--format", "json",
+        )
+        assert "json" in loaded and not loaded & NEVER_LOADED
 
     def test_parser_literals_match_the_library(self, capsys):
         # The parser copies these so that building it imports no library module.

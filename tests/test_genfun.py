@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fmc.genfun
+from fmc.cli import main
 from fmc.genfun import (
     KERNEL_BUDGET,
     BudgetError,
@@ -292,9 +293,9 @@ class TestSolver:
         widths = set()
         unpack = fmc.genfun._unpack
 
-        def spy(value, w, expected, at=1):
+        def spy(parts, w, expected, at=1):
             widths.add(w)
-            return unpack(value, w, expected, at)
+            return unpack(parts, w, expected, at)
 
         monkeypatch.setattr(fmc.genfun, "_unpack", spy)
         egf_solve(20, 3)
@@ -316,18 +317,18 @@ class TestSolver:
         # h_7 takes 9 bits, so the solve at one byte less carries out of a
         # slot, and the carry must be refused, not read as a polynomial.
         n, d = 7, 1
-        solve_at, unpack = fmc.genfun._solve_at, fmc.genfun._unpack
+        solve_at, packed = fmc.genfun._solve_at, fmc.genfun._packed
         at_two = solve_at(n, d, 2)
         w = (max(at_two).bit_length() + 7) // 8
         assert w == 2
-        packed = solve_at(n, d, 1 << (8 * w))
-        assert tuple(unpack(v, w, c, 2) for v, c in zip(packed[1:], at_two[1:])) == (
-            reference_solve(n, d)[1:]
-        )
-        narrow = solve_at(n, d, 1 << (8 * (w - 1)))
+
+        def run(x):
+            return solve_at(n, d, x)
+
+        assert packed(run, 2)[1:] == reference_solve(n, d)[1:]
+        narrow = packed(run, 2, lambda values: (1 << (8 * (w - 1))) - 1)
         with pytest.raises(ArithmeticError, match="overflows"):
-            for v, c in zip(narrow[1:], at_two[1:]):
-                unpack(v, w - 1, c, 2)
+            narrow[1:]
 
 
 class TestIdentity:
@@ -556,7 +557,8 @@ class TestPackedKernel:
         [(n, d) for d in range(1, 5) for n in range(1, 25)] + [(40, 1), (30, 4)],
     )
     def test_matches_reference(self, n, d):
-        hs, row = fmc.genfun._triangle(n, d)
+        entries = fmc.genfun._triangle(n, d)
+        hs, row = entries[:n], entries[n:]
         assert row == reference_bell_row(n, d)
         assert hs == tuple(reference_bell_row(m, d)[1] for m in range(1, n + 1))
 
@@ -564,11 +566,120 @@ class TestPackedKernel:
         # The kernel's width one byte narrower is too narrow for the largest
         # coefficient of row 24: packing at it carries, and the carry must
         # be refused, not read as a different polynomial.
-        _, row = fmc.genfun._triangle(24, 3)
+        row = fmc.genfun._triangle(24, 3)[24:]
         w = (max(p(1) for p in row).bit_length() + 7) // 8
         poly = max(row, key=lambda p: max(p.coeffs, default=0))
         assert max(poly.coeffs) >= 1 << (8 * (w - 1))
-        unpack = fmc.genfun._unpack
-        assert unpack(poly(1 << (8 * w)), w, poly(1)) == poly
+
+        def run(x):
+            return [poly(x)]
+
+        assert fmc.genfun._packed(run, 1, lambda values: (1 << (8 * w)) - 1)[0] == poly
+        narrow = fmc.genfun._packed(run, 1, lambda values: (1 << (8 * (w - 1))) - 1)
         with pytest.raises(ArithmeticError):
-            unpack(poly(1 << (8 * (w - 1))), w - 1, poly(1))
+            narrow[0]
+
+    @pytest.mark.parametrize(
+        "argv, unpacked",
+        [
+            (["h-poly", "--n", "24", "--d", "3"], 1),
+            (["mult", "--n", "20", "--d", "4"], 20),
+            (["egf", "--n", "12", "--d", "2"], 12),
+        ],
+    )
+    def test_unpacks_only_what_is_printed(self, capsys, monkeypatch, argv, unpacked):
+        # The kernel keeps its packed passes and unpacks an entry on first
+        # read: h-poly reads h_n alone, mult row n and egf h_1 .. h_n, of
+        # the 2n + 1 entries of the triangle.
+        calls = []
+        unpack = fmc.genfun._unpack
+
+        def counted(*args):
+            calls.append(args)
+            return unpack(*args)
+
+        monkeypatch.setattr(fmc.genfun, "_unpack", counted)
+        fmc.genfun._triangle.cache_clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == unpacked
+
+
+def schoolbook(a, b):
+    """Product of two coefficient lists, term by term."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return IntPoly(out)
+
+
+# Nonnegative coefficient lists: empty (zero), single terms, and dense lists
+# of both parities, with coefficients of one bit to a hundred.
+coefficient_lists = st.one_of(
+    st.just([]),
+    st.builds(lambda i, c: [0] * i + [c], st.integers(0, 9), st.integers(1, 2**100)),
+    st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**100)), min_size=1, max_size=9),
+)
+
+
+class TestPackedSplit:
+    @given(
+        pairs=st.lists(st.tuples(coefficient_lists, coefficient_lists), min_size=1, max_size=6),
+        at=st.sampled_from([1, 2]),
+    )
+    def test_matches_schoolbook(self, pairs, at):
+        # Products of polynomials with nonnegative coefficients, packed at
+        # the bound of the kernel (at 1) and of the solver (at 2): each
+        # coefficient is at most the product's value at 1 or 2.
+        polys = [(IntPoly(a), IntPoly(b)) for a, b in pairs]
+
+        def run(x):
+            return [a(x) * b(x) for a, b in polys]
+
+        assert tuple(fmc.genfun._packed(run, at)) == tuple(schoolbook(a, b) for a, b in pairs)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[], [7], [0, 7], [0, 0, 0, 0, 0, 9], [1, 2, 3], [1, 2, 3, 4], [5, 0, 0, 6, 0, 1]],
+        ids=["zero", "constant", "odd-term", "high-odd-term", "odd-length", "even-length", "sparse"],
+    )
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_named_shapes(self, coeffs, at):
+        poly = IntPoly(coeffs)
+        (entry,) = fmc.genfun._packed(lambda x: [poly(x)], at)
+        assert entry == poly
+
+    @pytest.mark.parametrize("at", [1, 2])
+    @pytest.mark.parametrize("width", [1, 16], ids=["one-pass", "split"])
+    @pytest.mark.parametrize("slot", [2, 1], ids=["even-slot", "odd-slot"])
+    def test_planted_narrow_width_raises(self, slot, width, at):
+        # One coefficient needs width + 1 bytes and every other one fits in
+        # one, and the planted bound gives width bytes: the carry out of that
+        # slot must be refused whether it is an even or an odd slot, so the
+        # check reads both halves of a split packing.
+        coeffs = [1, 2, 3, 4, 5]
+        coeffs[slot] = (1 << (8 * width)) + 44
+        poly = IntPoly(coeffs)
+
+        def run(x):
+            return [poly(x)]
+
+        assert fmc.genfun._packed(run, at)[0] == poly
+        narrow = fmc.genfun._packed(run, at, lambda values: (1 << (8 * width)) - 1)
+        with pytest.raises(ArithmeticError, match=f"overflows its {width}-byte slots"):
+            narrow[0]
+
+    @pytest.mark.parametrize("w, passes", [(1, 2), (10, 2), (11, 3), (16, 3)])
+    def test_split_from_eleven_bytes(self, w, passes):
+        # Narrow slots pack in one pass at 2^(8w), wide ones in two
+        # half-width passes, after the bound pass.
+        poly = IntPoly([3, 1 << (8 * w - 1), 0, 5])
+        points = []
+
+        def run(x):
+            points.append(x)
+            return [poly(x)]
+
+        assert tuple(fmc.genfun._packed(run, 1)) == (poly,)
+        assert len(points) == passes

@@ -531,10 +531,10 @@ class TestListing:
     def test_json_copies_no_document(self, capsys, monkeypatch):
         expected = reference_listing(5, "json")
 
-        def refuse(value):
-            raise AssertionError("the nest listing went through _json_ready")
+        def refuse(doc):
+            raise AssertionError("the nest listing went through render_json")
 
-        monkeypatch.setattr(fmc.cli, "_json_ready", refuse)
+        monkeypatch.setattr(fmc.cli, "render_json", refuse)
         assert listing(capsys, 5, "json") == (0, expected, "")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

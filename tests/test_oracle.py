@@ -134,8 +134,8 @@ class TestOtherChecks:
 
     def test_solver_match_builds_one_triangle(self, monkeypatch):
         # The solver is compared with the whole (n, d) series at once, so
-        # the kernel triangle is built once (two passes of _fill), not once
-        # per order m = 1..n.
+        # the kernel triangle is built once (three passes of _fill: at 1,
+        # then at +X and -X), not once per order m = 1..n.
         calls = []
         fill = fmc.genfun._fill
 
@@ -146,7 +146,7 @@ class TestOtherChecks:
         monkeypatch.setattr(fmc.genfun, "_fill", counted)
         fmc.genfun._triangle.cache_clear()
         assert solver_match(20, 3).passed
-        assert calls == [(20, 3), (20, 3)]
+        assert calls == [(20, 3), (20, 3), (20, 3)]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_table_blowup(self, d):

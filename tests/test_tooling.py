@@ -82,6 +82,34 @@ def test_argparse_is_imported_only_inside_functions():
     assert eager == []
 
 
+def test_json_is_imported_only_to_read_a_descriptor_file():
+    # fmc.cli.render_json writes JSON itself, so the json module has one
+    # import site, in fmc.theory.load_space.  Outside a function an import
+    # has no owner (None).
+    sites = []
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): top.name
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef)
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            sites += [
+                (path.name, owner.get(id(node)))
+                for name in names
+                if name.split(".")[0] in ("json", "_json")
+            ]
+    assert sites == [("theory.py", "load_space")]
+
+
 def test_no_module_compares_with_a_ranged_theory_name():
     # The Lawson and Chow index ranges live only in fmc.theory.THEORIES, so
     # no code branches on those two names.  Comparisons with "db" and
