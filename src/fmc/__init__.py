@@ -48,7 +48,6 @@ _HOMES = {
     "betti_of_fm": "theory",
     "blowup_formula": "theory",
     "builtin_space": "theory",
-    "direct_sum": "theory",
     "evaluate_decomposition": "theory",
     "formal_evaluation": "theory",
     "load_space": "theory",

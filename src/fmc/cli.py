@@ -29,13 +29,11 @@ from . import __version__
 # needs.  ``render_json`` writes JSON itself, so ``json`` loads only to read
 # a descriptor file, in ``fmc.theory.load_space``.  Annotations are not
 # evaluated (PEP 563); the fmc types they name are imported by the
-# handlers that use them.  The parser needs two facts of the library
-# without importing it, copied here and pinned by tests: the theory names
-# of ``fmc.theory.THEORIES``, in table order, and ``fmc.nests.NEST_BUDGET``.
-# Handlers read their options as attributes of a namespace, whichever
-# parser made it.
+# handlers that use them.  The parser needs one fact of the library
+# without importing it, copied here and pinned by a test: the theory names
+# of ``fmc.theory.THEORIES``, in table order.  Handlers read their options
+# as attributes of a namespace, whichever parser made it.
 _THEORY_NAMES = ("lawson", "chow", "db", "betti")
-_NEST_BUDGET = 7
 # Rows of a nest listing rendered and written together.
 _NEST_CHUNK = 1024
 
@@ -178,7 +176,7 @@ def cmd_nests(args: SimpleNamespace) -> int:
     from .nests import _check_labels, _walk
 
     n = args.n
-    _check_labels(n, args.budget_override)
+    _check_labels(n)
     # Each nest is one int.  From the top: a bit per member, lex-smaller
     # members higher; a son-count slot per member, in the same order; the
     # component count in the low byte.  Every nest holds (n,), the lex-largest
@@ -424,7 +422,7 @@ def cmd_decompose(args: SimpleNamespace) -> int:
 def cmd_verify(args: SimpleNamespace) -> int:
     from .oracle import run_verification
 
-    report = run_verification(args.max_n, args.max_d, allow_large=args.budget_override)
+    report = run_verification(args.max_n, args.max_d)
     if args.format == "json":
         doc = {
             "max_n": args.max_n,
@@ -465,10 +463,6 @@ _COMMANDS = {
         (
             ("--n", dict(type=_positive_int, required=True, help="number of labels")),
             ("--format", dict(choices=("json", "text"), default="text")),
-            ("--budget-override", dict(
-                action="store_true",
-                help=f"enumerate past the default budget of n <= {_NEST_BUDGET}",
-            )),
         ),
     ),
     "h-poly": (
@@ -522,10 +516,6 @@ _COMMANDS = {
         (
             ("--max-n", dict(type=_positive_int, default=4)),
             ("--max-d", dict(type=_positive_int, default=3)),
-            ("--budget-override", dict(
-                action="store_true",
-                help=f"allow brute-force enumeration past n = {_NEST_BUDGET}",
-            )),
             ("--format", dict(choices=("json", "text"), default="text")),
         ),
     ),

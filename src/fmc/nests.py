@@ -49,8 +49,9 @@ from math import prod
 
 from . import BudgetError
 
-#: Hard cap on the label count for exhaustive enumeration; the number of
-#: nests grows super-exponentially (n=7 already has 78416).
+#: Hard cap on the label count for exhaustive enumeration, which nothing
+#: lifts; the number of nests grows super-exponentially (n=7 already has
+#: 78416, n=8 has 1.32 million).
 NEST_BUDGET = 7
 
 
@@ -112,13 +113,11 @@ def _walk(n: int, node: Callable[[tuple[int, ...], int], int]) -> Iterator[tuple
             yield 1, s + root
 
 
-def _check_labels(n: int, allow_large: bool) -> None:
+def _check_labels(n: int) -> None:
     if n < 1:
         raise ValueError("label count must be >= 1")
-    if n > NEST_BUDGET and not allow_large:
-        raise BudgetError(
-            f"enumeration budget exceeded: n={n} > {NEST_BUDGET} (override to proceed)"
-        )
+    if n > NEST_BUDGET:
+        raise BudgetError(f"enumeration budget exceeded: n={n} (limit n <= {NEST_BUDGET})")
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +136,7 @@ def _signatures(n: int) -> tuple:
     return tuple(sorted(found.items()))
 
 
-def brute_bivariate(n: int, d: int, allow_large: bool = False) -> dict[int, IntPoly]:
+def brute_bivariate(n: int, d: int) -> dict[int, IntPoly]:
     """Sum of nest weights grouped by component count.
 
     The result maps each occurring component count m to
@@ -148,7 +147,7 @@ def brute_bivariate(n: int, d: int, allow_large: bool = False) -> dict[int, IntP
     from .genfun import _check_dim, _packed, sigma
 
     _check_dim(d)
-    _check_labels(n, allow_large)
+    _check_labels(n)
     signatures = _signatures(n)
     components = sorted({m for (m, _), _ in signatures})
 

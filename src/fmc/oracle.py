@@ -30,7 +30,7 @@ from .genfun import (
     recurrence_egf,
     verify_identity,
 )
-from .nests import brute_bivariate
+from .nests import _check_labels, brute_bivariate
 from .polyseries import ONE, IntPoly
 from .record import Record
 from .theory import (
@@ -69,9 +69,9 @@ class VerificationReport(Record):
         return all(check.passed for check in self.checks)
 
 
-def brute_equiv(n: int, d: int, allow_large: bool = False) -> CheckResult:
+def brute_equiv(n: int, d: int) -> CheckResult:
     """Nest enumeration vs generating-function table, all powers at once."""
-    brute = brute_bivariate(n, d, allow_large=allow_large)
+    brute = brute_bivariate(n, d)
     table = multiplicity_table(n, d)
     rows = {m: p for m, p in enumerate(table.rows, start=1) if p}
     passed = brute == rows
@@ -207,18 +207,17 @@ def structure_check(n: int, d: int) -> CheckResult:
     return CheckResult("structure", {"n": n, "d": d}, passed, detail)
 
 
-def run_verification(
-    max_n: int = 4, max_d: int = 3, allow_large: bool = False
-) -> VerificationReport:
+def run_verification(max_n: int = 4, max_d: int = 3) -> VerificationReport:
     """Full check matrix over the grid n <= max_n, d <= max_d."""
     if max_n < 1 or max_d < 1:
         raise ValueError("max_n and max_d must be >= 1")
     if max_d > VERIFY_MAX_D:
         raise BudgetError(f"verify budget exceeded: max_d={max_d} (limit {VERIFY_MAX_D})")
+    _check_labels(max_n)
     checks: list[CheckResult] = []
     for d in range(1, max_d + 1):
         for n in range(1, max_n + 1):
-            checks.append(brute_equiv(n, d, allow_large=allow_large))
+            checks.append(brute_equiv(n, d))
         checks.append(solver_match(max_n, d))
         checks.append(identity_residual(max_n, d))
         checks.append(x2_check(d))

@@ -214,11 +214,6 @@ def _total(parts: Iterable[tuple[GroupDescriptor, int]]) -> GroupDescriptor:
     return GroupDescriptor(free_rank=rank, torsion=tuple(torsion), formal=tuple(formal))
 
 
-def direct_sum(*groups: GroupDescriptor) -> GroupDescriptor:
-    """Direct sum of descriptors (order-independent canonical form)."""
-    return _total((g, 1) for g in groups)
-
-
 class GradedTable(Record):
     """Map from index pairs (p, k) to groups; absent entries are zero.
 
@@ -406,10 +401,9 @@ def blowup_formula(
     return _formula([(x, 0, 1)] + [(y, j, 1) for j in range(1, r)], kind, p, k)
 
 
-def _bundle_terms(y: GradedTable, r: int) -> list[tuple[GradedTable, int, int]]:
+def _check_rank(r: int) -> None:
     if r < 1:
         raise ValueError("rank parameter must be >= 1")
-    return [(y, j, 1) for j in range(r)]
 
 
 def proj_bundle_formula(
@@ -419,7 +413,8 @@ def proj_bundle_formula(
 
     The result is ``sum_{j=0..r-1} y(p-j, k-2j)``.
     """
-    return _formula(_bundle_terms(y, r), kind, p, k)
+    _check_rank(r)
+    return _formula([(y, j, 1) for j in range(r)], kind, p, k)
 
 
 def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
@@ -470,11 +465,15 @@ _BUILTIN_SPACES = {
 
 
 def proj_bundle_table(y: GradedTable, r: int, total_dim: int, kind: str) -> GradedTable:
-    """Full graded table of a projective bundle over a tabulated base."""
-    terms = _bundle_terms(y, r)
+    """Full graded table of a projective bundle over a tabulated base.
+
+    Each index is read by ``proj_bundle_formula``; a bad rank is refused
+    even when the window is empty.
+    """
+    _check_rank(r)
     degrees = range(2 * total_dim + 1) if theory_of(kind).has_degree else (0,)
     return GradedTable({
-        (p, k): _formula(terms, kind, p, k)
+        (p, k): proj_bundle_formula(y, r, p, k, kind)
         for p in range(total_dim + 1)
         for k in degrees
     })

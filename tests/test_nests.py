@@ -312,8 +312,34 @@ class TestEnumeration:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             brute_bivariate(8, 2)
-        # override path works below the cap too
-        assert brute_bivariate(3, 2, allow_large=True) == brute_bivariate(3, 2)
+
+
+BUDGET_REFUSAL = (
+    f"fmc: error: enumeration budget exceeded: n=8 (limit n <= {fmc.nests.NEST_BUDGET})"
+)
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (("nests", "--n", "8"), BUDGET_REFUSAL),
+    (("verify", "--max-n", "8", "--max-d", "1"), BUDGET_REFUSAL),
+    (("nests", "--n", "8", "--budget-override"),
+     "fmc: error: unrecognized arguments: --budget-override"),
+], ids=["nests", "verify", "override"])
+def test_over_budget_lines_walk_nothing(capsys, monkeypatch, fresh_signatures, argv, last_line):
+    # NEST_BUDGET is one fixed limit: a listing or a verify sweep past it is
+    # refused before any nest is walked, verify before its first check, and
+    # no flag lifts it.  The cache is empty, so every n would be walked.
+    def refuse(n, node):
+        raise AssertionError(f"walked the nests of n={n}")
+
+    monkeypatch.setattr(fmc.nests, "_walk", refuse)
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[-1] == last_line
+    if last_line == BUDGET_REFUSAL:
+        assert lines == [BUDGET_REFUSAL]
 
 
 class TestFromFamily:
@@ -406,8 +432,10 @@ class TestBruteBivariate:
         assert brute_bivariate(1, 3) == {1: ONE}
 
     def test_budget_checked_before_cache(self, monkeypatch):
+        # n = 4 is walked and cached under the real budget; a budget below
+        # it still refuses n = 4, so the cache is never read past the budget.
+        assert brute_bivariate(4, 2)[4] == ONE
         monkeypatch.setattr(fmc.nests, "NEST_BUDGET", 3)
-        assert brute_bivariate(4, 2, allow_large=True)[4] == ONE
         with pytest.raises(BudgetError):
             brute_bivariate(4, 2)
 

@@ -18,7 +18,6 @@ from fmc.theory import (
     betti_of_fm,
     blowup_formula,
     builtin_space,
-    direct_sum,
     evaluate_decomposition,
     formal_evaluation,
     parse_space,
@@ -89,18 +88,27 @@ class TestGroupDescriptor:
     def test_torsion_canonicalized(self):
         assert GroupDescriptor(torsion=(4, 2)) == GroupDescriptor(torsion=(2, 4))
 
-    @given(a=groups, b=groups, c=groups)
-    def test_direct_sum_laws(self, a, b, c):
-        assert direct_sum(a, b) == direct_sum(b, a)
-        assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
-        assert direct_sum(a, ZERO_GROUP) == a
+    @given(a=groups, b=groups, c=groups, copies=st.integers(0, 3))
+    def test_direct_sum_laws(self, a, b, c, copies):
+        # _total is the one accumulator of every direct sum.
+        total = fmc.theory._total
+
+        def plus(*summands):
+            return total((g, 1) for g in summands)
+
+        assert plus(a, b) == plus(b, a)
+        assert plus(plus(a, b), c) == plus(a, plus(b, c))
+        assert plus(a, ZERO_GROUP) == plus(a) == a
+        assert total([(a, copies)]) == plus(*[a] * copies)
 
     def test_direct_sum_keeps_the_summand_budget(self):
         # Every group sum lists at most SUMMAND_BUDGET torsion orders and
-        # formal names; two halves of 600 000 each are too many.
+        # formal names; two halves of 600 000 each are too many, as one
+        # group or as copies of one.
         half = GroupDescriptor(torsion=(2,) * 600_000)
-        with pytest.raises(BudgetError, match="summand budget exceeded"):
-            direct_sum(half, half)
+        for parts in ([(half, 1), (half, 1)], [(half, 2)]):
+            with pytest.raises(BudgetError, match="summand budget exceeded"):
+                fmc.theory._total(parts)
 
 
 class TestGradedTable:

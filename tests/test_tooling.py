@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -8,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from fmc.cli import main
+from fmc.cli import _COMMANDS, main
+from fmc.genfun import KERNEL_BUDGET
+from fmc.nests import NEST_BUDGET
+from fmc.oracle import VERIFY_MAX_D
+from fmc.theory import SUMMAND_BUDGET
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -167,6 +172,29 @@ def test_each_refusal_is_raised_at_one_site():
             text = "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
             sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
     assert {text: where for text, where in sites.items() if len(where) > 1} == {}
+
+
+def test_readme_states_every_budget_at_its_value():
+    # The README's exit-code paragraph states each size budget as the code
+    # has it, and each command option it names is one the parser takes.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(text.split("Exit codes:", 1)[1].split("\n\n", 1)[0].split())
+    max_n, max_degree = KERNEL_BUDGET
+    exponent = len(str(SUMMAND_BUDGET)) - 1
+    assert SUMMAND_BUDGET == 10**exponent
+    for phrase in (
+        f"`NEST_BUDGET = {NEST_BUDGET}`",
+        f"`n <= {max_n}`",
+        f"`d <= {max_degree}`",
+        f"`d*(n-1) <= {max_degree}`",
+        f"`VERIFY_MAX_D = {VERIFY_MAX_D}`",
+        f"`SUMMAND_BUDGET = 10^{exponent}`",
+    ):
+        assert phrase in paragraph
+    named = re.findall(r"`([a-z-]+) (--[a-z-]+)`", paragraph)
+    assert named
+    for command, flag in named:
+        assert flag in dict(_COMMANDS[command][2]), (command, flag)
 
 
 def test_only_the_entry_routine_ends_the_process():
