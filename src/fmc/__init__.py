@@ -46,7 +46,6 @@ _HOMES = {
     "ZERO_GROUP": "theory",
     "Z_GROUP": "theory",
     "betti_of_fm": "theory",
-    "blowup_formula": "theory",
     "builtin_space": "theory",
     "evaluate_decomposition": "theory",
     "formal_evaluation": "theory",

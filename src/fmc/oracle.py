@@ -9,6 +9,12 @@ Three unrelated computation routes must agree wherever they meet:
   up the cube along the small diagonal, codimension 2d, then along three
   disjoint centers isomorphic to X[2], codimension d each).
 
+Evaluation has two routes, which the table-blowup check compares on X[2]
+for X = P^d: graded tables (the only route for descriptor files, torsion
+and Deligne-Beilinson data) and one coefficient of the Poincare polynomial
+of X[2].  It is blind to a Lawson clamp that reads the wrong nonnegative
+level, as the Lawson groups of P^a do not depend on the level.
+
 Blowup reconstructions beyond n = 3 are deliberately absent: the later
 centers are proper transforms whose graded data has no closed form here.
 
@@ -35,8 +41,9 @@ from .polyseries import ONE, IntPoly
 from .record import Record
 from .theory import (
     POINT_TABLE,
+    GradedTable,
+    GroupDescriptor,
     SpaceDescriptor,
-    blowup_formula,
     betti_of_fm,
     evaluate_decomposition,
     proj_bundle_table,
@@ -44,9 +51,9 @@ from .theory import (
 )
 
 #: Largest ``max_d`` of a verification sweep.  The table-blowup check runs
-#: once per d and its cost grows faster than d^3 (in process, best of 3,
-#: Python 3.11.7, shared 2-core VM: 0.23 s at d = 24 and 0.53 s at d = 32 at
-#: commit 7a46579; 0.23 s and 0.51 s with the formulas on ``_sum_terms``),
+#: once per d and its cost grows faster than d^3 (in process, best of 3 runs
+#: alternated over three rounds, Python 3.11.7, shared 2-core VM: 0.24 s at
+#: d = 24 and 0.47 s at d = 32, about half of it building the bundle tables),
 #: so the slowest admitted sweep, n <= 7 and d <= 24, ends in seconds.
 VERIFY_MAX_D = 24
 
@@ -155,21 +162,29 @@ def min_formula_check(d: int) -> CheckResult:
     return CheckResult("min-formula", {"d": d}, passed, detail)
 
 
-def table_blowup_check(d: int) -> CheckResult:
-    """Blowup formula on graded tables vs term-by-term evaluation.
+def _bundle_powers(a: int, kind: str, max_power: int) -> dict[int, GradedTable]:
+    # Tables {m: table} of the powers of P^a: (P^a)^m is a projective bundle
+    # with rank parameter a + 1 over (P^a)^(m-1), so no product formula.
+    powers, table = {}, POINT_TABLE
+    for m in range(1, max_power + 1):
+        table = powers[m] = proj_bundle_table(table, a + 1, m * a, kind)
+    return powers
 
-    Uses d-dimensional projective space: its table and its square's come
-    from the projective-bundle formula over a point, the blowup has
-    codimension d, and the two sides must agree at every valid index.
+
+def table_blowup_check(d: int) -> CheckResult:
+    """The table route on X[2] vs the Poincare route, for X = P^d.
+
+    Lawson groups of P^d and of X[2] are Betti numbers, so the blowup terms
+    of ``x2_oracle`` over bundle tables of P^d and its square must give the
+    kernel's ``P_{X[2]}`` at every valid index.
     """
-    dec = multiplicity_table(2, d)  # first: the kernel refuses d < 1
-    base = proj_bundle_table(POINT_TABLE, d + 1, d, "lawson")
-    square = proj_bundle_table(base, d + 1, 2 * d, "lawson")
-    space = SpaceDescriptor(name=f"P{d}", dim=d, kind="lawson", powers={1: base, 2: square})
+    dec = x2_oracle(d)  # first: refuses d < 1
+    space = SpaceDescriptor(f"P{d}", d, "lawson", powers=_bundle_powers(d, "lawson", 2))
+    poincare = betti_of_fm(projective_betti(d), d, 2)
     for p in range(0, 2 * d + 1):
         for k in range(2 * p, 4 * d + 1):
-            lhs = blowup_formula(square, base, d, p, k, kind="lawson")
-            rhs = evaluate_decomposition(dec, space, p, k)
+            lhs = evaluate_decomposition(dec, space, p, k)
+            rhs = GroupDescriptor(free_rank=poincare.coefficient(k))
             if lhs != rhs:
                 detail = f"disagreement at (p={p}, k={k}): {lhs} != {rhs}"
                 return CheckResult("table-blowup", {"d": d}, False, detail)

@@ -8,7 +8,7 @@ degree k), how an out-of-range index is read, and how a group is named.
 ``THEORIES`` holds exactly these conventions, one ``Theory`` record per
 kind: cycle-space homology ("lawson"), algebraic cycle classes ("chow"),
 Deligne-Beilinson cohomology ("db") and Betti data ("betti").  Naming,
-evaluation, the blowup and bundle reads and index validation all read it:
+evaluation, the bundle read and index validation all read it:
 each theory's range is one predicate, ``index_ok(p, k, e)``, which with e
 omitted is the rule for an outer index and with e = m * dim the rule for a
 descriptor record of the m-th power.  ``resolve_space`` alone turns
@@ -30,14 +30,12 @@ unpacked by ``fmc.genfun._packed``, the kernel's packing: Betti numbers and
 multiplicities are nonnegative, so its value at q = 1 bounds its
 coefficients, and a Betti polynomial with a negative coefficient is refused.
 
-The single blowup formula reads: the value on the blowup of X along a
-center Y of codimension r is the value on X plus the values on Y at the
-shifted indices j = 1..r-1.  The projective-bundle formula for a bundle
-with r-dimensional fibers-plus-one (rank parameter r) sums shifts
-j = 0..r-1 over the base.  Both are applied here at every index pair;
-formulations of the Deligne-Beilinson blowup sometimes carry the extra
-hypothesis level >= codimension, which callers needing it must enforce
-themselves.
+The projective-bundle formula for a bundle with r-dimensional
+fibers-plus-one (rank parameter r) sums shifts j = 0..r-1 over the base,
+at every index pair of ``proj_bundle_table``.  Decompositions are evaluated
+at every index pair too, though formulations of the Deligne-Beilinson
+blowup sometimes carry the extra hypothesis level >= codimension, which
+callers needing it must enforce themselves.
 """
 
 from __future__ import annotations
@@ -374,33 +372,6 @@ def evaluate_decomposition(
     ))
 
 
-def _formula(terms: list, kind: str, p: int, k: int) -> GroupDescriptor:
-    # The formulas read stored tables: no formal summand names a negative level.
-    def read(table: GradedTable, pp: int, kk: int) -> GroupDescriptor:
-        if pp < 0:
-            raise ValueError(f"negative level read on {kind} data")
-        return table.lookup(pp, kk)
-    return _sum_terms(terms, theory_of(kind), p, k, read)
-
-
-def blowup_formula(
-    x: GradedTable,
-    y: GradedTable,
-    r: int,
-    p: int,
-    k: int = 0,
-    kind: str = "lawson",
-) -> GroupDescriptor:
-    """Value on the blowup of X along a codimension-r center Y.
-
-    ``x`` is the table of X, ``y`` the table of Y; the result is
-    ``x(p, k) + sum_{j=1..r-1} y(p-j, k-2j)``.
-    """
-    if r < 1:
-        raise ValueError("codimension must be >= 1")
-    return _formula([(x, 0, 1)] + [(y, j, 1) for j in range(1, r)], kind, p, k)
-
-
 def _check_rank(r: int) -> None:
     if r < 1:
         raise ValueError("rank parameter must be >= 1")
@@ -411,10 +382,16 @@ def proj_bundle_formula(
 ) -> GroupDescriptor:
     """Value on a projective bundle over Y with rank parameter r.
 
-    The result is ``sum_{j=0..r-1} y(p-j, k-2j)``.
+    The result is ``sum_{j=0..r-1} y(p-j, k-2j)``; it reads a stored table,
+    so a negative level the theory does not clamp or zero is refused.
     """
     _check_rank(r)
-    return _formula([(y, j, 1) for j in range(r)], kind, p, k)
+
+    def read(table: GradedTable, pp: int, kk: int) -> GroupDescriptor:
+        if pp < 0:
+            raise ValueError(f"negative level read on {kind} data")
+        return table.lookup(pp, kk)
+    return _sum_terms([(y, j, 1) for j in range(r)], theory_of(kind), p, k, read)
 
 
 def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:

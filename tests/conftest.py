@@ -2,21 +2,13 @@ from functools import cache
 
 import pytest
 
-from fmc.theory import POINT_TABLE, proj_bundle_table
+from fmc.oracle import _bundle_powers
 
-
-@cache
-def _bundle_powers(a, kind, max_power):
-    # The m-th power of a-dimensional projective space is a projective
-    # bundle with rank parameter a + 1 over the (m-1)-st, so no product
-    # formula is needed: the reference route for built-in ranks.
-    powers, table = {}, POINT_TABLE
-    for m in range(1, max_power + 1):
-        table = powers[m] = proj_bundle_table(table, a + 1, m * a, kind)
-    return powers
+# The tables are built once per (a, kind, max_power) for the whole session.
+_cached_bundle_powers = cache(_bundle_powers)
 
 
 @pytest.fixture
 def bundle_powers():
     """Graded tables {m: table} of P^a, (P^a)^2, ..., by iterated bundles."""
-    return _bundle_powers
+    return _cached_bundle_powers

@@ -1040,6 +1040,20 @@ def test_help_and_version_bytes(argv, golden):
     assert result.stdout == (GOLDEN / golden).read_bytes()
 
 
+def test_stress_corners_keep_their_bytes(capsys):
+    # The budget corners of the kernel, the widest verify sweep and every
+    # nest listing: exit code and stdout sha256 of each command line, each
+    # replayed once in process.  Every moved line is named in one failure.
+    corners = json.loads((GOLDEN / "stress-corners.json").read_text(encoding="utf-8"))
+    moved = []
+    for line, ref in corners.items():
+        code, out, _ = run_cli(capsys, *line.split(" "))
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        if (code, digest) != (ref["exit"], ref["sha256"]):
+            moved.append(f"{line}: exit {code}, sha256 {digest[:12]}")
+    assert moved == []
+
+
 FMC = [sys.executable, "-m", "fmc.cli"]
 
 

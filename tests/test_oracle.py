@@ -1,8 +1,11 @@
+from functools import partial
+
 import pytest
 
 import fmc.genfun
 import fmc.nests
 import fmc.oracle
+import fmc.theory
 from fmc.genfun import BudgetError, FormalDecomposition, multiplicity_table
 from fmc.oracle import (
     VERIFY_MAX_D,
@@ -179,10 +182,12 @@ X3_D2_ROWS = (IntPoly([0, 1, 4, 1]), IntPoly([0, 3]), ONE)
 
 
 def wrong_table(monkeypatch, *rows):
-    # Every check reads the kernel through fmc.oracle.multiplicity_table.
-    monkeypatch.setattr(
-        fmc.oracle, "multiplicity_table", lambda n, d: FormalDecomposition(n, d, rows)
-    )
+    # The checks read the kernel through fmc.oracle.multiplicity_table, and
+    # through fmc.theory's for a Poincare polynomial (betti_of_fm).
+    for module in (fmc.oracle, fmc.theory):
+        monkeypatch.setattr(
+            module, "multiplicity_table", lambda n, d: FormalDecomposition(n, d, rows)
+        )
 
 
 class TestChecksCanFail:
@@ -216,15 +221,44 @@ class TestChecksCanFail:
         [
             (table_blowup_check, "disagreement at (p=0, k=0): Z != Z^2"),
             (x2_check, "blowup terms ((2, 0, 1),) != nest terms ((2, 0, 1), (1, 0, 1))"),
+            (partial(palindrome_check, P1_BETTI, n=2), "not palindromic: 2 + 3*x^2 + x^4"),
         ],
-        ids=["table-blowup", "blowup-x2"],
+        ids=["table-blowup", "blowup-x2", "palindrome"],
     )
     def test_blowup(self, monkeypatch, check, detail):
-        # X[2] at d = 1 is the bare square: an extra copy of X is wrong.
+        # X[2] at d = 1 is the bare square: an extra copy of X is wrong, and
+        # makes P^1[2] the sum P + P^2 = 2 + 3q^2 + q^4.
         wrong_table(monkeypatch, ONE, ONE)
         result = check(1)
         assert result.passed is False
         assert result.detail == detail
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_table_blowup_sees_a_clamp_fault(self, monkeypatch, d):
+        # A negative Lawson level that reads zero instead of level 0: the
+        # bundle tables of P^d lose groups that X[2]'s Betti numbers keep.
+        read_index = fmc.theory.Theory.read_index
+
+        def faulty(theory, p, k, shift):
+            if theory.name == "lawson" and p < shift:
+                return None
+            return read_index(theory, p, k, shift)
+
+        monkeypatch.setattr(fmc.theory.Theory, "read_index", faulty)
+        result = table_blowup_check(d)
+        assert result.passed is False
+        assert result.detail.startswith("disagreement at (p=0, k=2): 0 != ")
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_table_blowup_sees_a_wrong_poincare_polynomial(self, monkeypatch, d):
+        # One coefficient of P_{X[2]} off by one.
+        betti_of_fm = fmc.oracle.betti_of_fm
+        monkeypatch.setattr(
+            fmc.oracle, "betti_of_fm", lambda *args: betti_of_fm(*args) + IntPoly([0, 0, 1])
+        )
+        result = table_blowup_check(d)
+        assert result.passed is False
+        assert result.detail.startswith("disagreement at (p=0, k=2)")
 
 
 class TestReport:

@@ -1,6 +1,6 @@
 import json
 import sys
-from functools import cache, partial
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +16,6 @@ from fmc.theory import (
     ZERO_GROUP,
     Z_GROUP,
     betti_of_fm,
-    blowup_formula,
     builtin_space,
     evaluate_decomposition,
     formal_evaluation,
@@ -250,36 +249,12 @@ class TestProjectiveTables:
 
 
 class TestBlowupFormula:
-    def test_r1_is_identity(self, bundle_powers):
-        x = bundle_powers(2, "lawson", 1)[1]
-        y = bundle_powers(1, "lawson", 1)[1]
-        assert blowup_formula(x, y, 1, 1, 2) == x.lookup(1, 2)
-
-    def test_degree_zero(self, bundle_powers):
-        powers = bundle_powers(2, "lawson", 2)
-        got = blowup_formula(powers[2], powers[1], 2, 0, 0)
-        assert got == powers[2].lookup(0, 0) == Z_GROUP
-
-    def test_r_below_one_rejected(self, bundle_powers):
-        x = bundle_powers(1, "lawson", 1)[1]
-        with pytest.raises(ValueError):
-            blowup_formula(x, x, 0, 0, 0)
-
     def test_db_negative_level_read_rejected(self):
+        # A table formula reads stored data only: the shift j = 2 reads
+        # level -1, which Deligne-Beilinson data neither clamps nor zeroes.
         table = GradedTable({(0, 0): Z_GROUP})
-        with pytest.raises(ValueError):
-            blowup_formula(table, table, 3, 1, 4, kind="db")
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_matches_decomposition_on_tables(self, d, bundle_powers):
-        powers = bundle_powers(d, "lawson", 2)
-        space = SpaceDescriptor(name="P", dim=d, kind="lawson", powers=powers)
-        dec = multiplicity_table(2, d)
-        for p in range(0, 2 * d + 1):
-            for k in range(2 * p, 4 * d + 1):
-                lhs = blowup_formula(powers[2], powers[1], d, p, k)
-                rhs = evaluate_decomposition(dec, space, p, k)
-                assert lhs == rhs, (d, p, k)
+        with pytest.raises(ValueError, match="negative level read on db data"):
+            proj_bundle_formula(table, 3, 1, 4, kind="db")
 
 
 class TestEvaluate:
@@ -825,20 +800,15 @@ class TestShiftedReads:
         data=st.data(), kind=st.sampled_from(KINDS), d=st.integers(1, 3), r=st.integers(1, 4)
     )
     def test_formulas_match_reference(self, data, kind, d, r):
-        x, y = data.draw(tables(kind, 2 * d)), data.draw(tables(kind, d))
-        blowup_terms = [(x, 0, 1)] + [(y, j, 1) for j in range(1, r)]
-        bundle_terms = [(y, j, 1) for j in range(r)]
+        y = data.draw(tables(kind, d))
+        terms = [(y, j, 1) for j in range(r)]
         for p, k in formula_window(kind, 2 * d):
-            for formula, terms in (
-                (partial(blowup_formula, x, y), blowup_terms),
-                (partial(proj_bundle_formula, y), bundle_terms),
-            ):
-                expected = reference_formula(kind, terms, p, k)
-                if expected is None:
-                    with pytest.raises(ValueError, match=f"negative level read on {kind} data"):
-                        formula(r, p, k, kind)
-                else:
-                    assert formula(r, p, k, kind) == expected, (formula.func.__name__, p, k)
+            expected = reference_formula(kind, terms, p, k)
+            if expected is None:
+                with pytest.raises(ValueError, match=f"negative level read on {kind} data"):
+                    proj_bundle_formula(y, r, p, k, kind)
+            else:
+                assert proj_bundle_formula(y, r, p, k, kind) == expected, (p, k)
 
     @settings(deadline=None, max_examples=60)
     @given(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fmc
 from fmc.cli import _COMMANDS, main
 from fmc.genfun import KERNEL_BUDGET
 from fmc.nests import NEST_BUDGET
@@ -41,6 +42,21 @@ def test_public_names_resolve():
     names = json.loads(result.stdout)
     assert names["unbound"] == []
     assert names["table"] == names["all"]
+
+
+def test_every_public_name_has_a_program_caller():
+    # The public API keeps only what callers use: each name of fmc.__all__
+    # is read somewhere in the package outside its lazy name table, or in a
+    # shipped script.  An import alone is no use, and tests do not count.
+    sources = [p for p in sorted((ROOT / "src" / "fmc").glob("*.py")) if p.name != "__init__.py"]
+    loaded = set()
+    for path in sources + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(fmc.__all__) - loaded) == []
 
 
 def test_package_imports_only_the_standard_library():
