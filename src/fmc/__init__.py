@@ -51,7 +51,6 @@ _HOMES = {
     "formal_evaluation": "theory",
     "load_space": "theory",
     "parse_space": "theory",
-    "proj_bundle_formula": "theory",
     "proj_bundle_table": "theory",
     "CheckResult": "oracle",
     "VerificationReport": "oracle",

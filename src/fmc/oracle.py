@@ -51,10 +51,10 @@ from .theory import (
 )
 
 #: Largest ``max_d`` of a verification sweep.  The table-blowup check runs
-#: once per d and its cost grows faster than d^3 (in process, best of 3 runs
-#: alternated over three rounds, Python 3.11.7, shared 2-core VM: 0.24 s at
-#: d = 24 and 0.47 s at d = 32, about half of it building the bundle tables),
-#: so the slowest admitted sweep, n <= 7 and d <= 24, ends in seconds.
+#: once per d and its cost about doubles from d = 24 to d = 32 (in process,
+#: best of 3 runs alternated over three rounds, Python 3.11.7, shared 2-core
+#: VM: 0.13 s and 0.26 s, about two fifths of it building the bundle
+#: tables), so the slowest admitted sweep, n <= 7 and d <= 24, ends in seconds.
 VERIFY_MAX_D = 24
 
 
@@ -222,7 +222,7 @@ def structure_check(n: int, d: int) -> CheckResult:
     return CheckResult("structure", {"n": n, "d": d}, passed, detail)
 
 
-def run_verification(max_n: int = 4, max_d: int = 3) -> VerificationReport:
+def run_verification(max_n: int, max_d: int) -> VerificationReport:
     """Full check matrix over the grid n <= max_n, d <= max_d."""
     if max_n < 1 or max_d < 1:
         raise ValueError("max_n and max_d must be >= 1")

@@ -30,12 +30,13 @@ unpacked by ``fmc.genfun._packed``, the kernel's packing: Betti numbers and
 multiplicities are nonnegative, so its value at q = 1 bounds its
 coefficients, and a Betti polynomial with a negative coefficient is refused.
 
-The projective-bundle formula for a bundle with r-dimensional
-fibers-plus-one (rank parameter r) sums shifts j = 0..r-1 over the base,
-at every index pair of ``proj_bundle_table``.  Decompositions are evaluated
-at every index pair too, though formulations of the Deligne-Beilinson
-blowup sometimes carry the extra hypothesis level >= codimension, which
-callers needing it must enforce themselves.
+``proj_bundle_table`` tabulates a projective bundle with (r - 1)-dimensional
+fibers (rank parameter r) over a tabulated base: it sums shifts j = 0..r-1
+of the base, through ``_sum_terms``, at each index the bundle can hold.  It
+refuses Deligne-Beilinson data, whose levels no table window bounds.
+Decompositions are evaluated at every index pair, though formulations of
+the Deligne-Beilinson blowup sometimes carry the extra hypothesis level >=
+codimension, which callers needing it must enforce themselves.
 """
 
 from __future__ import annotations
@@ -292,9 +293,10 @@ class SpaceDescriptor(Record):
             _check_betti(betti, dim)
 
 
-def format_group_term(kind: str, m: int, p: int | None = None, k: int | None = None) -> str:
-    """Printable name of one indexed group of the m-th power."""
-    return theory_of(kind).text.format(X="X" if m == 1 else f"X^{m}", p=p, k=k)
+def _formal_term(kind: str, m: int, p: int, k: int) -> GroupDescriptor:
+    # The group (p, k) of the m-th power, named and left unevaluated.
+    name = theory_of(kind).text.format(X="X" if m == 1 else f"X^{m}", p=p, k=k)
+    return GroupDescriptor(formal=(name,))
 
 
 def term_group_name(
@@ -304,12 +306,7 @@ def term_group_name(
 
     Returns "0" for terms that contribute the zero group at this index.
     """
-    at = theory_of(kind).read_index(p or 0, k or 0, shift)
-    return "0" if at is None else format_group_term(kind, m, *at)
-
-
-def _formal_term(kind: str, m: int, p: int, k: int) -> GroupDescriptor:
-    return GroupDescriptor(formal=(format_group_term(kind, m, p, k),))
+    return str(_sum_terms([(m, shift, 1)], theory_of(kind), p, k, partial(_formal_term, kind)))
 
 
 def _sum_terms(
@@ -372,28 +369,6 @@ def evaluate_decomposition(
     ))
 
 
-def _check_rank(r: int) -> None:
-    if r < 1:
-        raise ValueError("rank parameter must be >= 1")
-
-
-def proj_bundle_formula(
-    y: GradedTable, r: int, p: int, k: int = 0, kind: str = "lawson"
-) -> GroupDescriptor:
-    """Value on a projective bundle over Y with rank parameter r.
-
-    The result is ``sum_{j=0..r-1} y(p-j, k-2j)``; it reads a stored table,
-    so a negative level the theory does not clamp or zero is refused.
-    """
-    _check_rank(r)
-
-    def read(table: GradedTable, pp: int, kk: int) -> GroupDescriptor:
-        if pp < 0:
-            raise ValueError(f"negative level read on {kind} data")
-        return table.lookup(pp, kk)
-    return _sum_terms([(y, j, 1) for j in range(r)], theory_of(kind), p, k, read)
-
-
 def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
     """Poincare polynomial of X[n] from the Poincare polynomial of X.
 
@@ -444,15 +419,25 @@ _BUILTIN_SPACES = {
 def proj_bundle_table(y: GradedTable, r: int, total_dim: int, kind: str) -> GradedTable:
     """Full graded table of a projective bundle over a tabulated base.
 
-    Each index is read by ``proj_bundle_formula``; a bad rank is refused
-    even when the window is empty.
+    The bundle has rank parameter r and complex dimension ``total_dim``.
+    Each index (p, k) it can hold, ``index_ok(p, k, total_dim)``, gets
+    ``sum_{j=0..r-1} y(p-j, k-2j)``.  A bad rank is refused even when that
+    window is empty, and so is Deligne-Beilinson data, whose levels no
+    window bounds.
     """
-    _check_rank(r)
-    degrees = range(2 * total_dim + 1) if theory_of(kind).has_degree else (0,)
+    if r < 1:
+        raise ValueError("rank parameter must be >= 1")
+    if kind == "db":
+        raise ValueError("no Deligne-Beilinson bundle tables: levels are unbounded")
+    # No read sees a negative level: Lawson clamps it, Chow zeroes it, Betti has none.
+    theory = theory_of(kind)
+    terms = [(y, j, 1) for j in range(r)]
+    degrees = range(2 * total_dim + 1) if theory.has_degree else (0,)
     return GradedTable({
-        (p, k): proj_bundle_formula(y, r, p, k, kind)
+        (p, k): _sum_terms(terms, theory, p, k, GradedTable.lookup)
         for p in range(total_dim + 1)
         for k in degrees
+        if theory.index_ok(p, k, total_dim)
     })
 
 

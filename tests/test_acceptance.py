@@ -19,7 +19,7 @@ from fmc.theory import (
     builtin_space,
     betti_of_fm,
     evaluate_decomposition,
-    proj_bundle_formula,
+    proj_bundle_table,
 )
 
 
@@ -160,10 +160,10 @@ def test_criterion_7_structural_invariants():
 
 def test_criterion_8_lawson_spot_check(bundle_powers):
     with criterion(8, 1.0, "L_1 H_2 of the plane pair has free rank 3"):
-        # independent derivation through the bundle formula: the square of
+        # independent derivation through the bundle table: the square of
         # the plane is a bundle with rank parameter 3 over the plane
         plane_table = bundle_powers(2, "lawson", 1)[1]
-        square_rank = proj_bundle_formula(plane_table, 3, 1, 2).free_rank
+        square_rank = proj_bundle_table(plane_table, 3, 4, "lawson").lookup(1, 2).free_rank
         point_rank = plane_table.lookup(0, 0).free_rank
         assert square_rank + point_rank == 3
 

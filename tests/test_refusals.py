@@ -16,7 +16,6 @@ from fmc.theory import (
     betti_of_fm,
     builtin_space,
     evaluate_decomposition,
-    proj_bundle_formula,
     proj_bundle_table,
     projective_betti,
     resolve_space,
@@ -53,7 +52,6 @@ REFUSALS = {
     "betti_of_fm-negative": (
         lambda: betti_of_fm(IntPoly([1, -1, 1]), 1, 2), "Betti coefficients must be nonnegative",
     ),
-    "proj_bundle_formula-r": (lambda: proj_bundle_formula(POINT_TABLE, 0, 0), RANK),
     "proj_bundle_table-r": (lambda: proj_bundle_table(POINT_TABLE, 0, 2, "lawson"), RANK),
     "proj_bundle_table-r-empty": (
         lambda: proj_bundle_table(POINT_TABLE, 0, -1, "lawson"), RANK,

@@ -20,12 +20,12 @@ from fmc.theory import (
     evaluate_decomposition,
     formal_evaluation,
     parse_space,
-    proj_bundle_formula,
     proj_bundle_table,
 )
 
 P1_BETTI = IntPoly([1, 0, 1])
 P2_BETTI = IntPoly([1, 0, 1, 0, 1])
+DB_BUNDLE = "no Deligne-Beilinson bundle tables: levels are unbounded"
 
 
 def power(poly, m):
@@ -222,16 +222,30 @@ class TestProjectiveTables:
 
     def test_bundle_over_point(self):
         # rank parameter 3 over a point rebuilds the projective plane
-        assert proj_bundle_formula(POINT_TABLE, 3, 1, 2) == Z_GROUP
+        assert proj_bundle_table(POINT_TABLE, 3, 2, "lawson").lookup(1, 2) == Z_GROUP
 
     def test_bundle_over_plane(self, bundle_powers):
         plane = bundle_powers(2, "lawson", 1)[1]
-        assert proj_bundle_formula(plane, 3, 1, 2) == GroupDescriptor(2)
+        assert proj_bundle_table(plane, 3, 4, "lawson").lookup(1, 2) == GroupDescriptor(2)
 
     def test_bundle_identity(self, bundle_powers):
         table = bundle_powers(2, "lawson", 1)[1]
-        for key in table.groups:
-            assert proj_bundle_formula(table, 1, *key) == table.lookup(*key)
+        assert proj_bundle_table(table, 1, 2, "lawson").groups == table.groups
+
+    def test_window_holds_valid_indices_only(self):
+        # A Lawson group with k < 2p is zero, so the bundle table neither
+        # reads nor stores one, even where the base (unchecked) holds it.
+        base = GradedTable({(1, 0): Z_GROUP, (0, 0): Z_GROUP})
+        assert proj_bundle_table(base, 1, 1, "lawson").groups == {(0, 0): Z_GROUP}
+
+    def test_db_refused(self):
+        # Deligne-Beilinson levels are unbounded: a level-5 record lies
+        # outside every window 0..total_dim, and a shift j >= 1 reads a
+        # negative level that no table stores.
+        base = GradedTable({(5, 0): Z_GROUP, (0, 3): GroupDescriptor(2)})
+        for r in (1, 3):
+            with pytest.raises(ValueError, match=DB_BUNDLE):
+                proj_bundle_table(base, r, 1, "db")
 
     def test_plane_ranks(self, bundle_powers):
         # rank 1 exactly for even k with 2p <= k <= 4
@@ -246,15 +260,6 @@ class TestProjectiveTables:
         assert plane.groups == {(0, 0): Z_GROUP, (1, 0): Z_GROUP, (2, 0): Z_GROUP}
         # Chow ranks of the square of the plane: 1,2,3,2,1 in levels 0..4
         assert [square.lookup(p, 0).free_rank for p in range(5)] == [1, 2, 3, 2, 1]
-
-
-class TestBlowupFormula:
-    def test_db_negative_level_read_rejected(self):
-        # A table formula reads stored data only: the shift j = 2 reads
-        # level -1, which Deligne-Beilinson data neither clamps nor zeroes.
-        table = GradedTable({(0, 0): Z_GROUP})
-        with pytest.raises(ValueError, match="negative level read on db data"):
-            proj_bundle_formula(table, 3, 1, 4, kind="db")
 
 
 class TestEvaluate:
@@ -765,25 +770,23 @@ def reference_sum(reads):
 
 
 def reference_formula(kind, terms, p, k):
-    """A formula's value over (table, shift, copies) terms; None where it must refuse.
-
-    The formulas read stored tables only, so a negative Deligne-Beilinson
-    level is refused.
-    """
+    """The sum at (p, k) over (table, shift, copies) terms of Lawson, Chow or Betti tables."""
     reads = []
     for table, i, copies in terms:
         at = shifted_index(kind, p, k, i)
-        if at is None:
-            continue
-        if at[0] < 0:
-            return None
-        reads.append((table.groups.get(at, ZERO_GROUP), copies))
+        if at is not None:
+            reads.append((table.groups.get(at, ZERO_GROUP), copies))
     return reference_sum(reads)
 
 
-def formula_window(kind, top):
-    """Outer indices 0 <= p <= top, 0 <= k <= 2 top + 1 (k = 0 for Chow)."""
-    degrees = (0,) if kind == "chow" else range(2 * top + 2)
+def bundle_window(kind, top):
+    """The indices a bundle of complex dimension top holds: levels 0..top, degrees 0..2 top.
+
+    Lawson keeps k >= 2p and Chow k = 0; Betti data takes every pair.
+    """
+    if kind == "lawson":
+        return [(p, k) for p in range(top + 1) for k in range(2 * p, 2 * top + 1)]
+    degrees = (0,) if kind == "chow" else range(2 * top + 1)
     return [(p, k) for p in range(top + 1) for k in degrees]
 
 
@@ -799,37 +802,20 @@ class TestShiftedReads:
     @given(
         data=st.data(), kind=st.sampled_from(KINDS), d=st.integers(1, 3), r=st.integers(1, 4)
     )
-    def test_formulas_match_reference(self, data, kind, d, r):
-        y = data.draw(tables(kind, d))
-        terms = [(y, j, 1) for j in range(r)]
-        for p, k in formula_window(kind, 2 * d):
-            expected = reference_formula(kind, terms, p, k)
-            if expected is None:
-                with pytest.raises(ValueError, match=f"negative level read on {kind} data"):
-                    proj_bundle_formula(y, r, p, k, kind)
-            else:
-                assert proj_bundle_formula(y, r, p, k, kind) == expected, (p, k)
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        data=st.data(), kind=st.sampled_from(KINDS), d=st.integers(1, 3), r=st.integers(1, 4)
-    )
     def test_bundle_table_matches_reference(self, data, kind, d, r):
+        # Deligne-Beilinson data is refused whatever it holds.
         y = data.draw(tables(kind, d))
         total_dim = d + r - 1
-        degrees = (0,) if kind == "chow" else range(2 * total_dim + 1)
+        if kind == "db":
+            with pytest.raises(ValueError, match=DB_BUNDLE):
+                proj_bundle_table(y, r, total_dim, kind)
+            return
         terms = [(y, j, 1) for j in range(r)]
         expected = {
-            (p, k): reference_formula(kind, terms, p, k)
-            for p in range(total_dim + 1)
-            for k in degrees
+            at: reference_formula(kind, terms, *at) for at in bundle_window(kind, total_dim)
         }
-        if None in expected.values():
-            with pytest.raises(ValueError, match=f"negative level read on {kind} data"):
-                proj_bundle_table(y, r, total_dim, kind)
-        else:
-            table = proj_bundle_table(y, r, total_dim, kind)
-            assert table.groups == {at: g for at, g in expected.items() if not g.is_zero}
+        table = proj_bundle_table(y, r, total_dim, kind)
+        assert table.groups == {at: g for at, g in expected.items() if not g.is_zero}
 
     @settings(deadline=None, max_examples=60)
     @given(

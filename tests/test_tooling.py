@@ -243,8 +243,8 @@ def test_only_the_entry_routine_ends_the_process():
 
 def test_shifted_indices_have_one_reader():
     # A term's shift is applied in one routine, fmc.theory._sum_terms, which
-    # every evaluation and both formulas call; term_group_name only names a
-    # term's group.  Outside a function a reference has no owner (None).
+    # every evaluation, the bundle table and term naming call.  Outside a
+    # function a reference has no owner (None).
     readers = []
     for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -259,7 +259,7 @@ def test_shifted_indices_have_one_reader():
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "read_index"
         ]
-    assert sorted(readers) == ["_sum_terms", "term_group_name"]
+    assert sorted(readers) == ["_sum_terms"]
 
 
 def test_nest_route_reads_no_kernel_table():
