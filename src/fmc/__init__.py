@@ -28,7 +28,6 @@ _HOMES = {
     "IntPoly": "polyseries",
     "ONE": "polyseries",
     "ZERO": "polyseries",
-    "binomial": "polyseries",
     "format_poly": "polyseries",
     "NEST_BUDGET": "nests",
     "brute_bivariate": "nests",
@@ -53,7 +52,6 @@ _HOMES = {
     "parse_space": "theory",
     "proj_bundle_table": "theory",
     "CheckResult": "oracle",
-    "VerificationReport": "oracle",
     "brute_equiv": "oracle",
     "palindrome_check": "oracle",
     "run_verification": "oracle",

@@ -184,21 +184,19 @@ def cmd_nests(args: SimpleNamespace) -> int:
     # exactly when the smallest member in just one of them is in A: the
     # canonical order is a descending sort.  Singletons are in every nest, so
     # they get no bit; the text of each member byte names them.  A son count
-    # is at most n, so it fits a nibble below n = 16; a byte holds it, and the
-    # component count, to n = 255, far past any n whose walk can finish.
+    # and the component count are at most n <= NEST_BUDGET < 16, so a son
+    # count fits a 4-bit slot, two to a byte, and the component count a byte.
     labels = range(1, n + 1)
     members = sorted(m for size in labels for m in itertools.combinations(labels, size))
     rank = {member: i for i, member in enumerate(members)}
-    bits = 4 if n < 16 else 8
-    per = 8 // bits
     member_bytes = -(-len(members) // 8)
-    son_bytes = -(-len(members) // per)
+    son_bytes = -(-len(members) // 2)
     top = 8 * (member_bytes + son_bytes + 1) - 1
-    slot_top = 8 * (son_bytes + 1) - bits
+    slot_top = 8 * (son_bytes + 1) - 4
 
     def node(member: tuple[int, ...], sons: int) -> int:
         i = rank[member]
-        return (1 << (top - i)) + (sons << (slot_top - bits * i))
+        return (1 << (top - i)) + (sons << (slot_top - 4 * i))
 
     rows = [summary + m for m, summary in _walk(n, node)]
     rows.sort(reverse=True)
@@ -223,8 +221,8 @@ def cmd_nests(args: SimpleNamespace) -> int:
 
     def son_text(j: int, byte: int) -> str:
         text = ""
-        for i in range(per * j, min(per * j + per, len(members))):
-            if count := byte >> (bits * (per * j + per - 1 - i)) & ((1 << bits) - 1):
+        for i in range(2 * j, min(2 * j + 2, len(members))):
+            if count := byte >> (4 * (2 * j + 1 - i)) & 0xF:
                 member = name(",".join(map(str, members[i])))
                 text += (
                     f',{{"member":{member},"count":{count}}}' if as_json else f" {member}={count}"
@@ -422,32 +420,33 @@ def cmd_decompose(args: SimpleNamespace) -> int:
 def cmd_verify(args: SimpleNamespace) -> int:
     from .oracle import run_verification
 
-    report = run_verification(args.max_n, args.max_d)
+    checks = run_verification(args.max_n, args.max_d)
+    overall = all(check.passed for check in checks)
     if args.format == "json":
         doc = {
             "max_n": args.max_n,
             "max_d": args.max_d,
-            "overall": report.overall,
+            "overall": overall,
             "checks": [
                 {
                     "name": check.name,
-                    "params": dict(check.params),
+                    "params": check.params,
                     "pass": check.passed,
                     "detail": check.detail,
                 }
-                for check in report.checks
+                for check in checks
             ],
         }
         _emit(render_json(doc))
     else:
         lines = []
-        for check in report.checks:
+        for check in checks:
             status = "PASS" if check.passed else "FAIL"
             params = " ".join(f"{key}={val}" for key, val in check.params.items())
             lines.append(f"{status} {check.name} {params}: {check.detail}")
-        lines.append(f"OVERALL {'PASS' if report.overall else 'FAIL'}")
+        lines.append(f"OVERALL {'PASS' if overall else 'FAIL'}")
         _emit("\n".join(lines))
-    return 0 if report.overall else 1
+    return 0 if overall else 1
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +601,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
-            code = exc.code
-            if code is None:
-                return 0
-            return code if isinstance(code, int) else 2
+            # argparse exits with 0 (--help, --version) or 2 (an error).
+            return exc.code
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -84,9 +84,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import lru_cache
+from math import comb
 
 from . import BudgetError
-from .polyseries import ZERO, IntPoly, binomial
+from .polyseries import ZERO, IntPoly
 from .record import Record
 
 #: Largest kernel call, as (labels n, top degree d*(n-1)); d alone is held
@@ -136,7 +137,7 @@ def _fill(n: int, d: int, x: int) -> list[int]:
     span = sum(x**i for i in range(d))
     rows = [[1]]
     for m in range(1, n + 1):
-        hs = [0] + [rows[j][1] * binomial(m - 1, j - 1) for j in range(1, m)]
+        hs = [0] + [rows[j][1] * comb(m - 1, j - 1) for j in range(1, m)]
         row = [0, 0]
         for k in range(2, m + 1):
             total = 0
@@ -258,7 +259,7 @@ def _exp_at(a: list[int]) -> list[int]:
     # by the division-free recurrence e_n = sum_k C(n-1, k-1) a_k e_{n-k}.
     e = [1]
     for n in range(1, len(a)):
-        e.append(sum(binomial(n - 1, k - 1) * a[k] * e[n - k] for k in range(1, n + 1) if a[k]))
+        e.append(sum(comb(n - 1, k - 1) * a[k] * e[n - k] for k in range(1, n + 1) if a[k]))
     return e
 
 
@@ -275,7 +276,7 @@ def _solve_at(n_max: int, d: int, x: int) -> list[int]:
         low_top = low_low = 0
         for k in range(1, n):
             if h[k]:
-                c = binomial(n - 1, k - 1) * h[k]
+                c = comb(n - 1, k - 1) * h[k]
                 low_top += c * exp_top[n - k]
                 low_low += c * exp_low[n - k]
         low_top *= xd

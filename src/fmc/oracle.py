@@ -65,17 +65,6 @@ class CheckResult(Record):
         self._set(name=name, params=params, passed=passed, detail=detail)
 
 
-class VerificationReport(Record):
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
-        self._set(checks=checks)
-
-    @property
-    def overall(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-
 def brute_equiv(n: int, d: int) -> CheckResult:
     """Nest enumeration vs generating-function table, all powers at once."""
     brute = brute_bivariate(n, d)
@@ -222,13 +211,12 @@ def structure_check(n: int, d: int) -> CheckResult:
     return CheckResult("structure", {"n": n, "d": d}, passed, detail)
 
 
-def run_verification(max_n: int, max_d: int) -> VerificationReport:
+def run_verification(max_n: int, max_d: int) -> tuple[CheckResult, ...]:
     """Full check matrix over the grid n <= max_n, d <= max_d."""
-    if max_n < 1 or max_d < 1:
-        raise ValueError("max_n and max_d must be >= 1")
     if max_d > VERIFY_MAX_D:
         raise BudgetError(f"verify budget exceeded: max_d={max_d} (limit {VERIFY_MAX_D})")
     _check_labels(max_n)
+    _check_dim(max_d)
     checks: list[CheckResult] = []
     for d in range(1, max_d + 1):
         for n in range(1, max_n + 1):
@@ -245,4 +233,4 @@ def run_verification(max_n: int, max_d: int) -> VerificationReport:
             checks.append(palindrome_check(betti, d, n))
         for n in range(1, max_n + 1):
             checks.append(structure_check(n, d))
-    return VerificationReport(checks=tuple(checks))
+    return tuple(checks)

@@ -2,9 +2,8 @@
 
 Polynomials are dense, with arbitrary-precision integer coefficients stored
 low power first; the canonical form carries no trailing zero, and the zero
-polynomial is the empty coefficient tuple.  ``binomial`` is
-``math.comb``, and 0 outside the triangle ``0 <= k <= n``.
-``format_poly`` writes a polynomial as the command line prints it.
+polynomial is the empty coefficient tuple.  ``format_poly`` writes a
+polynomial as the command line prints it.
 
 ``IntPoly`` is a ``fmc.record.Record``, which enforces its immutability, and
 all operations are pure functions, so values may be shared freely across
@@ -14,7 +13,6 @@ threads.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import comb
 
 from .record import Record
 
@@ -127,8 +125,3 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient ``C(n, k)``; 0 unless ``0 <= k <= n``."""
-    return comb(n, k) if 0 <= k <= n else 0

@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import fmc
 import fmc.genfun
+import fmc.oracle
 from fmc.cli import _parse, build_parser, main, render_json
 from fmc.genfun import multiplicity_table
+from fmc.oracle import CheckResult
 from fmc.polyseries import IntPoly
 from fmc.theory import THEORIES, betti_of_fm, formal_evaluation
 
@@ -377,6 +379,29 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["overall"] is True
         assert all(check["pass"] for check in doc["checks"])
+
+    def test_verify_reports_a_failure(self, capsys, monkeypatch):
+        # One failing check fails the sweep: its FAIL line, OVERALL FAIL,
+        # "overall": false and exit 1; the other checks still pass.
+        def planted(d):
+            return CheckResult("min-formula", {"d": d}, False, "planted")
+
+        monkeypatch.setattr(fmc.oracle, "min_formula_check", planted)
+        code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--max-d", "1")
+        lines = out.splitlines()
+        assert code == 1
+        assert "FAIL min-formula d=1: planted" in lines
+        assert lines[-1] == "OVERALL FAIL"
+        assert sum(line.startswith("FAIL ") for line in lines) == 1
+        code, out, _ = run_cli(
+            capsys, "verify", "--max-n", "2", "--max-d", "1", "--format", "json"
+        )
+        assert code == 1
+        assert '"overall":false' in out
+        failed = [check for check in json.loads(out)["checks"] if not check["pass"]]
+        assert failed == [
+            {"name": "min-formula", "params": {"d": 1}, "pass": False, "detail": "planted"}
+        ]
 
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(capsys, "h-poly", "--n", "2", "--d", "2", "--wat")

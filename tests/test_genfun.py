@@ -2,7 +2,7 @@ import copy
 import itertools
 import pickle
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +21,7 @@ from fmc.genfun import (
     verify_identity,
 )
 from fmc.nests import brute_bivariate
-from fmc.polyseries import IntPoly, ONE, ZERO, binomial
+from fmc.polyseries import IntPoly, ONE, ZERO
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +74,7 @@ def egf_mul(a, b):
             bk = b[n - k]
             if ak.is_zero or bk.is_zero:
                 continue
-            acc = acc + ak * bk * binomial(n, k)
+            acc = acc + ak * bk * comb(n, k)
         out.append(acc)
     return tuple(out)
 
@@ -97,7 +97,7 @@ def egf_exp(a):
         acc = ZERO
         for k in range(1, n + 1):
             if not a[k].is_zero:
-                acc = acc + a[k] * out[n - k] * binomial(n - 1, k - 1)
+                acc = acc + a[k] * out[n - k] * comb(n - 1, k - 1)
         out.append(acc)
     return tuple(out)
 
@@ -142,7 +142,7 @@ def reference_solve(n_max, d):
     for n in range(1, n_max + 1):
         low_top = low_low = ZERO
         for k in range(1, n):
-            c = binomial(n - 1, k - 1)
+            c = comb(n - 1, k - 1)
             low_top = low_top + h[k] * xd * exp_top[n - k] * c
             low_low = low_low + h[k] * exp_low[n - k] * c
         rhs = lead if n == 1 else ZERO
@@ -187,7 +187,7 @@ def reference_bell_row(n, d):
     if n == 0:
         return (ONE,)
     rows = [reference_bell_row(m, d) for m in range(n)]
-    hs = [ZERO] + [rows[j][1] * binomial(n - 1, j - 1) for j in range(1, n)]
+    hs = [ZERO] + [rows[j][1] * comb(n - 1, j - 1) for j in range(1, n)]
     row = [ZERO, ZERO]
     h_n = ZERO
     for k in range(2, n + 1):

@@ -449,7 +449,7 @@ class TestBruteBivariate:
             return walk(n, node)
 
         monkeypatch.setattr(fmc.nests, "_walk", counted)
-        assert run_verification(6, 3).overall
+        assert all(check.passed for check in run_verification(6, 3))
         assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -505,8 +505,7 @@ class TestBruteBivariate:
             yield from rest
 
         monkeypatch.setattr(fmc.nests, "_walk", off_by_one)
-        report = run_verification(4, 2)
-        failed = {check.name for check in report.checks if not check.passed}
+        failed = {check.name for check in run_verification(4, 2) if not check.passed}
         assert "brute-equiv" in failed
 
     def test_two_labels_d3(self):
@@ -580,3 +579,8 @@ class TestListing:
         code, out, err = listing(capsys, 8, fmt)
         assert (code, out) == (2, "")
         assert "budget" in err
+
+    def test_son_counts_fit_a_nibble(self):
+        # cmd_nests packs each son count into a 4-bit slot, and the component
+        # count into a byte; both are at most n <= NEST_BUDGET.
+        assert fmc.nests.NEST_BUDGET < 16

@@ -10,7 +10,6 @@ from fmc.genfun import BudgetError, FormalDecomposition, multiplicity_table
 from fmc.oracle import (
     VERIFY_MAX_D,
     CheckResult,
-    VerificationReport,
     brute_equiv,
     identity_residual,
     min_formula_check,
@@ -262,13 +261,6 @@ class TestChecksCanFail:
 
 
 class TestReport:
-    def test_overall_is_conjunction(self):
-        good = CheckResult("a", {}, True, "")
-        bad = CheckResult("b", {}, False, "")
-        assert VerificationReport((good, good)).overall
-        assert not VerificationReport((good, bad)).overall
-        assert VerificationReport(()).overall
-
     def test_record_contract(self):
         # Immutable values: field equality, the repr of a frozen dataclass,
         # no assignment; a result holds its params dict, so it is unhashable.
@@ -276,22 +268,16 @@ class TestReport:
         assert check == CheckResult(name="a", params={"n": 1}, passed=True, detail="ok")
         assert check != CheckResult("a", {"n": 2}, True, "ok")
         assert repr(check) == "CheckResult(name='a', params={'n': 1}, passed=True, detail='ok')"
-        report = VerificationReport((check,))
-        assert report == VerificationReport(checks=(check,))
-        assert repr(report) == f"VerificationReport(checks=({check!r},))"
-        for record in (check, report):
-            with pytest.raises(TypeError, match="unhashable"):
-                hash(record)
-        assert hash(VerificationReport(())) == hash(VerificationReport(()))
-        for record, field in ((check, "passed"), (report, "checks")):
-            with pytest.raises(AttributeError):
-                setattr(record, field, ())
-        assert check.passed and report.overall
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(check)
+        with pytest.raises(AttributeError):
+            check.passed = False
+        assert check.passed
 
     def test_run_verification_passes(self):
-        report = run_verification(4, 2)
-        assert report.overall
-        assert all(isinstance(c, CheckResult) for c in report.checks)
+        checks = run_verification(4, 2)
+        assert type(checks) is tuple and checks
+        assert all(isinstance(c, CheckResult) and c.passed for c in checks)
 
     def test_max_d_capped(self):
         with pytest.raises(BudgetError, match="verify budget"):
@@ -300,5 +286,5 @@ class TestReport:
     def test_deterministic_order(self):
         first = run_verification(3, 2)
         second = run_verification(3, 2)
-        assert [c.name for c in first.checks] == [c.name for c in second.checks]
+        assert [c.name for c in first] == [c.name for c in second]
         assert first == second

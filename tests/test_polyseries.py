@@ -1,10 +1,11 @@
 import copy
 import pickle
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fmc.polyseries import IntPoly, ONE, ZERO, binomial
+from fmc.polyseries import IntPoly, ONE, ZERO
 
 X = IntPoly((0, 1))
 
@@ -54,7 +55,7 @@ def egf_exp(a):
         acc = ZERO
         for k in range(1, n + 1):
             if not a[k].is_zero:
-                acc = acc + a[k] * out[n - k] * binomial(n - 1, k - 1)
+                acc = acc + a[k] * out[n - k] * comb(n - 1, k - 1)
         out.append(acc)
     return tuple(out)
 
@@ -87,7 +88,7 @@ def egf_mul(a, b):
             bk = b[n - k]
             if ak.is_zero or bk.is_zero:
                 continue
-            acc = acc + ak * bk * binomial(n, k)
+            acc = acc + ak * bk * comb(n, k)
         out.append(acc)
     return tuple(out)
 
@@ -180,21 +181,6 @@ class TestIntPoly:
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(0, 0) == 1
-        assert binomial(5, 2) == 10
-        assert binomial(10, 10) == 1
-        assert binomial(4, 7) == 0
-        assert binomial(4, -1) == 0
-
-    @given(n=st.integers(0, 20), k=st.integers(0, 20))
-    def test_matches_math_comb(self, n, k):
-        import math
-
-        assert binomial(n, k) == (math.comb(n, k) if k <= n else 0)
 
 
 class TestEGF:

@@ -8,7 +8,13 @@ import pytest
 
 from fmc.genfun import egf_solve, h_recurrence, multiplicity_table, sigma, verify_identity
 from fmc.nests import brute_bivariate
-from fmc.oracle import min_formula_check, palindrome_check, table_blowup_check, x2_oracle
+from fmc.oracle import (
+    min_formula_check,
+    palindrome_check,
+    run_verification,
+    table_blowup_check,
+    x2_oracle,
+)
 from fmc.polyseries import ONE, ZERO, IntPoly
 from fmc.theory import (
     POINT_TABLE,
@@ -40,6 +46,8 @@ REFUSALS = {
     "x2_oracle-d": (lambda: x2_oracle(0), DIMENSION),
     "min_formula_check-d": (lambda: min_formula_check(0), DIMENSION),
     "table_blowup_check-d": (lambda: table_blowup_check(0), DIMENSION),
+    "run_verification-n": (lambda: run_verification(0, 1), "label count must be >= 1"),
+    "run_verification-d": (lambda: run_verification(1, 0), DIMENSION),
     "palindrome_check-d": (lambda: palindrome_check(P1, 0, 1), DIMENSION),
     "palindrome_check-n": (lambda: palindrome_check(P1, 1, 0), SIZE),
     "palindrome_check-lopsided": (
