@@ -38,9 +38,9 @@ the integers are too small for the halving to pay for a third pass, and
 one pass at ``x = 2^(8w)`` packs P as its w-byte digits.  The digits of
 every part together must have the sum of the entry's ``x = 1`` value: a
 carry out of a slot of any part lowers the digit sum, so a width too narrow
-raises ``ArithmeticError`` instead of giving a wrong polynomial.  The
-kernel keeps the packed passes of each ``(n, d)`` and unpacks an entry the
-first time it is read, so ``h_recurrence`` unpacks h_n alone,
+raises ``ArithmeticError`` instead of giving a wrong polynomial.  Every
+entry is unpacked and checked at once, printed or not, and the kernel keeps
+the polynomials of each ``(n, d)``: ``h_recurrence`` reads h_n,
 ``multiplicity_table`` row n and ``recurrence_egf`` the column.  One
 routine, ``_packed``, runs the integer passes of the kernel and the solver,
 and also of the brute-force nest sums (``fmc.nests``) and the Poincare
@@ -82,7 +82,7 @@ d < 1 and only ``_check_size`` n < 1; other functions call them or the kernel.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from functools import lru_cache
 from math import comb
 
@@ -142,8 +142,7 @@ def _fill(n: int, d: int, x: int) -> list[int]:
         for k in range(2, m + 1):
             total = 0
             for j in range(1, m - k + 2):
-                if hs[j]:
-                    total += hs[j] * rows[m - j][k - 1]
+                total += hs[j] * rows[m - j][k - 1]
             row.append(total)
         horner = tail = 0
         for total in reversed(row[2:]):
@@ -170,7 +169,8 @@ def _check_size(n: int, d: int) -> None:
 def _digits(value: int, w: int) -> list[int]:
     # The digits of value >= 0 in base 2^(8w), low first.
     raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
-    return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
 
 
 def _unpack(parts: tuple[int, ...], w: int, expected: int, at: int = 1) -> IntPoly:
@@ -190,32 +190,9 @@ def _unpack(parts: tuple[int, ...], w: int, expected: int, at: int = 1) -> IntPo
     return poly
 
 
-class _Entries:
-    # The polynomials of _packed's passes, each unpacked on its first read
-    # and then kept; an int index gives one polynomial, a slice a tuple.
-    def __init__(self, w: int, at: int, bounds: list[int], parts: list[tuple[int, ...]]):
-        self.packed = w, at, bounds, parts
-        self.polys: list[IntPoly | None] = [None] * len(bounds)
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __iter__(self) -> Iterator[IntPoly]:
-        return map(self.__getitem__, range(len(self.polys)))
-
-    def __getitem__(self, i: int | slice) -> IntPoly | tuple[IntPoly, ...]:
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self.polys))[i]))
-        poly = self.polys[i]
-        if poly is None:
-            w, at, bounds, parts = self.packed
-            poly = self.polys[i] = _unpack(parts[i], w, bounds[i], at)
-        return poly
-
-
 def _packed(
     run: Callable[[int], list[int]], at: int, top: Callable[[list[int]], int] = max
-) -> _Entries:
+) -> tuple[IntPoly, ...]:
     # The integer passes of the kernel, the solver, the brute nest sums and
     # the Poincare polynomial: run(at) gives each polynomial's value at the
     # point at (1 or 2), and top(values) bounds every coefficient and fixes
@@ -224,8 +201,8 @@ def _packed(
     # pack each polynomial P into two integers of half the width of one pass
     # at 2^(8w): (P(X) + P(-X)) / 2 holds its even coefficients and
     # (P(X) - P(-X)) / 2^(4w+1) its odd ones.  Below it, run(2^(8w)) packs P
-    # into one integer.  Each polynomial unpacks on first read against its
-    # value at at.  Callers check their own budgets.
+    # into one integer.  Every polynomial is unpacked and checked against
+    # its value at at.  Callers check their own budgets.
     bounds = run(at)
     w = max((top(bounds).bit_length() + 7) // 8, 1)
     if w < _SPLIT_WIDTH:
@@ -233,13 +210,13 @@ def _packed(
     else:
         x = 1 << (4 * w)
         parts = [((p + m) >> 1, (p - m) >> (4 * w + 1)) for p, m in zip(run(x), run(-x))]
-    return _Entries(w, at, bounds, parts)
+    return tuple(_unpack(part, w, bound, at) for part, bound in zip(parts, bounds))
 
 
 @lru_cache(maxsize=None)
-def _triangle(n: int, d: int) -> _Entries:
-    # Kernel entries h_1, ..., h_n, then B_{n,0}, ..., B_{n,n}: the packed
-    # passes of each (n, d), kept, and each entry unpacked on first read.
+def _triangle(n: int, d: int) -> tuple[IntPoly, ...]:
+    # Kernel entries h_1, ..., h_n, then B_{n,0}, ..., B_{n,n}, kept for
+    # each (n, d).
     _check_size(n, d)
     return _packed(lambda x: _fill(n, d, x), 1)
 
@@ -302,7 +279,7 @@ def egf_solve(n_max: int, d: int) -> tuple[IntPoly, ...]:
         return max(h >> (d * m + 1) // 2 for m, h in enumerate(values[1:]))
 
     _check_size(n_max, d)
-    return tuple(_packed(lambda x: _solve_at(n_max, d, x), 2, top))
+    return _packed(lambda x: _solve_at(n_max, d, x), 2, top)
 
 
 def verify_identity(series: tuple[IntPoly, ...], d: int) -> bool:

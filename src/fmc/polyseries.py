@@ -23,7 +23,7 @@ class IntPoly(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(map(int, coeffs))
         end = len(cs)
         while end and cs[end - 1] == 0:
             end -= 1

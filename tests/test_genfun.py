@@ -326,9 +326,8 @@ class TestSolver:
             return solve_at(n, d, x)
 
         assert packed(run, 2)[1:] == reference_solve(n, d)[1:]
-        narrow = packed(run, 2, lambda values: (1 << (8 * (w - 1))) - 1)
         with pytest.raises(ArithmeticError, match="overflows"):
-            narrow[1:]
+            packed(run, 2, lambda values: (1 << (8 * (w - 1))) - 1)
 
 
 class TestIdentity:
@@ -575,22 +574,13 @@ class TestPackedKernel:
             return [poly(x)]
 
         assert fmc.genfun._packed(run, 1, lambda values: (1 << (8 * w)) - 1)[0] == poly
-        narrow = fmc.genfun._packed(run, 1, lambda values: (1 << (8 * (w - 1))) - 1)
         with pytest.raises(ArithmeticError):
-            narrow[0]
+            fmc.genfun._packed(run, 1, lambda values: (1 << (8 * (w - 1))) - 1)
 
-    @pytest.mark.parametrize(
-        "argv, unpacked",
-        [
-            (["h-poly", "--n", "24", "--d", "3"], 1),
-            (["mult", "--n", "20", "--d", "4"], 20),
-            (["egf", "--n", "12", "--d", "2"], 12),
-        ],
-    )
-    def test_unpacks_only_what_is_printed(self, capsys, monkeypatch, argv, unpacked):
-        # The kernel keeps its packed passes and unpacks an entry on first
-        # read: h-poly reads h_n alone, mult row n and egf h_1 .. h_n, of
-        # the 2n + 1 entries of the triangle.
+    def test_unpacks_each_entry_once(self, capsys, monkeypatch):
+        # One (n, d) unpacks its 2n + 1 entries once, whichever commands
+        # read it in the process: h-poly reads h_n, mult row n and egf
+        # h_1 .. h_n, all from the one kept tuple.
         calls = []
         unpack = fmc.genfun._unpack
 
@@ -600,9 +590,32 @@ class TestPackedKernel:
 
         monkeypatch.setattr(fmc.genfun, "_unpack", counted)
         fmc.genfun._triangle.cache_clear()
-        assert main(argv) == 0
+        for command in ("h-poly", "mult", "egf"):
+            assert main([command, "--n", "12", "--d", "2"]) == 0
         capsys.readouterr()
-        assert len(calls) == unpacked
+        assert len(calls) == 2 * 12 + 1
+
+    def test_carry_in_an_unprinted_entry_is_refused(self, capsys, monkeypatch):
+        # A planted carry in h_1, which h-poly --n 6 does not print: every
+        # kept entry is checked against its value at 1, so the command
+        # refuses instead of printing h_6.
+        fill = fmc.genfun._fill
+
+        def planted(n, d, x):
+            values = fill(n, d, x)
+            if x != 1:
+                values[0] += 1
+            return values
+
+        monkeypatch.setattr(fmc.genfun, "_fill", planted)
+        fmc.genfun._triangle.cache_clear()
+        try:
+            assert main(["h-poly", "--n", "6", "--d", "2"]) == 2
+        finally:
+            fmc.genfun._triangle.cache_clear()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "packed entry overflows" in err
 
 
 def schoolbook(a, b):
@@ -637,7 +650,7 @@ class TestPackedSplit:
         def run(x):
             return [a(x) * b(x) for a, b in polys]
 
-        assert tuple(fmc.genfun._packed(run, at)) == tuple(schoolbook(a, b) for a, b in pairs)
+        assert fmc.genfun._packed(run, at) == tuple(schoolbook(a, b) for a, b in pairs)
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -666,9 +679,8 @@ class TestPackedSplit:
             return [poly(x)]
 
         assert fmc.genfun._packed(run, at)[0] == poly
-        narrow = fmc.genfun._packed(run, at, lambda values: (1 << (8 * width)) - 1)
         with pytest.raises(ArithmeticError, match=f"overflows its {width}-byte slots"):
-            narrow[0]
+            fmc.genfun._packed(run, at, lambda values: (1 << (8 * width)) - 1)
 
     @pytest.mark.parametrize("w, passes", [(1, 2), (10, 2), (11, 3), (16, 3)])
     def test_split_from_eleven_bytes(self, w, passes):
@@ -681,5 +693,5 @@ class TestPackedSplit:
             points.append(x)
             return [poly(x)]
 
-        assert tuple(fmc.genfun._packed(run, 1)) == (poly,)
+        assert fmc.genfun._packed(run, 1) == (poly,)
         assert len(points) == passes

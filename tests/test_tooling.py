@@ -213,6 +213,18 @@ def test_readme_states_every_budget_at_its_value():
         assert flag in dict(_COMMANDS[command][2]), (command, flag)
 
 
+def test_ci_runs_the_tier1_command():
+    # The CI workflow runs exactly the ROADMAP's tier-1 command, on the
+    # Python whose argparse bytes the help goldens pin.  It is read as plain
+    # text, so the test needs no YAML parser.
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    (command,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", roadmap, re.M)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    runs = re.findall(r"^ +(?:- )?run: (.+)$", workflow, re.M)
+    assert [run for run in runs if "-m pytest" in run] == [command]
+    assert re.findall(r"^ +python-version: (.+)$", workflow, re.M) == ['"3.11"']
+
+
 def test_only_the_entry_routine_ends_the_process():
     # Library code never ends the process: os._exit has one call site, in
     # the entry routine of fmc.cli, and both launchers call that routine.
