@@ -595,6 +595,31 @@ class TestPackedKernel:
         capsys.readouterr()
         assert len(calls) == 2 * 12 + 1
 
+    @pytest.mark.parametrize(
+        "argv, unpacked",
+        [
+            (["h-poly", "--n", "24", "--d", "3"], 2 * 24 + 1),
+            (["mult", "--n", "20", "--d", "4"], 2 * 20 + 1),
+            (["egf", "--n", "12", "--d", "2"], 2 * 12 + 1),
+        ],
+    )
+    def test_each_command_unpacks_every_entry(self, capsys, monkeypatch, argv, unpacked):
+        # Whatever part of the triangle a command prints (h_n alone for
+        # h-poly, row n for mult, h_1 .. h_n for egf), the kernel unpacks
+        # and checks all 2n + 1 of its entries.
+        calls = []
+        unpack = fmc.genfun._unpack
+
+        def counted(*args):
+            calls.append(args)
+            return unpack(*args)
+
+        monkeypatch.setattr(fmc.genfun, "_unpack", counted)
+        fmc.genfun._triangle.cache_clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == unpacked
+
     def test_carry_in_an_unprinted_entry_is_refused(self, capsys, monkeypatch):
         # A planted carry in h_1, which h-poly --n 6 does not print: every
         # kept entry is checked against its value at 1, so the command
