@@ -35,7 +35,7 @@ from . import __version__
 # as attributes of a namespace, whichever parser made it.
 _THEORY_NAMES = ("lawson", "chow", "db", "betti")
 # Rows of a nest listing rendered and written together.
-_NEST_CHUNK = 1024
+_NEST_CHUNK = 256
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -161,15 +161,30 @@ def _emit(text: str) -> None:
 
 
 class _Fragments(dict):
-    # The text of each value of byte j of a nest's int, made on first use: a
-    # listing meets few of the 256 values at each position.
-    def __init__(self, text: Callable[[int, int], str], j: int) -> None:
+    # The text of each value of a word, half-word or byte of a nest's int,
+    # made on first use: a listing meets few of the values at each position.
+    def __init__(self, text: Callable[[int], str]) -> None:
         super().__init__()
-        self.text, self.j = text, j
+        self.text = text
 
-    def __missing__(self, byte: int) -> str:
-        found = self[byte] = self.text(self.j, byte)
+    def __missing__(self, value: int) -> str:
+        found = self[value] = self.text(value)
         return found
+
+
+def _halves(high: _Fragments, low: _Fragments, bits: int) -> _Fragments:
+    # The texts of values twice as wide as those of `high` and `low`: each
+    # joins the texts of its two halves, so a miss costs one concatenation.
+    mask = (1 << bits) - 1
+    return _Fragments(lambda value: high[value >> bits] + low[value & mask])
+
+
+def _words(values: list[int], width: int) -> memoryview:
+    # The values as rows of width // 4 unsigned 32-bit words, in the
+    # machine's byte order: a row's low word comes first on a little-endian
+    # machine and last on a big-endian one.
+    order = sys.byteorder
+    return memoryview(b"".join([value.to_bytes(width, order) for value in values])).cast("I")
 
 
 def cmd_nests(args: SimpleNamespace) -> int:
@@ -177,22 +192,23 @@ def cmd_nests(args: SimpleNamespace) -> int:
 
     n = args.n
     _check_labels(n)
-    # Each nest is one int.  From the top: a bit per member, lex-smaller
-    # members higher; a son-count slot per member, in the same order; the
-    # component count in the low byte.  Every nest holds (n,), the lex-largest
-    # member, so none is a prefix of another, and nest A precedes nest B
-    # exactly when the smallest member in just one of them is in A: the
-    # canonical order is a descending sort.  Singletons are in every nest, so
-    # they get no bit; the text of each member byte names them.  A son count
-    # and the component count are at most n <= NEST_BUDGET < 16, so a son
-    # count fits a 4-bit slot, two to a byte, and the component count a byte.
+    # Each nest is one int of 32-bit words.  From the top: a bit per member,
+    # lex-smaller members higher; a son-count slot per member, in the same
+    # order; the component count in the low word.  Every nest holds (n,),
+    # the lex-largest member, so none is a prefix of another, and nest A
+    # precedes nest B exactly when the smallest member in just one of them
+    # is in A: the canonical order is a descending sort.  Singletons are in
+    # every nest, so they get no bit; the text of each member word names
+    # them.  A son count is at most n <= NEST_BUDGET < 16, so it fits a
+    # 4-bit slot, eight to a word.
     labels = range(1, n + 1)
     members = sorted(m for size in labels for m in itertools.combinations(labels, size))
     rank = {member: i for i, member in enumerate(members)}
-    member_bytes = -(-len(members) // 8)
-    son_bytes = -(-len(members) // 2)
-    top = 8 * (member_bytes + son_bytes + 1) - 1
-    slot_top = 8 * (son_bytes + 1) - 4
+    member_words = -(-len(members) // 32)
+    son_words = -(-len(members) // 8)
+    words = member_words + son_words + 1
+    top = 32 * words - 1
+    slot_top = 32 * (son_words + 1) - 4
 
     def node(member: tuple[int, ...], sons: int) -> int:
         i = rank[member]
@@ -202,19 +218,24 @@ def cmd_nests(args: SimpleNamespace) -> int:
     rows.sort(reverse=True)
 
     # The sorted rows are written a chunk at a time, and each chunk is
-    # rendered a byte column at a time: the rows' bytes go into one blob,
-    # byte j of every row is blob[j::width] and maps through the fragment
-    # table of byte j, and each row joins its member and son fragments.
-    # Every value is a small integer, so the JSON fragments are built by
-    # hand, in the bytes render_json would give, without holding the whole
-    # document.
+    # rendered a word column at a time: word t of every row maps through
+    # the fragment table of word t, whose texts join those of its half-words
+    # and bytes.  A son word that is zero in every row of the chunk writes
+    # nothing and is skipped.  Text joins each row's fragments, its
+    # component count's (which opens the son list exactly when a member is
+    # internal, that is when m < n) and its newline into one string per
+    # chunk.  Every value is a small integer, so the JSON fragments are built
+    # by hand, in the bytes render_json would give, without holding the
+    # whole document.
     as_json = args.format == "json"
     name = ("[{}]" if as_json else "{{{}}}").format
     sep = "," if as_json else " "
 
+    names = [name(",".join(map(str, member))) for member in members]
+
     def member_text(j: int, byte: int) -> str:
         return "".join(
-            (sep if i else "") + name(",".join(map(str, members[i])))
+            (sep if i else "") + names[i]
             for i in range(8 * j, min(8 * j + 8, len(members)))
             if len(members[i]) == 1 or byte & (0x80 >> (i - 8 * j))
         )
@@ -223,36 +244,45 @@ def cmd_nests(args: SimpleNamespace) -> int:
         text = ""
         for i in range(2 * j, min(2 * j + 2, len(members))):
             if count := byte >> (4 * (2 * j + 1 - i)) & 0xF:
-                member = name(",".join(map(str, members[i])))
+                member = names[i]
                 text += (
                     f',{{"member":{member},"count":{count}}}' if as_json else f" {member}={count}"
                 )
         return text
 
-    width = member_bytes + son_bytes + 1
-    member_columns = [(j, _Fragments(member_text, j)) for j in range(member_bytes)]
-    son_columns = [(member_bytes + j, _Fragments(son_text, j)) for j in range(son_bytes)]
+    def word_table(text: Callable[[int, int], str], k: int) -> _Fragments:
+        # Word k of the member or son slots, from its four bytes' texts.
+        b = [_Fragments(lambda byte, j=j: text(j, byte)) for j in range(4 * k, 4 * k + 4)]
+        return _halves(_halves(b[0], b[1], 8), _halves(b[2], b[3], 8), 16)
 
-    def joined(blob: bytes, tables: list[tuple[int, _Fragments]]) -> Iterator[str]:
-        # Each row's fragments of the given byte columns, joined.
-        return map("".join, zip(*[map(table.__getitem__, blob[j::width]) for j, table in tables]))
+    member_tables = [word_table(member_text, k) for k in range(member_words)]
+    son_tables = [word_table(son_text, k) for k in range(son_words)]
+    components = [f"  components={m}{' sons:' if m < n else ''}" for m in range(n + 1)]
+    # Where each word of a row sits in the view, from the top word down.
+    place = range(words)[::-1] if sys.byteorder == "little" else range(words)
 
     write = sys.stdout.write
     write(f'{{"n":{n},"count":{len(rows)},"nests":[' if as_json else f"n={n} count={len(rows)}\n")
     for start in range(0, len(rows), _NEST_CHUNK):
-        blob = b"".join([value.to_bytes(width, "big") for value in rows[start:start + _NEST_CHUNK]])
-        chunk = zip(joined(blob, member_columns), blob[width - 1::width], joined(blob, son_columns))
+        view = _words(rows[start:start + _NEST_CHUNK], 4 * words)
+        columns = [view[p::words] for p in place]
+        listed = [map(table.__getitem__, c) for table, c in zip(member_tables, columns)]
+        sons = [
+            map(table.__getitem__, c)
+            for table, c in zip(son_tables, columns[member_words:])
+            if any(c)
+        ]
         if as_json:
+            slots = zip(*sons) if sons else itertools.repeat(())
             text = ",".join([
-                f'{{"members":[{listed}],"components":{m},"sons":[{sons[1:]}]}}'
-                for listed, m, sons in chunk
+                f'{{"members":[{"".join(row)}],"components":{m},"sons":[{"".join(s)[1:]}]}}'
+                for row, m, s in zip(zip(*listed), columns[-1], slots)
             ])
             write(f",{text}" if start else text)
         else:
-            write("".join([
-                f"{listed}  components={m}{' sons:' if sons else ''}{sons}\n"
-                for listed, m, sons in chunk
-            ]))
+            counts = map(components.__getitem__, columns[-1])
+            lines = zip(*listed, counts, *sons, itertools.repeat("\n"))
+            write("".join(itertools.chain.from_iterable(lines)))
     if as_json:
         write("]}\n")
     return 0

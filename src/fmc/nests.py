@@ -22,7 +22,7 @@ the number of candidate subset families.  ``fmc nests`` gives each member
 one bit, lex-smaller members higher, and a son-count slot below: the
 canonical order (members are sorted label tuples, and nests are compared as
 sorted member sequences) is then a descending sort of plain ints, and the
-listing is rendered from the ints' bytes a column at a time.
+listing is rendered from the ints' 32-bit words a column at a time.
 
 The weight polynomial of a nest in ambient dimension ``d`` is the product
 over internal nodes I of ``x + x^2 + ... + x^(d*(sons(I)-1)-1)``; the empty

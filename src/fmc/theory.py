@@ -383,18 +383,24 @@ def betti_of_fm(betti_x: IntPoly, d: int, n: int) -> IntPoly:
 def _poincare(rows: tuple[IntPoly, ...], betti_x: IntPoly) -> IntPoly:
     # sum_m B_{n,m}(q^2) P^m by Horner's rule in P, from m = n down to 1, on
     # integers at the points q = 1 and q = +-2^s that _packed asks for: n + 1
-    # products, each by P(q) alone, and each row read at q^2 = 4^s by
-    # shifts.  Every coefficient is nonnegative, so the value at q = 1
-    # bounds them.
+    # products, each by P(q) alone.  Every coefficient is nonnegative, so the
+    # value at q = 1 bounds them.  Past q = 1, s is a multiple of 4, and each
+    # row is read at q^2 = 4^s from its coefficients' bytes, 2s bits to a
+    # slot, in time linear in its size.  A row's coefficients are at most
+    # its value at 1, and so at most the bound, when P(1) >= 1; a zero P
+    # makes every value 0.
     def at(q: int) -> list[int]:
-        shift = 2 * (q.bit_length() - 1)
+        size = (q.bit_length() - 1) // 4
         p = betti_x(q)
+        if not p:
+            return [0]
         total = 0
         for row in reversed(rows):
-            value = 0
-            for a in reversed(row.coeffs):
-                value = (value << shift) + a
-            total = total * p + value
+            if size:
+                packed = b"".join([a.to_bytes(size, "little") for a in row.coeffs])
+                total = total * p + int.from_bytes(packed, "little")
+            else:
+                total = total * p + sum(row.coeffs)
         return [total * p]
 
     return _packed(at, 1)[0]

@@ -10,6 +10,7 @@ containment scan, and the listing rendered as a whole document through
 
 import itertools
 import json
+import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
 from math import prod
@@ -580,7 +581,26 @@ class TestListing:
         assert (code, out) == (2, "")
         assert "budget" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_every_chunk_edge(self, capsys, monkeypatch, chunk, fmt):
+        # Each chunk skips the son words that are zero in all of its rows,
+        # and JSON chunks are joined by a comma: small chunks put an edge
+        # between every few rows, and a chunk of one row skips every son word
+        # its row leaves zero.
+        monkeypatch.setattr(fmc.cli, "_NEST_CHUNK", chunk)
+        for n in range(1, 6):
+            assert listing(capsys, n, fmt) == (0, reference_listing(n, fmt), ""), n
+
+    def test_rows_are_read_as_32_bit_words(self):
+        # cmd_nests lays each nest's int out in 32-bit words and reads a chunk
+        # of them through a view in the machine's byte order, so a row's low
+        # word comes first on a little-endian machine.
+        view = fmc.cli._words([1 << 32 | 2, 3 << 32 | 4], 8)
+        assert view.itemsize == 4
+        assert view.tolist() == ([2, 1, 4, 3] if sys.byteorder == "little" else [1, 2, 3, 4])
+
     def test_son_counts_fit_a_nibble(self):
         # cmd_nests packs each son count into a 4-bit slot, and the component
-        # count into a byte; both are at most n <= NEST_BUDGET.
+        # count into a 32-bit word; both are at most n <= NEST_BUDGET.
         assert fmc.nests.NEST_BUDGET < 16

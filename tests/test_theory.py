@@ -468,6 +468,24 @@ class TestEvaluate:
         assert evaluate_decomposition(dec, space, p, k) == GroupDescriptor(free_rank=expected)
 
 
+def shift_and_add(row, shift):
+    """``row`` read at ``2^shift`` by repeated shifts, quadratic in its size."""
+    value = 0
+    for a in reversed(row.coeffs):
+        value = (value << shift) + a
+    return value
+
+
+def reference_poincare_at(rows, betti, q):
+    """The value ``_poincare`` packs at q, its rows read by ``shift_and_add``."""
+    shift = 2 * (q.bit_length() - 1)
+    p = betti(q)
+    total = 0
+    for row in reversed(rows):
+        total = total * p + shift_and_add(row, shift)
+    return [total * p]
+
+
 class TestBetti:
     def test_kunneth_square_of_line(self):
         assert P1_BETTI * P1_BETTI == IntPoly([1, 0, 2, 0, 1])
@@ -505,6 +523,36 @@ class TestBetti:
         for betti in inputs:
             assert betti.is_palindromic(2 * d)
             assert betti_of_fm(betti, d, n).is_palindromic(2 * d * n)
+
+    @pytest.mark.parametrize("digits", [1, 1000])
+    @pytest.mark.parametrize(
+        "betti", [P2_BETTI, IntPoly([2, 1, 3]), IntPoly([0])], ids=["p2", "uneven", "zero"]
+    )
+    def test_rows_pack_like_shift_and_add(self, monkeypatch, betti, digits):
+        # _poincare packs each row from its coefficients' bytes.  At every
+        # point _packed asks for, one pass at 2^(8w) or the split pair at
+        # +-2^(4w), its values are those of the shift-and-add loop, and so is
+        # the polynomial.
+        rows = tuple(
+            IntPoly([10 ** (digits - 1) * (m + i + 1) + i for i in range(2 * m + 3)])
+            for m in range(6)
+        )
+        runs = []
+        plain = fmc.theory._packed
+
+        def recording(run, at):
+            def recorded(q):
+                runs.append((q, run(q)))
+                return runs[-1][1]
+
+            return plain(recorded, at)
+
+        monkeypatch.setattr(fmc.theory, "_packed", recording)
+        result = fmc.theory._poincare(rows, betti)
+        assert len(runs) == (3 if digits > 1 and betti(1) else 2)
+        for q, values in runs:
+            assert values == reference_poincare_at(rows, betti, q), q
+        assert result == plain(lambda q: reference_poincare_at(rows, betti, q), 1)[0]
 
     @given(
         n=st.integers(1, 3),

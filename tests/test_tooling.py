@@ -225,6 +225,17 @@ def test_ci_runs_the_tier1_command():
     assert re.findall(r"^ +python-version: (.+)$", workflow, re.M) == ['"3.11"']
 
 
+def test_ci_installs_the_test_extra():
+    # The CI workflow installs exactly the packages of the project's `test`
+    # extra, no more and no fewer.  The workflow is read as plain text.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as file:
+        extra = tomllib.load(file)["project"]["optional-dependencies"]["test"]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    (installed,) = re.findall(r"^ +(?:- )?run: python -m pip install (.+)$", workflow, re.M)
+    assert sorted(installed.split()) == sorted(extra)
+
+
 def test_only_the_entry_routine_ends_the_process():
     # Library code never ends the process: os._exit has one call site, in
     # the entry routine of fmc.cli, and both launchers call that routine.
