@@ -142,8 +142,8 @@ def _group_doc(group: GroupDescriptor) -> dict:
 
 def _check_digits(numbers: tuple[int, ...]) -> None:
     # Python refuses to write an integer of more decimal digits than its
-    # limit (0: none, as before Python 3.10.7); say which number is too long.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # limit (0: none); say which number is too long.
+    limit = sys.get_int_max_str_digits()
     if limit and max(map(abs, numbers), default=0) >= 10**limit:
         raise ValueError(
             f"a coefficient of the result has more than {limit} digits, "

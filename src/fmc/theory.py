@@ -57,6 +57,10 @@ CLAMP, ZERO_READ, FORMAL = "clamp", "zero", "formal"
 #: Most torsion orders and formal names one direct sum lists (once per copy).
 SUMMAND_BUDGET = 10**6
 
+#: Most decimal digits of one Betti coefficient, which bound the time of
+#: the Poincare passes.
+BETTI_DIGITS = 18
+
 
 class Theory(Record):
     """Index conventions of one theory.
@@ -238,11 +242,16 @@ class GradedTable(Record):
 
 def _check_betti(betti: IntPoly, dim: int) -> None:
     # Betti numbers: nonnegative, which the packed Poincare pass relies on,
-    # and none past the real dimension 2 * dim.
+    # none past the real dimension 2 * dim, and none of more than
+    # BETTI_DIGITS digits.
     if any(c < 0 for c in betti.coeffs):
         raise ValueError("Betti coefficients must be nonnegative")
     if betti.degree > 2 * dim:
         raise ValueError("Betti polynomial degree exceeds 2*dim")
+    if max(betti.coeffs, default=0) >= 10**BETTI_DIGITS:
+        raise BudgetError(
+            f"Betti budget exceeded: a coefficient has more than {BETTI_DIGITS} digits"
+        )
 
 
 def _check_record(theory: Theory, label: str, p: int, k: int, m: int, dim: int) -> None:

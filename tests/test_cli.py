@@ -472,6 +472,10 @@ BAD_DESCRIPTORS = {
     "betti-negative": (
         {**BETTI_LINE, "betti": [1, -1, 1]}, "Betti coefficients must be nonnegative"
     ),
+    "betti-digits": (
+        {**BETTI_LINE, "betti": [1, 10**18, 1]},
+        "Betti budget exceeded: a coefficient has more than 18 digits",
+    ),
     "betti-degree": (
         {**BETTI_LINE, "betti": [1, 0, 0, 0, 1]}, "Betti polynomial degree exceeds 2*dim"
     ),
@@ -649,23 +653,56 @@ class TestInputGuards:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_result_past_the_digit_limit_exit_2(self, capsys, tmp_path, fmt):
-        # The largest coefficient a descriptor can carry is written back at
-        # n = 1; at n = 2 its square is past the limit.
+        # The largest rank a descriptor can carry is written back at n = 1.
+        # At n = 2, d = 2, L_1H_2 adds it from X^2 to itself from X, read at
+        # shift 1, and the sum has one digit past the limit.
         limit = sys.get_int_max_str_digits()
+        big = "9" * limit
         path = tmp_path / "big.json"
         path.write_text(
-            f'{{"name": "big", "dim": 1, "kind": "betti", "betti": [1, {"9" * limit}, 1]}}'
+            f'{{"name": "big", "dim": 2, "kind": "lawson", '
+            f'"table": [{{"p": 0, "k": 0, "free_rank": {big}}}], '
+            f'"powers": {{"2": [{{"p": 1, "k": 2, "free_rank": {big}}}]}}}}'
         )
-        argv = ("decompose", "--theory", "betti", "--d", "1", "--mode", "ranks",
+        argv = ("decompose", "--theory", "lawson", "--d", "2", "--mode", "ranks",
                 "--space", str(path), "--format", fmt)
-        code, out, _ = run_cli(capsys, *argv, "--n", "1")
-        assert code == 0 and "9" * limit in out
-        for index in ((), ("--k", "2")):
-            code, out, err = run_cli(capsys, *argv, "--n", "2", *index)
-            assert (code, out) == (2, "")
-            assert err == (
-                f"fmc: error: a coefficient of the result has more than {limit} digits, "
-                "the most an integer may be written with\n"
+        code, out, _ = run_cli(capsys, *argv, "--n", "1", "--p", "0", "--k", "0")
+        assert code == 0 and big in out
+        code, out, err = run_cli(capsys, *argv, "--n", "2", "--p", "1", "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"fmc: error: a coefficient of the result has more than {limit} digits, "
+            "the most an integer may be written with\n"
+        )
+
+    @pytest.mark.parametrize("digits", [18, 4299])
+    def test_betti_coefficient_budget(self, tmp_path, digits):
+        # BETTI_DIGITS = 18 bounds the Poincare passes: at the kernel budget's
+        # corner an 18-digit fourfold answers, and a longer coefficient exits
+        # 2 when the file is read (19 digits: BAD_DESCRIPTORS).  4299 digits,
+        # the most json.load reads, used to run 95 s of Poincare passes before
+        # the result was refused; a child with a timeout turns such a
+        # regression into a failure.
+        coefficient = "9" * digits
+        path = tmp_path / "fourfold.json"
+        path.write_text(
+            '{"name": "F", "dim": 4, "kind": "betti", "betti": ['
+            + ", 0, ".join([coefficient] * 5) + "]}"
+        )
+        src = Path(fmc.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "fmc.cli", "decompose", "--theory", "betti", "--n", "40",
+             "--d", "4", "--mode", "ranks", "--space", str(path), "--k", "40"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=20,
+        )
+        if digits <= 18:
+            assert (result.returncode, result.stderr) == (0, "")
+            assert int(result.stdout.splitlines()[-1].removeprefix("value: Z^")) > 0
+        else:
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == (
+                "fmc: error: Betti budget exceeded: a coefficient has more than 18 digits\n"
             )
 
 

@@ -32,6 +32,7 @@ DIMENSION = "dimension must be >= 1"
 SIZE = "n must be >= 1"
 RANK = "rank parameter must be >= 1"
 DEGREE = "Betti polynomial degree exceeds 2*dim"
+DIGITS = "Betti budget exceeded: a coefficient has more than 18 digits"
 MISMATCH = "space dimension 1 does not match decomposition d=2"
 P1 = projective_betti(1)
 
@@ -90,8 +91,9 @@ def test_refusal(call, message):
     [
         (IntPoly([1, 0, 0, 0, 1]), DEGREE),
         (IntPoly([1, -1, 1]), "Betti coefficients must be nonnegative"),
+        (IntPoly([1, 10**18, 1]), DIGITS),
     ],
-    ids=["degree", "negative"],
+    ids=["degree", "negative", "digits"],
 )
 def test_space_descriptor_refuses_bad_betti_data(kind, betti, message):
     # Built in, read from a file or built by a caller, every space with a

@@ -5,58 +5,54 @@ import re
 import shlex
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
-import fmc
 from fmc.cli import _COMMANDS, main
 from fmc.genfun import KERNEL_BUDGET
 from fmc.nests import NEST_BUDGET
 from fmc.oracle import VERIFY_MAX_D
-from fmc.theory import SUMMAND_BUDGET
+from fmc.theory import BETTI_DIGITS, SUMMAND_BUDGET
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-PUBLIC_NAMES = """
-import json, fmc
-bound = {}
-exec("from fmc import *", bound)
-print(json.dumps({
-    "unbound": [name for name in fmc.__all__ if name not in bound],
-    "table": sorted(fmc._HOMES),
-    "all": sorted(fmc.__all__),
-}))
-"""
-
-
-def test_public_names_resolve():
-    # A fresh interpreter, so that no earlier test has imported a submodule
-    # the lazy package would otherwise have to load.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", PUBLIC_NAMES], env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    names = json.loads(result.stdout)
-    assert names["unbound"] == []
-    assert names["table"] == names["all"]
+def _defined_names(tree: ast.Module) -> list[str]:
+    # The names a module defines or assigns outside any function or class.
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
 
 
 def test_every_public_name_has_a_program_caller():
-    # The public API keeps only what callers use: each name of fmc.__all__
-    # is read somewhere in the package outside its lazy name table, or in a
-    # shipped script.  An import alone is no use, and tests do not count.
-    sources = [p for p in sorted((ROOT / "src" / "fmc").glob("*.py")) if p.name != "__init__.py"]
-    loaded = set()
-    for path in sources + sorted((ROOT / "scripts").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    # The public API keeps only what callers use: each top-level public name
+    # of every fmc module is read somewhere in the package or in a shipped
+    # script.  A definition alone is no use, and tests do not count.  Each
+    # name has one import path, the module that defines it: the package
+    # root imports nothing and binds only what the modules share.
+    modules = sorted((ROOT / "src" / "fmc").glob("*.py"))
+    public, loaded = set(), set()
+    for path in modules + sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path in modules:
+            public |= {name for name in _defined_names(tree) if not name.startswith("_")}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    assert sorted(set(fmc.__all__) - loaded) == []
+    assert {"BudgetError", "IntPoly", "multiplicity_table", "NEST_BUDGET", "run"} <= public
+    assert sorted(public - loaded) == []
+    root = ast.parse((ROOT / "src" / "fmc" / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in root.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert sorted(_defined_names(root)) == ["BudgetError", "__version__"]
 
 
 def test_package_imports_only_the_standard_library():
@@ -205,6 +201,7 @@ def test_readme_states_every_budget_at_its_value():
         f"`d*(n-1) <= {max_degree}`",
         f"`VERIFY_MAX_D = {VERIFY_MAX_D}`",
         f"`SUMMAND_BUDGET = 10^{exponent}`",
+        f"`BETTI_DIGITS = {BETTI_DIGITS}`",
     ):
         assert phrase in paragraph
     named = re.findall(r"`([a-z-]+) (--[a-z-]+)`", paragraph)
@@ -215,20 +212,23 @@ def test_readme_states_every_budget_at_its_value():
 
 def test_ci_runs_the_tier1_command():
     # The CI workflow runs exactly the ROADMAP's tier-1 command, on the
-    # Python whose argparse bytes the help goldens pin.  It is read as plain
-    # text, so the test needs no YAML parser.
+    # Python whose argparse bytes the help goldens pin, which is also the
+    # project's floor.  It is read as plain text, so the test needs no YAML
+    # parser.
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     (command,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", roadmap, re.M)
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     runs = re.findall(r"^ +(?:- )?run: (.+)$", workflow, re.M)
     assert [run for run in runs if "-m pytest" in run] == [command]
-    assert re.findall(r"^ +python-version: (.+)$", workflow, re.M) == ['"3.11"']
+    (version,) = re.findall(r'^ +python-version: "(.+)"$', workflow, re.M)
+    assert version == "3.11"
+    with open(ROOT / "pyproject.toml", "rb") as file:
+        assert tomllib.load(file)["project"]["requires-python"] == f">={version}"
 
 
 def test_ci_installs_the_test_extra():
     # The CI workflow installs exactly the packages of the project's `test`
     # extra, no more and no fewer.  The workflow is read as plain text.
-    tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as file:
         extra = tomllib.load(file)["project"]["optional-dependencies"]["test"]
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
