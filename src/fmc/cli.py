@@ -140,17 +140,6 @@ def _group_doc(group: GroupDescriptor) -> dict:
     return doc
 
 
-def _check_digits(numbers: tuple[int, ...]) -> None:
-    # Python refuses to write an integer of more decimal digits than its
-    # limit (0: none); say which number is too long.
-    limit = sys.get_int_max_str_digits()
-    if limit and max(map(abs, numbers), default=0) >= 10**limit:
-        raise ValueError(
-            f"a coefficient of the result has more than {limit} digits, "
-            "the most an integer may be written with"
-        )
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
@@ -384,9 +373,8 @@ def cmd_decompose(args: SimpleNamespace) -> int:
         betti_of_fm,
         check_index,
         evaluate_decomposition,
-        formal_evaluation,
+        formal_groups,
         resolve_space,
-        term_group_name,
     )
 
     n, d, theory = args.n, args.d, args.theory
@@ -395,16 +383,16 @@ def cmd_decompose(args: SimpleNamespace) -> int:
     if has_index:
         check_index(theory, p, k)
 
-    dec = multiplicity_table(n, d)
-
-    # A space is read in every mode and ranks are evaluated in every format,
-    # so latex and formal mode refuse what text and JSON ranks refuse.
+    # A space is read in every mode, before the kernel runs, and ranks are
+    # evaluated in every format, so latex and formal mode refuse what text
+    # and JSON ranks refuse.
     value = poincare = space = None
     ranks = args.mode == "ranks"
     if args.space is not None:
         space = resolve_space(args.space, theory, d)
     elif ranks:
         raise ValueError("--space is required in ranks mode")
+    dec = multiplicity_table(n, d)
     if ranks:
         if theory == "betti" and k is None:
             poincare = betti_of_fm(space.betti, d, n)
@@ -417,18 +405,17 @@ def cmd_decompose(args: SimpleNamespace) -> int:
         )
         _emit(f"$ {body} $")
         return 0
-    if ranks:
-        _check_digits(poincare.coeffs if poincare is not None else (value.free_rank,))
-    elif has_index:
-        value = formal_evaluation(dec, theory, p, k)
+    # Formal mode with an index names each term's group; a rank too long
+    # for str() raises ValueError below, before anything is written.
+    groups = [None] * len(dec.terms)
+    if has_index and not ranks:
+        groups, value = formal_groups(dec, theory, p, k)
 
     # The header, then one row per term; the text lines and the JSON
     # document are written from the same rows.
-    named = has_index and not ranks
     rows = [_fields(n=n, d=d, theory=theory, mode=args.mode, p=p, k=k, space=space and space.name)]
-    for m, shift, mult in dec.terms:
-        group = term_group_name(theory, m, shift, p, k) if named else None
-        rows.append(_fields(m=m, shift=shift, mult=mult, group=group))
+    for (m, shift, mult), group in zip(dec.terms, groups):
+        rows.append(_fields(m=m, shift=shift, mult=mult, group=group and str(group)))
 
     if args.format == "json":
         doc = dict(rows[0], terms=rows[1:])

@@ -308,16 +308,6 @@ def _formal_term(kind: str, m: int, p: int, k: int) -> GroupDescriptor:
     return GroupDescriptor(formal=(name,))
 
 
-def term_group_name(
-    kind: str, m: int, shift: int, p: int | None = None, k: int | None = None
-) -> str:
-    """Name of a term's group at an outer index, conventions applied.
-
-    Returns "0" for terms that contribute the zero group at this index.
-    """
-    return str(_sum_terms([(m, shift, 1)], theory_of(kind), p, k, partial(_formal_term, kind)))
-
-
 def _sum_terms(
     terms: Iterable[tuple[object, int, int]],
     theory: Theory,
@@ -336,12 +326,19 @@ def _sum_terms(
     )
 
 
-def formal_evaluation(
+def formal_groups(
     dec: FormalDecomposition, kind: str, p: int | None = None, k: int | None = None
-) -> GroupDescriptor:
-    """Evaluate a decomposition into named formal summands only."""
+) -> tuple[list[GroupDescriptor], GroupDescriptor]:
+    """Each term's group at an outer index, named formally, and their direct sum.
+
+    A term's group is one copy of its power's group, conventions applied,
+    and the zero group when the term reads nothing at this index; the sum
+    takes each group as many times as the term's multiplicity.
+    """
     theory = check_index(kind, p, k)
-    return _sum_terms(dec.terms, theory, p, k, partial(_formal_term, kind))
+    read = partial(_formal_term, kind)
+    groups = [_sum_terms([(m, shift, 1)], theory, p, k, read) for m, shift, _ in dec.terms]
+    return groups, _total(zip(groups, [mult for _, _, mult in dec.terms]))
 
 
 def _check_space_dim(space: SpaceDescriptor, d: int) -> None:
@@ -544,6 +541,11 @@ def parse_space(doc: object) -> SpaceDescriptor:
     name, dim, kind = doc["name"], doc["dim"], doc["kind"]
     if not isinstance(name, str):
         raise ValueError("field 'name' must be a string")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        # A lone surrogate is valid JSON, but UTF-8 cannot write it.
+        raise ValueError("field 'name' must be text that UTF-8 can write") from None
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("field 'dim' must be an integer >= 1")
     if kind not in THEORIES:

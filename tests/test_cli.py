@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 import fmc
 import fmc.genfun
 import fmc.oracle
+import fmc.theory
 from fmc.cli import _parse, build_parser, main, render_json
 from fmc.genfun import multiplicity_table
 from fmc.oracle import CheckResult
 from fmc.polyseries import IntPoly
-from fmc.theory import THEORIES, betti_of_fm, formal_evaluation
+from fmc.theory import THEORIES, betti_of_fm, formal_groups
 
 
 def run_cli(capsys, *argv):
@@ -306,6 +307,27 @@ class TestSubcommands:
         groups = [t["group"] for t in doc["terms"]]
         assert groups == ["H^2_D(X^2, Z(1))", "H^0_D(X, Z(0))"]
 
+    def test_decompose_formal_reads_each_term_once(self, capsys, monkeypatch):
+        # The rows and the value come from one read of each of the 10 terms.
+        reads = []
+        read_index = fmc.theory.Theory.read_index
+
+        def counted(self, *args):
+            reads.append(args)
+            return read_index(self, *args)
+
+        monkeypatch.setattr(fmc.theory.Theory, "read_index", counted)
+        code, out, _ = run_cli(
+            capsys, "decompose", "--theory", "db", "--n", "4", "--d", "2",
+            "--mode", "formal", "--p", "1", "--k", "3",
+        )
+        assert code == 0
+        terms = out.splitlines()[1:-1]
+        assert len(terms) == len(reads) == 10
+        assert [line.rpartition(" group=")[2] for line in terms[:3]] == [
+            "H^3_D(X^4, Z(1))", "H^1_D(X^3, Z(0))", "H^1_D(X^2, Z(0))",
+        ]
+
     def test_decompose_latex(self, capsys):
         code, out, _ = run_cli(
             capsys, "decompose", "--theory", "lawson", "--n", "2", "--d", "3",
@@ -460,6 +482,9 @@ BAD_DESCRIPTORS = {
     "not-object": ([LINE_DOC], "space descriptor must be a JSON object"),
     "missing-dim": (line_doc(dim=None), "missing field 'dim'"),
     "name-not-string": (line_doc(name=5), "field 'name' must be a string"),
+    "name-lone-surrogate": (
+        line_doc(name="L\ud800"), "field 'name' must be text that UTF-8 can write"
+    ),
     "dim-zero": (line_doc(dim=0), "field 'dim' must be an integer >= 1"),
     "dim-bool": (line_doc(dim=True), "field 'dim' must be an integer >= 1"),
     "unknown-kind": (
@@ -655,7 +680,8 @@ class TestInputGuards:
     def test_result_past_the_digit_limit_exit_2(self, capsys, tmp_path, fmt):
         # The largest rank a descriptor can carry is written back at n = 1.
         # At n = 2, d = 2, L_1H_2 adds it from X^2 to itself from X, read at
-        # shift 1, and the sum has one digit past the limit.
+        # shift 1, and the sum has one digit past the limit, which str()
+        # refuses while the document is built, before anything is written.
         limit = sys.get_int_max_str_digits()
         big = "9" * limit
         path = tmp_path / "big.json"
@@ -670,10 +696,10 @@ class TestInputGuards:
         assert code == 0 and big in out
         code, out, err = run_cli(capsys, *argv, "--n", "2", "--p", "1", "--k", "2")
         assert (code, out) == (2, "")
-        assert err == (
-            f"fmc: error: a coefficient of the result has more than {limit} digits, "
-            "the most an integer may be written with\n"
+        assert err.startswith(
+            f"fmc: error: Exceeds the limit ({limit} digits) for integer string conversion"
         )
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("digits", [18, 4299])
     def test_betti_coefficient_budget(self, tmp_path, digits):
@@ -704,6 +730,28 @@ class TestInputGuards:
             assert result.stderr == (
                 "fmc: error: Betti budget exceeded: a coefficient has more than 18 digits\n"
             )
+
+    def test_space_is_read_before_the_kernel(self, capsys, tmp_path, monkeypatch):
+        # A descriptor refused when read costs no kernel pass: at the kernel
+        # budget's corner a 19-digit Betti coefficient exits 2 before any
+        # triangle is filled.
+        path = tmp_path / "fourfold.json"
+        path.write_text(json.dumps({"name": "F", "dim": 4, "kind": "betti", "betti": [10**18]}))
+        calls = []
+        fill = fmc.genfun._fill
+
+        def counted(*args):
+            calls.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(fmc.genfun, "_fill", counted)
+        fmc.genfun._triangle.cache_clear()
+        code, out, err = run_cli(
+            capsys, "decompose", "--theory", "betti", "--n", "40", "--d", "4",
+            "--mode", "ranks", "--space", str(path), "--k", "40",
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert err == "fmc: error: Betti budget exceeded: a coefficient has more than 18 digits\n"
 
 
 class TestPoincareProperty:
@@ -763,7 +811,7 @@ class TestIndexAgreement:
                 if p is None and k is None:
                     continue
                 try:
-                    formal_evaluation(dec, kind, p, k)
+                    formal_groups(dec, kind, p, k)
                     expected = 0
                 except ValueError:
                     expected = 2

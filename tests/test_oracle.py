@@ -1,4 +1,5 @@
 from functools import partial
+from math import prod
 
 import pytest
 
@@ -258,6 +259,60 @@ class TestChecksCanFail:
         result = table_blowup_check(d)
         assert result.passed is False
         assert result.detail.startswith("disagreement at (p=0, k=2)")
+
+
+# Poincare polynomials (in q) and complex dimensions: projective spaces, a
+# quadric and a K3 surface, curves of genus 3 and 1, an abelian surface.
+EULER_SPACES = {
+    "P1": ([1, 0, 1], 1),
+    "P2": ([1, 0, 1, 0, 1], 2),
+    "P3": ([1, 0, 1, 0, 1, 0, 1], 3),
+    "quadric": ([1, 0, 2, 0, 1], 2),
+    "K3": ([1, 0, 22, 0, 1], 2),
+    "genus-3": ([1, 6, 1], 1),
+    "elliptic": ([1, 2, 1], 1),
+    "abelian-surface": ([1, 4, 6, 4, 1], 2),
+}
+
+
+def screen_euler(k, d):
+    # The screen of a node with k sons, k points of C^d up to translation and
+    # dilation: the direction from the first to the second, in P^(d-1), and
+    # the other k - 2 points in C^d minus those two, one after another.
+    return d * prod(1 - j for j in range(2, k))
+
+
+def strata_euler(chi, d, n, screen=screen_euler):
+    # X[n] is the disjoint union of the open strata of its nests: a nest
+    # with m components and nodes of k sons is a configuration of m distinct
+    # points of X (Euler characteristic chi (chi - 1) ... (chi - m + 1))
+    # carrying one screen per node.
+    return sum(
+        count * prod(chi - i for i in range(m)) * prod(screen(k, d) for k in sons)
+        for (m, sons), count in fmc.nests._signatures(n)
+    )
+
+
+class TestEulerCharacteristic:
+    # chi(X[n]) summed over the open strata agrees with the Poincare
+    # polynomial at q = -1 (W. Fulton, R. MacPherson, Ann. of Math. 139,
+    # 1994; E. Getzler, Duke Math. J. 96, 1999).
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("space", EULER_SPACES)
+    def test_strata_match_poincare_at_minus_one(self, space, n):
+        coeffs, d = EULER_SPACES[space]
+        betti = IntPoly(coeffs)
+        assert strata_euler(betti(-1), d, n) == fmc.theory.betti_of_fm(betti, d, n)(-1)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_a_wrong_screen_class_is_caught(self, n):
+        # One more on the class of a node with three sons, which first
+        # occurs at n = 3, breaks the agreement.
+        def off_by_one(k, d):
+            return screen_euler(k, d) + (k == 3)
+
+        expected = fmc.theory.betti_of_fm(P1_BETTI, 1, n)(-1)
+        assert strata_euler(2, 1, n, off_by_one) != expected
 
 
 class TestReport:

@@ -18,7 +18,7 @@ from fmc.theory import (
     betti_of_fm,
     builtin_space,
     evaluate_decomposition,
-    formal_evaluation,
+    formal_groups,
     parse_space,
     proj_bundle_table,
 )
@@ -284,7 +284,8 @@ class TestEvaluate:
         ] == [1, 2, 1]
 
     def test_db_formal_terms(self):
-        value = formal_evaluation(multiplicity_table(2, 2), "db", 1, 2)
+        groups, value = formal_groups(multiplicity_table(2, 2), "db", 1, 2)
+        assert list(map(str, groups)) == ["H^2_D(X^2, Z(1))", "H^0_D(X, Z(0))"]
         assert value.formal == ("H^0_D(X, Z(0))", "H^2_D(X^2, Z(1))")
 
     def test_db_negative_level_stays_formal(self):
@@ -421,9 +422,9 @@ class TestEvaluate:
     def test_stray_index_rejected(self):
         dec = multiplicity_table(2, 2)
         with pytest.raises(ValueError, match="takes no index k"):
-            formal_evaluation(dec, "chow", 1, 0)
+            formal_groups(dec, "chow", 1, 0)
         with pytest.raises(ValueError, match="takes no index p"):
-            formal_evaluation(dec, "betti", 0, 4)
+            formal_groups(dec, "betti", 0, 4)
         with pytest.raises(ValueError, match="takes no index p"):
             evaluate_decomposition(dec, builtin_space("p2", "betti"), 0, 4)
 
@@ -438,13 +439,14 @@ class TestEvaluate:
         dec = multiplicity_table(3, 2)
         total = sum(mult for _, _, mult in dec.terms)
         evaluations = {
-            "lawson": formal_evaluation(dec, "lawson", 6, 12),
-            "chow": formal_evaluation(dec, "chow", 6),
-            "db": formal_evaluation(dec, "db", 6, 12),
-            "betti": formal_evaluation(dec, "betti", k=12),
+            "lawson": formal_groups(dec, "lawson", 6, 12),
+            "chow": formal_groups(dec, "chow", 6),
+            "db": formal_groups(dec, "db", 6, 12),
+            "betti": formal_groups(dec, "betti", k=12),
         }
-        for kind, value in evaluations.items():
+        for kind, (groups, value) in evaluations.items():
             assert len(value.formal) == total, kind
+            assert [len(group.formal) for group in groups] == [1] * len(dec.terms), kind
 
     @pytest.mark.parametrize(
         "kind, p, k", [("lawson", 5, 14), ("lawson", 0, 30), ("chow", 12, None), ("chow", 20, None)]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fmc
 from fmc.cli import _COMMANDS, main
 from fmc.genfun import KERNEL_BUDGET
 from fmc.nests import NEST_BUDGET
@@ -236,6 +237,13 @@ def test_ci_installs_the_test_extra():
     assert sorted(installed.split()) == sorted(extra)
 
 
+def test_package_version_has_one_owner():
+    # The version the package metadata declares is the one `fmc --version`
+    # prints, read from fmc.__version__.
+    with open(ROOT / "pyproject.toml", "rb") as file:
+        assert tomllib.load(file)["project"]["version"] == fmc.__version__
+
+
 def test_only_the_entry_routine_ends_the_process():
     # Library code never ends the process: os._exit has one call site, in
     # the entry routine of fmc.cli, and both launchers call that routine.
@@ -341,6 +349,7 @@ def test_shipped_script_runs(script, args):
     [
         ["mult", "--n", "4", "--d", "2", "--format", "json"],
         ["decompose", "--theory", "lawson", "--n", "3", "--d", "2", "--mode", "formal"],
+        ["decompose", "--theory", "db", "--n", "4", "--d", "2", "--p", "1", "--k", "3"],
         ["egf", "--n", "4", "--d", "2", "--verify"],
         [
             "decompose", "--theory", "lawson", "--n", "3", "--d", "2",
