@@ -150,8 +150,8 @@ def _emit(text: str) -> None:
 
 
 class _Fragments(dict):
-    # The text of each value of a word, half-word or byte of a nest's int,
-    # made on first use: a listing meets few of the values at each position.
+    # The text of each value of a word or byte of a nest's int, made on
+    # first use: a listing meets few of the values at each position.
     def __init__(self, text: Callable[[int], str]) -> None:
         super().__init__()
         self.text = text
@@ -161,11 +161,11 @@ class _Fragments(dict):
         return found
 
 
-def _halves(high: _Fragments, low: _Fragments, bits: int) -> _Fragments:
-    # The texts of values twice as wide as those of `high` and `low`: each
-    # joins the texts of its two halves, so a miss costs one concatenation.
-    mask = (1 << bits) - 1
-    return _Fragments(lambda value: high[value >> bits] + low[value & mask])
+def _word_table(text: Callable[[int, int], str], k: int) -> _Fragments:
+    # Word k of a nest's member or son slots: each text joins those of the
+    # word's four bytes, where text(j, byte) is that of byte j.
+    b0, b1, b2, b3 = (_Fragments(lambda byte, j=j: text(j, byte)) for j in range(4 * k, 4 * k + 4))
+    return _Fragments(lambda v: b0[v >> 24] + b1[v >> 16 & 255] + b2[v >> 8 & 255] + b3[v & 255])
 
 
 def _words(values: list[int], width: int) -> memoryview:
@@ -189,7 +189,8 @@ def cmd_nests(args: SimpleNamespace) -> int:
     # is in A: the canonical order is a descending sort.  Singletons are in
     # every nest, so they get no bit; the text of each member word names
     # them.  A son count is at most n <= NEST_BUDGET < 16, so it fits a
-    # 4-bit slot, eight to a word.
+    # 4-bit slot, eight to a word.  The walk adds the count to the node
+    # values, which leave the low word clear, so its list is sorted in place.
     labels = range(1, n + 1)
     members = sorted(m for size in labels for m in itertools.combinations(labels, size))
     rank = {member: i for i, member in enumerate(members)}
@@ -203,13 +204,13 @@ def cmd_nests(args: SimpleNamespace) -> int:
         i = rank[member]
         return (1 << (top - i)) + (sons << (slot_top - 4 * i))
 
-    rows = [summary + m for m, summary in _walk(n, node)]
+    rows = _walk(n, node)
     rows.sort(reverse=True)
 
     # The sorted rows are written a chunk at a time, and each chunk is
     # rendered a word column at a time: word t of every row maps through
-    # the fragment table of word t, whose texts join those of its half-words
-    # and bytes.  A son word that is zero in every row of the chunk writes
+    # the fragment table of word t, whose texts join those of its four
+    # bytes.  A son word that is zero in every row of the chunk writes
     # nothing and is skipped.  Text joins each row's fragments, its
     # component count's (which opens the son list exactly when a member is
     # internal, that is when m < n) and its newline into one string per
@@ -239,13 +240,8 @@ def cmd_nests(args: SimpleNamespace) -> int:
                 )
         return text
 
-    def word_table(text: Callable[[int, int], str], k: int) -> _Fragments:
-        # Word k of the member or son slots, from its four bytes' texts.
-        b = [_Fragments(lambda byte, j=j: text(j, byte)) for j in range(4 * k, 4 * k + 4)]
-        return _halves(_halves(b[0], b[1], 8), _halves(b[2], b[3], 8), 16)
-
-    member_tables = [word_table(member_text, k) for k in range(member_words)]
-    son_tables = [word_table(son_text, k) for k in range(son_words)]
+    member_tables = [_word_table(member_text, k) for k in range(member_words)]
+    son_tables = [_word_table(son_text, k) for k in range(son_words)]
     components = [f"  components={m}{' sons:' if m < n else ''}" for m in range(n + 1)]
     # Where each word of a row sits in the view, from the top word down.
     place = range(words)[::-1] if sys.byteorder == "little" else range(words)

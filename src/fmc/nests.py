@@ -10,19 +10,20 @@ Each nest carries two statistics: the number of connected components
 (maximal members) and, for every internal node, its number of sons.  One
 walk builds every nest as a forest (partition {1..n} into components, then
 partition each root into sons), in one pass per nest: {1..n} is partitioned
-once, and the forests on each partition into k >= 2 blocks are yielded as
+once, and the forests on each partition into k >= 2 blocks are listed as
 they stand and again under the root {1..n} with k sons, as the
-one-component nests.  The caller gives each internal member with
-its son count an integer summary; a tree's summary is the sum over its
-internal members, made once per block and shared by every forest that holds
-the block, and a forest comes out as (component count, sum of its trees'
-summaries).  The trees of a forest have disjoint members, so the sum is
-exact, and the cost is proportional to the number of nests rather than to
-the number of candidate subset families.  ``fmc nests`` gives each member
-one bit, lex-smaller members higher, and a son-count slot below: the
+one-component nests.  The caller gives each internal member with its son
+count an integer summary that leaves the low bits clear; a tree's summary is
+the sum over its internal members, made once per block and shared by every
+forest that holds the block, and each nest comes out as one int: its
+component count plus the sum of its trees' summaries.  The trees of a forest
+have disjoint members, so the sum is exact, and the cost is proportional to
+the number of nests rather than to the number of candidate subset families.
+``fmc nests`` gives each member one bit, lex-smaller members higher, and a
+son-count slot below, all above the low word that holds the count: the
 canonical order (members are sorted label tuples, and nests are compared as
-sorted member sequences) is then a descending sort of plain ints, and the
-listing is rendered from the ints' 32-bit words a column at a time.
+sorted member sequences) is then a descending sort of the walk's ints, and
+the listing is rendered from the ints' 32-bit words a column at a time.
 
 The weight polynomial of a nest in ambient dimension ``d`` is the product
 over internal nodes I of ``x + x^2 + ... + x^(d*(sons(I)-1)-1)``; the empty
@@ -30,11 +31,11 @@ product is 1.  It depends only on the nest's signature (component count,
 sorted son counts), so the brute-force side of the decomposition check
 counts signatures once per n and sums their weights, grouped by component
 count, for each ``d``.  There a node with k sons adds one to slot k of the
-summary, the walk's (component count, summary) pairs are counted, and each
-distinct signature is decoded once.  The sums run on integers at a point
-and are unpacked by ``fmc.genfun._packed``, the kernel's packing: every
-weight is nonnegative, so the sums at 1 bound the coefficients.  That and
-the node weight ``sigma`` are all the nest route takes from the kernel
+nest's int, the component count fills slot 0, the walk's ints are counted,
+and each distinct signature is decoded once.  The sums run on integers at
+a point and are unpacked by ``fmc.genfun._packed``, the kernel's packing:
+every weight is nonnegative, so the sums at 1 bound the coefficients.  That
+and the node weight ``sigma`` are all the nest route takes from the kernel
 module, which it imports only when it sums, so a listing never loads it.
 The count still visits every labelled forest, so it stays independent of
 the generating-function kernel.
@@ -68,14 +69,14 @@ def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...
         yield ((first,),) + part
 
 
-def _walk(n: int, node: Callable[[tuple[int, ...], int], int]) -> Iterator[tuple[int, int]]:
-    # (component count, summary) of every nest on {1..n}, where a nest's
-    # summary is the sum of node(member, son count) over its internal
-    # members.  `memo` keeps the summaries of every tree on each block met
-    # so far, so one walk makes them once per block.  The full label set is
-    # partitioned once: the forests on a partition into k >= 2 blocks are
-    # yielded as they stand, and again under the root node(full, k) as the
-    # one-component nests.
+def _walk(n: int, node: Callable[[tuple[int, ...], int], int]) -> list[int]:
+    # One int per nest on {1..n}: its component count plus node(member, son
+    # count) over its internal members, so every node value must leave the
+    # low bits clear.  `memo` keeps the summaries of every tree on each block
+    # met so far, so one walk makes them once per block.  The full label set
+    # is partitioned once: the forests on a partition into k >= 2 blocks are
+    # listed as they stand, and again under the root node(full, k) as the
+    # one-component nests.  For n = 1 the lone singleton is the only nest.
     memo: dict[tuple[int, ...], list[int]] = {}
 
     def trees(block: tuple[int, ...]) -> list[int]:
@@ -97,20 +98,15 @@ def _walk(n: int, node: Callable[[tuple[int, ...], int], int]) -> Iterator[tuple
         return sums
 
     full = tuple(range(1, n + 1))
+    nests = [1] if n == 1 else []
     for part in _set_partitions(full):
         k = len(part)
-        if k == 1:
-            # {1..n} as one block: its trees are the one-component nests the
-            # other partitions give, and for n = 1 it is the lone singleton.
-            if n == 1:
-                yield 1, 0
-            continue
-        sums = forests(part, 0)
-        for s in sums:
-            yield k, s
-        root = node(full, k)
-        for s in sums:
-            yield 1, s + root
+        if k >= 2:
+            sums = forests(part, k)
+            nests += sums
+            root = node(full, k) + 1 - k  # and one component, not k
+            nests += [s + root for s in sums]
+    return nests
 
 
 def _check_labels(n: int) -> None:
@@ -123,16 +119,16 @@ def _check_labels(n: int) -> None:
 @lru_cache(maxsize=None)
 def _signatures(n: int) -> tuple:
     # How many nests on n labels have each (component count, sorted son
-    # counts).  A node with k sons adds one to slot k of its forest's
-    # summary; a forest has fewer than n nodes, so a slot of n's bit length
-    # never carries.  Callers check the budget first: a refused n is never cached.
+    # counts).  A node with k sons adds one to slot k of its nest's int, and
+    # the component count fills slot 0; a nest has fewer than n nodes, so a
+    # slot of n's bit length never carries.  Callers check the budget first:
+    # a refused n is never cached.
     width = n.bit_length()
     mask = (1 << width) - 1
-    counts = Counter(_walk(n, lambda member, sons: 1 << (width * sons)))
     found = {}
-    for (m, slots), count in counts.items():
-        sons = (k for k in range(2, n + 1) for _ in range(slots >> (width * k) & mask))
-        found[m, tuple(sons)] = count
+    for nest, count in Counter(_walk(n, lambda member, sons: 1 << (width * sons))).items():
+        sons = (k for k in range(2, n + 1) for _ in range(nest >> (width * k) & mask))
+        found[nest & mask, tuple(sons)] = count
     return tuple(sorted(found.items()))
 
 

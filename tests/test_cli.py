@@ -1250,15 +1250,16 @@ class TestProcessExit:
 
     def test_closed_pipe_exits_2(self):
         # The reader goes away mid-listing.  The write fails inside the
-        # command, which reports the OSError as one line and exits 2.
-        child = subprocess.Popen(
+        # command, which reports the OSError as one line and exits 2.  Leaving
+        # the block closes the child's stderr too.
+        with subprocess.Popen(
             [*FMC, "nests", "--n", "7"], env=child_env(unbuffered=False),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        try:
-            assert len(child.stdout.read(20)) == 20
-            child.stdout.close()
-            err = child.stderr.read()
-        finally:
-            code = child.wait(timeout=60)
+        ) as child:
+            try:
+                assert len(child.stdout.read(20)) == 20
+                child.stdout.close()
+                err = child.stderr.read()
+            finally:
+                code = child.wait(timeout=60)
         assert (code, err) == (2, b"fmc: error: [Errno 32] Broken pipe\n")

@@ -97,13 +97,14 @@ def nest_weight(members, d):
 def constructed(n):
     """(members, stats) of every nest as ``fmc.nests._walk`` builds it, canonical order.
 
-    The walk sums one summary per internal member; here that summary is the
-    son count in a slot of its own for each larger subset, decoded back into
-    {member: son count}.  A son count is at most n, so no slot carries.
+    The walk gives each nest one int: its component count in slot 0 plus one
+    summary per internal member.  Here that summary is the son count in a
+    slot of its own for each larger subset, from slot 1 up, decoded back
+    into {member: son count}.  A count is at most n, so no slot carries.
     """
     labels = range(1, n + 1)
     larger = [m for size in range(2, n + 1) for m in itertools.combinations(labels, size)]
-    slot = {member: i for i, member in enumerate(larger)}
+    slot = {member: i for i, member in enumerate(larger, 1)}
     width = n.bit_length()
     mask = (1 << width) - 1
 
@@ -112,13 +113,13 @@ def constructed(n):
 
     singletons = tuple((label,) for label in labels)
     found = []
-    for m, summary in fmc.nests._walk(n, node):
+    for nest in fmc.nests._walk(n, node):
         sons = {
             member: count
             for member in larger
-            if (count := summary >> (width * slot[member]) & mask)
+            if (count := nest >> (width * slot[member]) & mask)
         }
-        found.append((tuple(sorted(singletons + tuple(sons))), Stats(m, sons)))
+        found.append((tuple(sorted(singletons + tuple(sons))), Stats(nest & mask, sons)))
     return sorted(found)
 
 
@@ -488,26 +489,47 @@ class TestBruteBivariate:
         assert fmc.nests._signatures(n) == tuple(sorted(walked.items()))
 
     def test_wrong_son_count_fails_verify(self, monkeypatch, fresh_signatures):
-        # The oracle reads son counts off the walk's summaries, so one count
-        # off by one in one forest's summary must show up as a failing check.
-        # The first forest with a single internal member has one pair with 2
-        # sons; its summary is swapped for the same pair with 3.
+        # The oracle reads son counts off the walk's ints, so one count off
+        # by one in one nest's int must show up as a failing check.  The
+        # first nest with n - 1 components holds one pair with 2 sons; its
+        # int is swapped for the same pair with 3.  For n = 1 no nest has
+        # n - 1 components, and nothing is swapped.
         walk = fmc.nests._walk
 
         def off_by_one(n, node):
-            rest = walk(n, node)
-            for m, summary in rest:
-                if m == n - 1:
-                    pairs = itertools.combinations(range(1, n + 1), 2)
-                    pair = next(p for p in pairs if node(p, 2) == summary)
-                    yield m, node(pair, 3)
-                    break
-                yield m, summary
-            yield from rest
+            nests = walk(n, node)
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            swap = {node(p, 2) + n - 1: node(p, 3) + n - 1 for p in pairs}
+            i = next((i for i, nest in enumerate(nests) if nest in swap), None)
+            if i is not None:
+                nests[i] = swap[nests[i]]
+            return nests
 
         monkeypatch.setattr(fmc.nests, "_walk", off_by_one)
         failed = {check.name for check in run_verification(4, 2) if not check.passed}
         assert "brute-equiv" in failed
+
+    def test_wrong_component_count_fails(self, capsys, monkeypatch, fresh_signatures):
+        # The walk writes each nest's component count into its int, which
+        # both the oracle and the listing read.  For each n >= 2 the first
+        # one-component nest is listed with count 2: a second walk in the
+        # same order, whose only nonzero node is the root {1..n}, marks the
+        # one-component nests.
+        walk = fmc.nests._walk
+
+        def miscounted(n, node):
+            nests = walk(n, node)
+            marks = walk(n, lambda member, sons: 256 * (len(member) == n))
+            i = next((i for i, mark in enumerate(marks) if mark >= 256), None)
+            if i is not None:
+                nests[i] += 1
+            return nests
+
+        monkeypatch.setattr(fmc.nests, "_walk", miscounted)
+        failed = {check.name for check in run_verification(4, 2) if not check.passed}
+        assert "brute-equiv" in failed
+        for fmt in ("text", "json"):
+            assert listing(capsys, 4, fmt)[1] != reference_listing(4, fmt)
 
     def test_two_labels_d3(self):
         assert brute_bivariate(2, 3) == {2: ONE, 1: IntPoly([0, 1, 1])}
