@@ -25,6 +25,10 @@ import sys
 
 from . import __version__
 
+# types.SimpleNamespace, without importing types: what ``_parse`` returns
+# and every handler reads.
+SimpleNamespace = type(sys.implementation)
+
 # Each handler imports the modules it runs, so a command loads only what it
 # needs.  ``render_json`` writes JSON itself, so ``json`` loads only to read
 # a descriptor file, in ``fmc.theory.load_space``.  Annotations are not
@@ -534,7 +538,11 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``argparse.ArgumentParser`` of every command in ``_COMMANDS``.
+
+    The return type is not annotated: argparse loads only when this runs.
+    """
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -599,8 +607,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         values[_dest(flag)] = value
     if any(settings.get("required") and flag not in seen for flag, settings in options):
         return None
-    # types.SimpleNamespace, without importing types.
-    return type(sys.implementation)(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

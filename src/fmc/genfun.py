@@ -315,9 +315,6 @@ class FormalDecomposition(Record):
 
     __slots__ = ("n", "d", "rows")
 
-    def __init__(self, n: int, d: int, rows: tuple[IntPoly, ...]) -> None:
-        self._set(n=n, d=d, rows=rows)
-
     @property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
         """``(m, shift, a_{m,shift})`` with m descending, shift ascending, a > 0."""

@@ -132,10 +132,10 @@ def _signatures(n: int) -> tuple:
     return tuple(sorted(found.items()))
 
 
-def brute_bivariate(n: int, d: int) -> dict[int, IntPoly]:
+def brute_bivariate(n: int, d: int) -> dict[int, object]:
     """Sum of nest weights grouped by component count.
 
-    The result maps each occurring component count m to
+    The result maps each occurring component count m to the ``IntPoly``
     ``sum(weight(S) for nests S with c(S) = m)``; zero sums are dropped.
     """
     # Only the cross-check reads the kernel module, for its packing and its

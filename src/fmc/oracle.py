@@ -61,9 +61,6 @@ VERIFY_MAX_D = 24
 class CheckResult(Record):
     __slots__ = ("name", "params", "passed", "detail")
 
-    def __init__(self, name: str, params: dict[str, int], passed: bool, detail: str) -> None:
-        self._set(name=name, params=params, passed=passed, detail=detail)
-
 
 def brute_equiv(n: int, d: int) -> CheckResult:
     """Nest enumeration vs generating-function table, all powers at once."""
@@ -181,10 +178,10 @@ def table_blowup_check(d: int) -> CheckResult:
 
 
 def palindrome_check(betti_x: IntPoly, d: int, n: int) -> CheckResult:
-    """Poincare polynomial of X[n] stays palindromic of degree 2dn."""
-    _check_dim(d)
-    if not betti_x.is_palindromic(2 * d):
-        raise ValueError("input Poincare polynomial must be palindromic of degree 2d")
+    """Poincare polynomial of X[n] stays palindromic of degree 2dn.
+
+    ``betti_of_fm`` refuses an input that is not palindromic of degree 2d.
+    """
     result = betti_of_fm(betti_x, d, n)
     passed = result.is_palindromic(2 * d * n)
     detail = f"poincare = {result}" if passed else f"not palindromic: {result}"

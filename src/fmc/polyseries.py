@@ -27,7 +27,7 @@ class IntPoly(Record):
         end = len(cs)
         while end and cs[end - 1] == 0:
             end -= 1
-        self._set(coeffs=cs[:end])
+        super().__init__(cs[:end])
 
     @property
     def degree(self) -> int:

@@ -4,7 +4,11 @@ A record's fields are its ``__slots__``, in order.  Two records are equal
 when they have the same class and equal fields, and the hash is the hash of
 the field tuple, so a record holding a dict is unhashable.  ``repr`` reads
 ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
-``AttributeError``; ``__init__`` sets each field once through ``_set``.
+``AttributeError``.  ``__init__`` is the one place a field is set: it takes
+the fields in slot order, first by position and then by name, each exactly
+once, and raises ``TypeError`` on a missing, extra, repeated or unknown one.
+A record with invariants checks them in its own ``__init__`` and passes its
+fields on to this one.
 """
 
 from __future__ import annotations
@@ -13,8 +17,19 @@ from __future__ import annotations
 class Record:
     __slots__ = ()
 
-    def _set(self, **fields: object) -> None:
-        for name, value in fields.items():
+    def __init__(self, *values: object, **named: object) -> None:
+        slots = self.__slots__
+        kind = self.__class__.__qualname__
+        if len(values) > len(slots):
+            raise TypeError(f"{kind}() takes {len(slots)} fields but {len(values)} were given")
+        for name in slots[len(values):]:
+            if name not in named:
+                raise TypeError(f"{kind}() missing field {name!r}")
+            values += (named.pop(name),)
+        for name in named:
+            how = "repeated" if name in slots else "unknown"
+            raise TypeError(f"{kind}() got {how} field {name!r}")
+        for name, value in zip(slots, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:

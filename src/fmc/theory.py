@@ -83,24 +83,6 @@ class Theory(Record):
         "index_rule", "index_ok", "record_rule",
     )
 
-    def __init__(
-        self,
-        name: str,
-        has_level: bool,
-        has_degree: bool,
-        negative_level: str,
-        text: str,
-        latex: str,
-        index_rule: str = "",
-        index_ok: Callable[..., bool] = lambda p, k, e=inf: True,
-        record_rule: str = "",
-    ) -> None:
-        self._set(
-            name=name, has_level=has_level, has_degree=has_degree,
-            negative_level=negative_level, text=text, latex=latex,
-            index_rule=index_rule, index_ok=index_ok, record_rule=record_rule,
-        )
-
     def read_index(self, p: int, k: int, shift: int) -> tuple[int, int] | None:
         """The index a term shifted by ``shift`` reads at outer (p, k).
 
@@ -133,7 +115,10 @@ THEORIES = {
             "H^{{{k}}}_{{\\mathcal{{D}}}}({X},\\mathbb{{Z}}({p}))",
             "", lambda p, k, e=inf: k <= 2 * e + 1, "k <= {two_e_1}",
         ),
-        Theory("betti", False, True, ZERO_READ, "H_{k}({X})", "H_{{{k}}}({X})"),
+        Theory(
+            "betti", False, True, ZERO_READ, "H_{k}({X})", "H_{{{k}}}({X})",
+            "", lambda p, k, e=inf: True, "",
+        ),
     )
 }
 
@@ -174,7 +159,7 @@ class GroupDescriptor(Record):
         self, free_rank: int = 0, torsion: tuple[int, ...] = (), formal: tuple[str, ...] = ()
     ) -> None:
         torsion = tuple(sorted(int(t) for t in torsion))
-        self._set(free_rank=free_rank, torsion=torsion, formal=tuple(sorted(formal)))
+        super().__init__(free_rank, torsion, tuple(sorted(formal)))
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         if any(t < 2 for t in torsion):
@@ -234,7 +219,7 @@ class GradedTable(Record):
                 raise ValueError("graded table may not store entries with k < 0")
             if not g.is_zero:
                 cleaned[(int(p), int(k))] = g
-        self._set(groups=cleaned)
+        super().__init__(cleaned)
 
     def lookup(self, p: int, k: int) -> GroupDescriptor:
         return self.groups.get((p, k), ZERO_GROUP)
@@ -242,8 +227,9 @@ class GradedTable(Record):
 
 def _check_betti(betti: IntPoly, dim: int) -> None:
     # Betti numbers: nonnegative, which the packed Poincare pass relies on,
-    # none past the real dimension 2 * dim, and none of more than
-    # BETTI_DIGITS digits.
+    # none past the real dimension 2 * dim, none of more than BETTI_DIGITS
+    # digits, and palindromic of degree 2 * dim, as Poincare duality
+    # b_k = b_{2dim-k} asks of a smooth projective variety.
     if any(c < 0 for c in betti.coeffs):
         raise ValueError("Betti coefficients must be nonnegative")
     if betti.degree > 2 * dim:
@@ -252,6 +238,8 @@ def _check_betti(betti: IntPoly, dim: int) -> None:
         raise BudgetError(
             f"Betti budget exceeded: a coefficient has more than {BETTI_DIGITS} digits"
         )
+    if not betti.is_palindromic(2 * dim):
+        raise ValueError("Betti numbers must satisfy Poincare duality b_k = b_{2*dim-k}")
 
 
 def _check_record(theory: Theory, label: str, p: int, k: int, m: int, dim: int) -> None:
@@ -268,10 +256,11 @@ def _check_record(theory: Theory, label: str, p: int, k: int, m: int, dim: int) 
 class SpaceDescriptor(Record):
     """A named space with dimension, theory kind, and graded data.
 
-    ``betti`` holds a Poincare polynomial, nonnegative and of degree at most
-    2 * dim: the data of kind "betti", and of any Lawson or Chow space whose
-    groups are its Betti numbers, ``L_pH_k = H_k`` and ``Ch_p = H_{2p}``
-    (the built-in projective spaces and their powers).  Evaluation reads
+    ``betti`` holds a Poincare polynomial, nonnegative and palindromic of
+    degree 2 * dim (``_check_betti``): the data of kind "betti", and of any
+    Lawson or Chow space whose groups are its Betti numbers,
+    ``L_pH_k = H_k`` and ``Ch_p = H_{2p}`` (the built-in projective spaces
+    and their powers).  Evaluation reads
     such a space as one coefficient of the Poincare polynomial of X[n].
     Other spaces store graded tables for the cartesian powers in ``powers``
     (the space itself is power 1); every stored group of the m-th power
@@ -291,7 +280,7 @@ class SpaceDescriptor(Record):
     ) -> None:
         # No powers given means a fresh empty dict for this space alone.
         powers = {} if powers is None else powers
-        self._set(name=name, dim=dim, kind=kind, betti=betti, powers=powers)
+        super().__init__(name, dim, kind, betti, powers)
         theory = theory_of(kind)  # refuses an unknown kind
         for m, table in powers.items():
             for p, k in table.groups:

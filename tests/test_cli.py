@@ -504,6 +504,10 @@ BAD_DESCRIPTORS = {
     "betti-degree": (
         {**BETTI_LINE, "betti": [1, 0, 0, 0, 1]}, "Betti polynomial degree exceeds 2*dim"
     ),
+    "betti-duality": (
+        {**BETTI_LINE, "betti": [1, 5, 0]},
+        "Betti numbers must satisfy Poincare duality b_k = b_{2*dim-k}",
+    ),
     "table-with-betti": (
         line_doc(betti=[1, 0, 1]), "lawson descriptors carry a 'table', not 'betti'"
     ),

@@ -34,6 +34,7 @@ RANK = "rank parameter must be >= 1"
 DEGREE = "Betti polynomial degree exceeds 2*dim"
 DIGITS = "Betti budget exceeded: a coefficient has more than 18 digits"
 MISMATCH = "space dimension 1 does not match decomposition d=2"
+DUALITY = "Betti numbers must satisfy Poincare duality b_k = b_{2*dim-k}"
 P1 = projective_betti(1)
 
 REFUSALS = {
@@ -53,7 +54,7 @@ REFUSALS = {
     "palindrome_check-n": (lambda: palindrome_check(P1, 1, 0), SIZE),
     "palindrome_check-lopsided": (
         lambda: palindrome_check(IntPoly([1, 2]), 1, 1),
-        "input Poincare polynomial must be palindromic of degree 2d",
+        DUALITY,
     ),
     "betti_of_fm-d": (lambda: betti_of_fm(P1, 0, 1), DIMENSION),
     "betti_of_fm-n": (lambda: betti_of_fm(P1, 1, 0), SIZE),
@@ -92,8 +93,9 @@ def test_refusal(call, message):
         (IntPoly([1, 0, 0, 0, 1]), DEGREE),
         (IntPoly([1, -1, 1]), "Betti coefficients must be nonnegative"),
         (IntPoly([1, 10**18, 1]), DIGITS),
+        (IntPoly([1, 5, 0]), DUALITY),
     ],
-    ids=["degree", "negative", "digits"],
+    ids=["degree", "negative", "digits", "duality"],
 )
 def test_space_descriptor_refuses_bad_betti_data(kind, betti, message):
     # Built in, read from a file or built by a caller, every space with a

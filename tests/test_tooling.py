@@ -1,11 +1,14 @@
 import ast
+import importlib
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import textwrap
 import tomllib
+import typing
 from pathlib import Path
 
 import pytest
@@ -328,6 +331,63 @@ def test_slotted_classes_are_records():
             if slotted and "Record" not in bases:
                 loose.append(f"{path.name}: {node.name}")
     assert loose == []
+
+
+def _public_callables():
+    # Each public function of every fmc module and each public method of
+    # its classes, dunder methods included, as (qualified name, function).
+    found = []
+    for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
+        module = importlib.import_module("fmc" if path.stem == "__init__" else f"fmc.{path.stem}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).items() if isinstance(value, type) else [("", value)]
+            for attr, member in members:
+                member = getattr(member, "fget", member)
+                private = attr.startswith("_") and not attr.endswith("__")
+                if hasattr(member, "__code__") and not private:
+                    found.append((f"{module.__name__}.{name}.{attr}".rstrip("."), member))
+    return found
+
+
+def test_public_annotations_resolve():
+    # Annotations are strings (PEP 563) and never evaluated by fmc itself,
+    # so a name they use that the module does not bind goes unnoticed until
+    # a caller resolves them.
+    callables = _public_callables()
+    assert {"fmc.cli.cmd_nests", "fmc.record.Record.__init__"} <= dict(callables).keys()
+    unresolved = []
+    for name, function in callables:
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
+
+
+def test_a_failing_property_test_is_reported(tmp_path):
+    # Under the project's warning filters, a failing hypothesis test is one
+    # failure, not an internal error that ends the session.
+    (tmp_path / "test_planted.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_planted(x):
+            assert x < 0
+
+        def test_after():
+            pass
+    """))
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_planted.py",
+        ],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
 
 
 @pytest.mark.parametrize(
