@@ -30,13 +30,15 @@ from . import __version__
 SimpleNamespace = type(sys.implementation)
 
 # Each handler imports the modules it runs, so a command loads only what it
-# needs.  ``render_json`` writes JSON itself, so ``json`` loads only to read
-# a descriptor file, in ``fmc.theory.load_space``.  Annotations are not
-# evaluated (PEP 563); the fmc types they name are imported by the
-# handlers that use them.  The parser needs one fact of the library
-# without importing it, copied here and pinned by a test: the theory names
-# of ``fmc.theory.THEORIES``, in table order.  Handlers read their options
-# as attributes of a namespace, whichever parser made it.
+# needs.  ``render_json`` writes JSON itself and hands ``json.dumps`` only a
+# string that needs escaping, which only a descriptor file's name can, so
+# ``json`` loads only with a descriptor file, read by
+# ``fmc.theory.load_space``.  Annotations (PEP 563) name only what this
+# module binds, so that they resolve; a comment names any other type.  The
+# parser needs one fact of the library without importing it, copied here
+# and pinned by a test: the theory names of ``fmc.theory.THEORIES``, in
+# table order.  Handlers read their options as attributes of a namespace,
+# whichever parser made it.
 _THEORY_NAMES = ("lawson", "chow", "db", "betti")
 # Rows of a nest listing rendered and written together.
 _NEST_CHUNK = 256
@@ -45,32 +47,15 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-# The escape of each character json.dumps (ensure_ascii) escapes below
-# U+0080: the quote, the backslash, the control characters and DEL.
-_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in [*range(0x20), 0x7F]} | {
-    ord('"'): '\\"', ord("\\"): "\\\\", ord("\b"): "\\b", ord("\f"): "\\f",
-    ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t",
-}
-
-
-def _json_escape(char: str) -> str:
-    # A character of a string the table has escaped, as json.dumps writes
-    # it: ASCII as it stands, \uXXXX past it, a surrogate pair past U+FFFF.
-    code = ord(char)
-    if code < 0x80:
-        return char
-    if code < 0x10000:
-        return f"\\u{code:04x}"
-    code -= 0x10000
-    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-
-
 def _json_string(text: str) -> str:
-    # The string as json.dumps writes it with ensure_ascii.
-    text = text.translate(_JSON_ESCAPES)
-    if not text.isascii():
-        text = "".join(map(_json_escape, text))
-    return f'"{text}"'
+    # The string as json.dumps writes it with ensure_ascii.  Printable ASCII
+    # with no quote or backslash stands as it is; only a descriptor file's
+    # name can hold anything else, and json has loaded to read that file.
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
 
 
 def render_json(doc: dict) -> str:
@@ -131,7 +116,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _group_doc(group: GroupDescriptor) -> dict:
+def _group_doc(group) -> dict:
+    # The JSON object of a fmc.theory.GroupDescriptor.
     doc: dict[str, object] = {}
     if group.formal:
         if group.free_rank or group.torsion:
@@ -156,7 +142,8 @@ def _emit(text: str) -> None:
 class _Fragments(dict):
     # The text of each value of a word or byte of a nest's int, made on
     # first use: a listing meets few of the values at each position.
-    def __init__(self, text: Callable[[int], str]) -> None:
+    # text(value) makes the text of a value.
+    def __init__(self, text) -> None:
         super().__init__()
         self.text = text
 
@@ -165,7 +152,7 @@ class _Fragments(dict):
         return found
 
 
-def _word_table(text: Callable[[int, int], str], k: int) -> _Fragments:
+def _word_table(text, k: int) -> _Fragments:
     # Word k of a nest's member or son slots: each text joins those of the
     # word's four bytes, where text(j, byte) is that of byte j.
     b0, b1, b2, b3 = (_Fragments(lambda byte, j=j: text(j, byte)) for j in range(4 * k, 4 * k + 4))

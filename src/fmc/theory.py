@@ -474,6 +474,17 @@ _TOP_FIELDS = {"name", "dim", "kind", "betti", "table", "powers"}
 _RECORD_FIELDS = {"p", "k", "free_rank", "torsion"}
 
 
+def _check_fields(doc: dict, known: set[str], required: Iterable[str], where: str = "") -> None:
+    # A descriptor object holds no field outside ``known`` and every one of
+    # ``required``; ``where`` prefixes each message.
+    unknown = set(doc) - known
+    if unknown:
+        raise ValueError(f"{where}unknown fields {sorted(unknown)}")
+    for fld in required:
+        if fld not in doc:
+            raise ValueError(f"{where}missing field {fld!r}")
+
+
 def _parse_table(records: object, kind: str, where: str, m: int, dim: int) -> GradedTable:
     """The graded table of the power ``X^m`` of a space of dimension ``dim``.
 
@@ -492,28 +503,29 @@ def _parse_table(records: object, kind: str, where: str, m: int, dim: int) -> Gr
         label = f"{where}[{idx}]"
         if not isinstance(record, dict):
             raise ValueError(f"{label}: expected an object")
-        unknown = set(record) - _RECORD_FIELDS
-        if unknown:
-            raise ValueError(f"{label}: unknown fields {sorted(unknown)}")
-        for fld in ("p", "k", "free_rank"):
-            if fld not in record:
-                raise ValueError(f"{label}: missing field {fld!r}")
+        fields = ("p", "k", "free_rank")
+        _check_fields(record, _RECORD_FIELDS, fields, f"{label}: ")
+        for fld in fields:
             if not isinstance(record[fld], int) or isinstance(record[fld], bool):
                 raise ValueError(f"{label}: field {fld!r} must be an integer")
-        p, k, rank = record["p"], record["k"], record["free_rank"]
+        p, k = record["p"], record["k"]
         if k < 0:
             raise ValueError(f"{label}: k < 0 entries are zero and may not be stored")
         _check_record(theory, label, p, k, m, dim)
-        if rank < 0:
-            raise ValueError(f"{label}: free_rank must be nonnegative")
+        # GroupDescriptor owns the rank and order rules, but coerces each
+        # order with int(), so the parser checks that the orders are ints.
         torsion = record.get("torsion", [])
         if not isinstance(torsion, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) and t >= 2 for t in torsion
+            isinstance(t, int) and not isinstance(t, bool) for t in torsion
         ):
-            raise ValueError(f"{label}: torsion must be a list of integers >= 2")
+            raise ValueError(f"{label}: torsion must be a list of integers")
+        try:
+            group = GroupDescriptor(record["free_rank"], tuple(torsion))
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from None
         if (p, k) in groups:
             raise ValueError(f"{label}: duplicate index ({p}, {k})")
-        groups[(p, k)] = GroupDescriptor(free_rank=rank, torsion=tuple(torsion))
+        groups[(p, k)] = group
     return GradedTable(groups)
 
 
@@ -521,12 +533,7 @@ def parse_space(doc: object) -> SpaceDescriptor:
     """Build a space descriptor from a parsed document, validating strictly."""
     if not isinstance(doc, dict):
         raise ValueError("space descriptor must be a JSON object")
-    unknown = set(doc) - _TOP_FIELDS
-    if unknown:
-        raise ValueError(f"unknown fields {sorted(unknown)}")
-    for fld in ("name", "dim", "kind"):
-        if fld not in doc:
-            raise ValueError(f"missing field {fld!r}")
+    _check_fields(doc, _TOP_FIELDS, ("name", "dim", "kind"))
     name, dim, kind = doc["name"], doc["dim"], doc["kind"]
     if not isinstance(name, str):
         raise ValueError("field 'name' must be a string")
@@ -550,8 +557,7 @@ def parse_space(doc: object) -> SpaceDescriptor:
         return SpaceDescriptor(name=name, dim=dim, kind="betti", betti=IntPoly(coeffs))
     if "betti" in doc:
         raise ValueError(f"{kind} descriptors carry a 'table', not 'betti'")
-    if "table" not in doc:
-        raise ValueError("missing field 'table'")
+    _check_fields(doc, _TOP_FIELDS, ("table",))
     powers = {1: _parse_table(doc["table"], kind, "table", 1, dim)}
     raw_powers = doc.get("powers", {})
     if not isinstance(raw_powers, dict):

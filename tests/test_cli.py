@@ -477,7 +477,24 @@ BAD_DESCRIPTORS = {
         line_record(k=-2), "table[0]: k < 0 entries are zero and may not be stored"
     ),
     "record-negative-rank": (
-        line_record(free_rank=-1), "table[0]: free_rank must be nonnegative"
+        line_record(free_rank=-1), "table[0]: free rank must be nonnegative"
+    ),
+    "record-torsion-order": (line_record(torsion=[1]), "table[0]: torsion orders must be >= 2"),
+    "record-torsion-string": (
+        line_record(torsion=["2"]), "table[0]: torsion must be a list of integers"
+    ),
+    "record-torsion-bool": (
+        line_record(torsion=[True]), "table[0]: torsion must be a list of integers"
+    ),
+    "record-torsion-float": (
+        line_record(torsion=[2.7]), "table[0]: torsion must be a list of integers"
+    ),
+    "record-torsion-not-list": (
+        line_record(torsion=2), "table[0]: torsion must be a list of integers"
+    ),
+    "powers-record-torsion-order": (
+        line_doc(powers={"2": [{"p": 0, "k": 0, "free_rank": 1, "torsion": [0]}]}),
+        "powers[2][0]: torsion orders must be >= 2",
     ),
     "not-object": ([LINE_DOC], "space descriptor must be a JSON object"),
     "missing-dim": (line_doc(dim=None), "missing field 'dim'"),

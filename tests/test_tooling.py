@@ -104,9 +104,10 @@ def test_argparse_is_imported_only_inside_functions():
 
 
 def test_json_is_imported_only_to_read_a_descriptor_file():
-    # fmc.cli.render_json writes JSON itself, so the json module has one
-    # import site, in fmc.theory.load_space.  Outside a function an import
-    # has no owner (None).
+    # fmc.cli.render_json writes JSON itself, so the json module is imported
+    # in fmc.theory.load_space, and in fmc.cli._json_string only for a
+    # string that needs escaping, which only a descriptor file's name can.
+    # Outside a function an import has no owner (None).
     sites = []
     for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -128,7 +129,7 @@ def test_json_is_imported_only_to_read_a_descriptor_file():
                 for name in names
                 if name.split(".")[0] in ("json", "_json")
             ]
-    assert sites == [("theory.py", "load_space")]
+    assert sites == [("cli.py", "_json_string"), ("theory.py", "load_space")]
 
 
 def test_no_module_compares_with_a_ranged_theory_name():
@@ -172,7 +173,9 @@ def test_only_the_theory_module_reads_a_space():
 def test_each_refusal_is_raised_at_one_site():
     # A rule has one owner: functions that share a rule call it instead of
     # writing out its check and message again.  An f-string's formatted
-    # values read as {}, so a rule copied with other variables still matches.
+    # values read as {}, so a rule copied with other variables still matches,
+    # and a leading value and the ": " after it are dropped, so a rule copied
+    # behind a label does too.
     sites = {}
     for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -186,6 +189,7 @@ def test_each_refusal_is_raised_at_one_site():
             else:
                 continue
             text = "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
+            text = text.removeprefix("{}: ")
             sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
     assert {text: where for text, where in sites.items() if len(where) > 1} == {}
 
@@ -333,20 +337,19 @@ def test_slotted_classes_are_records():
     assert loose == []
 
 
-def _public_callables():
-    # Each public function of every fmc module and each public method of
-    # its classes, dunder methods included, as (qualified name, function).
+def _module_callables():
+    # Each function of every fmc module and each method of its classes,
+    # private ones included, as (qualified name, function).
     found = []
     for path in sorted((ROOT / "src" / "fmc").glob("*.py")):
         module = importlib.import_module("fmc" if path.stem == "__init__" else f"fmc.{path.stem}")
         for name, value in vars(module).items():
-            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+            if getattr(value, "__module__", None) != module.__name__:
                 continue
             members = vars(value).items() if isinstance(value, type) else [("", value)]
             for attr, member in members:
                 member = getattr(member, "fget", member)
-                private = attr.startswith("_") and not attr.endswith("__")
-                if hasattr(member, "__code__") and not private:
+                if hasattr(member, "__code__"):
                     found.append((f"{module.__name__}.{name}.{attr}".rstrip("."), member))
     return found
 
@@ -354,9 +357,12 @@ def _public_callables():
 def test_public_annotations_resolve():
     # Annotations are strings (PEP 563) and never evaluated by fmc itself,
     # so a name they use that the module does not bind goes unnoticed until
-    # a caller resolves them.
-    callables = _public_callables()
-    assert {"fmc.cli.cmd_nests", "fmc.record.Record.__init__"} <= dict(callables).keys()
+    # a caller resolves them.  Private functions and methods count too.
+    callables = _module_callables()
+    assert {
+        "fmc.cli.cmd_nests", "fmc.cli._group_doc", "fmc.cli._Fragments.__init__",
+        "fmc.record.Record.__init__",
+    } <= dict(callables).keys()
     unresolved = []
     for name, function in callables:
         try:
